@@ -44,6 +44,7 @@ from .tableaux import (
     to_chain,
 )
 from .modules import (
+    BadPrime,
     FpModule,
     NotInvariant,
     Subspace,

@@ -307,7 +307,7 @@ def _picket_solutions(x: Embedding, a: int, b: int):
     if n == 0 or b == 0:
         return np.zeros((0, n), dtype=np.int64)
     blocks = [x.ambient.power(b)]
-    ann = linalg.left_annihilator(x.sub.basis, n, p)
+    ann = x.sub.annihilator_basis
     if ann.shape[0] > 0:
         blocks.append((ann @ x.ambient.power(b - a)) % p)
     return linalg.nullspace(np.vstack(blocks) % p, p)

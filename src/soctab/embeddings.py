@@ -186,7 +186,7 @@ def hom_dim(x: Embedding, y: Embedding) -> int:
     iy = np.eye(ny, dtype=np.int64)
     # vec is column-major: vec(F Tx) = (Tx^T kron I) vec F, vec(Ty F) = (I kron Ty) vec F
     blocks = [np.kron(x.ambient.op.T, iy) - np.kron(ix, y.ambient.op)]
-    ann = linalg.left_annihilator(y.sub.basis, ny, p)
+    ann = y.sub.annihilator_basis
     if ann.shape[0] > 0:
         for a in x.sub.basis:
             blocks.append(np.kron(a.reshape(1, nx), ann))
@@ -252,7 +252,7 @@ def _picket_hom_dim(x: Embedding, ell, m):
     if n == 0 or m == 0:
         return 0
     blocks = [x.ambient.power(m)]
-    ann = linalg.left_annihilator(x.sub.basis, n, p)
+    ann = x.sub.annihilator_basis
     if ann.shape[0] > 0 and m > ell:
         blocks.append((ann @ x.ambient.power(m - ell)) % p)
     elif ann.shape[0] > 0 and m == ell:

@@ -1,9 +1,25 @@
 """Exact linear algebra over the prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced mod p.  Vectors are
-rows; a subspace is represented by its reduced row-echelon basis, which
-makes subspace equality plain array equality.
+The interface is numpy: matrices are int64 arrays, vectors are rows, and a
+subspace is represented by its reduced row-echelon basis, which makes
+subspace equality plain array equality.  Every public function takes and
+returns such arrays, with entries reduced mod p.
+
+Inside, every elimination runs in one routine, ``_eliminate``, on rows
+held as lists of Python ints in [0, p), at every prime.  A public function
+converts its arrays to rows once on entry and back once on exit, so the
+matrices the library produces (mostly smaller than 20 x 20) pay no
+per-entry numpy call, and arithmetic is exact at any prime.  Rows
+bit-packed into one int and eliminated by XOR at p = 2 (as in M4RI) were
+tried and ran the realization sweep slower at these sizes, so one row form
+serves every prime.
+
+The matrix products that remain in numpy (in ``image``, ``preimage``,
+``matmul`` and the callers of this module) are exact while
+ncols * (p - 1)**2 < 2**63; ``FpModule`` rejects moduli beyond that.
 """
+
+import itertools
 
 import numpy as np
 
@@ -18,34 +34,79 @@ def asmat(rows, n, p):
     return a % p
 
 
+# ---------------------------------------------------------------------------
+# the kernel: rows as Python ints
+
+
+def _to_rows(mat, p):
+    """Rows of an int64 matrix as lists of ints, reduced mod p."""
+    return (mat % p).tolist()
+
+
+def _to_array(rows, ncols):
+    """Kernel rows back to an int64 array of shape (len(rows), ncols)."""
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(flat, np.int64, len(rows) * ncols).reshape(len(rows), ncols)
+
+
+def _eliminate(rows, ncols, p):
+    """The one elimination routine: reduced echelon rows and pivot columns."""
+    lead = {}  # pivot column -> the row with leading entry 1 there
+    for r in rows:
+        c = 0
+        while True:
+            while c < ncols and not r[c]:
+                c += 1
+            if c == ncols:
+                break
+            q = lead.get(c)
+            f = r[c]
+            if q is None:
+                if f != 1:
+                    inv = pow(f, -1, p)
+                    r = [x * inv % p for x in r]
+                lead[c] = r
+                break
+            r = [(x - f * y) % p for x, y in zip(r, q)]
+    cols = sorted(lead)
+    out = [lead[c] for c in cols]
+    # clear above each pivot, lowest pivot first, so that the row subtracted
+    # is already clear at every pivot after its own
+    for i in range(len(out) - 1, 0, -1):
+        r, c = out[i], cols[i]
+        for j in range(i):
+            f = out[j][c]
+            if f:
+                out[j] = [(x - f * y) % p for x, y in zip(out[j], r)]
+    return out, cols
+
+
+def _null_rows(rows, ncols, p):
+    """Reduced echelon basis of {x : row . x = 0 for every row}, as kernel rows."""
+    red, pivots = _eliminate(rows, ncols, p)
+    basis = []
+    for c in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[c] = 1
+        for r, pc in zip(red, pivots):
+            v[pc] = -r[c] % p
+        basis.append(v)
+    return _eliminate(basis, ncols, p)[0]
+
+
+# ---------------------------------------------------------------------------
+# the array interface
+
+
 def rref(mat, p):
     """Reduced row-echelon form and pivot columns."""
-    a = mat.copy() % p
-    nrows, ncols = a.shape
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        nz = np.nonzero(a[row:, col])[0]
-        if len(nz) == 0:
-            continue
-        piv = nz[0] + row
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), -1, p)
-        a[row] = (a[row] * inv) % p
-        other = np.nonzero(a[:, col])[0]
-        for r in other:
-            if r != row:
-                a[r] = (a[r] - a[r, col] * a[row]) % p
-        pivots.append(col)
-        row += 1
-    return a[: len(pivots)], pivots
+    ncols = mat.shape[1]
+    rows, pivots = _eliminate(_to_rows(mat, p), ncols, p)
+    return _to_array(rows, ncols), pivots
 
 
 def rank(mat, p):
-    return rref(mat, p)[0].shape[0]
+    return len(_eliminate(_to_rows(mat, p), mat.shape[1], p)[0])
 
 
 def row_space(mat, p):
@@ -55,17 +116,8 @@ def row_space(mat, p):
 
 def nullspace(mat, p):
     """Canonical basis of {x : mat @ x = 0}, as rows."""
-    nrows, ncols = mat.shape
-    r, pivots = rref(mat, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return np.zeros((0, ncols), dtype=np.int64)
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        for j, pc in enumerate(pivots):
-            basis[i, pc] = (-r[j, c]) % p
-    return row_space(basis, p)
+    ncols = mat.shape[1]
+    return _to_array(_null_rows(_to_rows(mat, p), ncols, p), ncols)
 
 
 def left_annihilator(basis, n, p):
@@ -85,8 +137,9 @@ def is_subspace(small, big, p):
     """True iff span(small) is contained in span(big)."""
     if small.shape[0] == 0:
         return True
-    stacked = np.vstack([big, small])
-    return rank(stacked, p) == rank(big, p)
+    ncols = big.shape[1]
+    basis = _eliminate(_to_rows(big, p), ncols, p)[0]
+    return len(_eliminate(basis + _to_rows(small, p), ncols, p)[0]) == len(basis)
 
 
 def subspace_sum(a, b, p):
@@ -100,8 +153,8 @@ def subspace_sum(a, b, p):
 def intersection(a, b, p):
     """Canonical basis of span(a) & span(b)."""
     n = a.shape[1]
-    ann = np.vstack([left_annihilator(a, n, p), left_annihilator(b, n, p)])
-    return nullspace(ann, p)
+    ann = _null_rows(_to_rows(a, p), n, p) + _null_rows(_to_rows(b, p), n, p)
+    return _to_array(_null_rows(ann, n, p), n)
 
 
 def preimage(op, basis, p):
@@ -128,10 +181,10 @@ def inverse(mat, p):
     """Inverse of a square matrix; raises ValueError when singular."""
     n = mat.shape[0]
     aug = np.hstack([mat % p, np.eye(n, dtype=np.int64)])
-    r, pivots = rref(aug, p)
+    rows, pivots = _eliminate(_to_rows(aug, p), 2 * n, p)
     if pivots[:n] != list(range(n)) or len(pivots) < n:
         raise ValueError("matrix is singular")
-    return r[:, n:]
+    return _to_array(rows, 2 * n)[:, n:]
 
 
 def solve_commutant(t_source, t_target, p):

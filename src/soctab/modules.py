@@ -6,6 +6,9 @@ are its type.  Subspaces carry their ambient module and a reduced
 row-echelon basis, so equal subspaces have equal basis arrays.
 """
 
+from functools import lru_cache
+from math import isqrt
+
 import numpy as np
 
 from . import linalg
@@ -16,6 +19,31 @@ class NotInvariant(ValueError):
     """Raised when a subspace is required to be stable under the operator."""
 
 
+class BadPrime(ValueError):
+    """Raised when a module's modulus is not a prime its int64 products can hold."""
+
+
+@lru_cache(maxsize=None)
+def _is_prime(p):
+    return all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def _check_prime(p, dim):
+    """Reject p unless it is prime and dim * (p - 1)**2 < 2**63.
+
+    The bound keeps every int64 matrix product over the module exact.  It
+    is applied with dim at least 1, so the primality test only ever meets
+    p < 3.04e9, and a modulus that no nonzero module could use is refused
+    for the zero module as well.
+    """
+    if p < 2:
+        raise BadPrime(f"modulus {p} is not a prime")
+    if max(dim, 1) * (p - 1) ** 2 >= 2**63:
+        raise BadPrime(f"modulus {p} overflows int64 products in dimension {max(dim, 1)}")
+    if not _is_prime(p):
+        raise BadPrime(f"modulus {p} is not a prime")
+
+
 class FpModule:
     """F_p vector space with a nilpotent operator acting on column vectors."""
 
@@ -23,9 +51,11 @@ class FpModule:
 
     def __init__(self, prime, op):
         self.prime = int(prime)
-        op = np.array(op, dtype=np.int64) % self.prime
+        op = np.array(op, dtype=np.int64)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError("operator must be square")
+        _check_prime(self.prime, op.shape[0])
+        op = op % self.prime
         self.op = op
         self.dim = op.shape[0]
         self._powers = [np.eye(self.dim, dtype=np.int64)]
@@ -61,17 +91,31 @@ class FpModule:
 class Subspace:
     """Subspace of an FpModule, held as reduced row-echelon basis rows."""
 
-    __slots__ = ("module", "basis")
+    __slots__ = ("module", "basis", "_annihilator")
 
     def __init__(self, module, basis):
         self.module = module
         self.basis = linalg.row_space(
             linalg.asmat(basis, module.dim, module.prime), module.prime
         )
+        self._annihilator = None
 
     @property
     def dim(self):
         return self.basis.shape[0]
+
+    @property
+    def annihilator_basis(self):
+        """Canonical basis of the functionals vanishing on this subspace.
+
+        Computed on first use and kept for the life of the object; callers
+        must not write to the returned array.
+        """
+        if self._annihilator is None:
+            self._annihilator = linalg.left_annihilator(
+                self.basis, self.module.dim, self.module.prime
+            )
+        return self._annihilator
 
     def contains(self, vec):
         return linalg.in_row_space(
@@ -169,7 +213,7 @@ def quotient_type(module, sub):
     """Type of module/sub under the induced operator."""
     _require_invariant(sub)
     p = module.prime
-    ann = linalg.left_annihilator(sub.basis, module.dim, p)
+    ann = sub.annihilator_basis
     qdim = module.dim - sub.dim
     rows = []
     prev = 0
@@ -247,5 +291,4 @@ def jordan_basis_matrix(module):
 
 def annihilator(module, sub):
     """Functionals vanishing on sub, as a subspace of the dual module."""
-    basis = linalg.left_annihilator(sub.basis, module.dim, module.prime)
-    return Subspace(dual_module(module), basis)
+    return Subspace(dual_module(module), sub.annihilator_basis)

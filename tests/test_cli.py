@@ -122,6 +122,8 @@ def test_invalid_inputs(tmp_path, capsys):
     assert rc == 1
     rc, _, err = run_cli(capsys, "analyze", str(tmp_path / "missing.json"))
     assert rc == 1
+    rc, _, err = run_cli(capsys, "analyze", "--prime", "4", M2_PATH)
+    assert rc == 1 and "invalid input" in err and "Traceback" not in err
     # tableau failing the socle axioms is invalid input for switch
     badt = tmp_path / "bad_tableau.json"
     entries = dict(SOCLE_M2.entries)

@@ -1,0 +1,68 @@
+"""The F_p elimination kernel: exactness at large primes and properties of
+rref and nullspace on random matrices, checked in Python integers."""
+
+import random
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from soctab import linalg
+
+BIG = 4294967311  # smallest prime above 2**32; int64 products of residues overflow
+
+PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, BIG]))
+    nrows = draw(st.integers(0, 14))
+    ncols = draw(st.integers(0, 14))
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols), p
+
+
+def test_inverse_exact_at_large_prime():
+    rng = random.Random(2026)
+    checked = 0
+    for _ in range(50):
+        m = [[rng.randrange(BIG) for _ in range(3)] for _ in range(3)]
+        try:
+            inv = linalg.inverse(np.array(m, dtype=np.int64), BIG).tolist()
+        except ValueError:
+            continue  # singular, with probability about 1/p
+        prod = [[sum(m[i][k] * inv[k][j] for k in range(3)) % BIG for j in range(3)] for i in range(3)]
+        assert prod == [[int(i == j) for j in range(3)] for i in range(3)]
+        checked += 1
+    assert checked >= 49
+
+
+@PROPS
+@given(matrices())
+def test_rref_is_a_canonical_basis_of_the_row_space(mp):
+    m, p = mp
+    r, pivots = linalg.rref(m, p)
+    assert r.dtype == np.int64 and r.shape == (len(pivots), m.shape[1])
+    assert linalg.rank(m, p) == len(pivots)
+    r2, pivots2 = linalg.rref(r, p)
+    assert pivots2 == pivots and np.array_equal(r2, r)
+    assert np.array_equal(r[:, pivots], np.eye(len(pivots), dtype=np.int64))
+    basis = r.tolist()
+    for v in (m % p).tolist():
+        # the coordinates of v in an rref basis are its entries at the pivots
+        combo = [sum(v[c] * b[k] for c, b in zip(pivots, basis)) % p for k in range(m.shape[1])]
+        assert combo == v
+
+
+@PROPS
+@given(matrices())
+def test_nullspace_is_annihilated_and_has_the_right_dimension(mp):
+    m, p = mp
+    ns = linalg.nullspace(m, p)
+    assert ns.dtype == np.int64
+    assert ns.shape == (m.shape[1] - linalg.rank(m, p), m.shape[1])
+    for v in m.tolist():
+        for x in ns.tolist():
+            assert sum(a * b for a, b in zip(v, x)) % p == 0

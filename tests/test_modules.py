@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from soctab import linalg
-from soctab.embeddings import embedding_from_spec, random_corpus
+from soctab.embeddings import embedding_from_spec, load_fixture, random_corpus
 from soctab.modules import (
+    BadPrime,
     FpModule,
     NotInvariant,
     Subspace,
@@ -38,6 +39,19 @@ def test_standard_module():
 def test_not_nilpotent_rejected():
     with pytest.raises(ValueError):
         FpModule(2, np.eye(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, -3])
+def test_non_prime_modulus_rejected(q):
+    with pytest.raises(BadPrime):
+        load_fixture("m2", prime=q)
+
+
+def test_modulus_beyond_int64_products_rejected():
+    # dim * (p - 1)**2 must stay below 2**63
+    FpModule(3037000493, np.zeros((1, 1), dtype=np.int64))
+    with pytest.raises(BadPrime):
+        FpModule(3037000493, np.zeros((2, 2), dtype=np.int64))
 
 
 def test_module_type_round_trip():
