@@ -24,7 +24,7 @@ from .embeddings import (
     random_corpus,
     socle_tableau,
 )
-from .partitions import partitions_of, subdiagrams, weight
+from .partitions import shape_triples
 from .realize import realize_lr, realize_socle
 from .tableaux import check_lr, count_tableaux, iter_tableaux
 
@@ -57,21 +57,12 @@ class SweepReport:
         return "\n".join([head] + [f"  {f}" for f in self.failures[:20]])
 
 
-def _shapes(max_beta_weight):
-    for wgt in range(0, max_beta_weight + 1):
-        for beta in sorted(partitions_of(wgt)):
-            for gamma in sorted(subdiagrams(beta)):
-                rem = weight(beta) - weight(gamma)
-                for alpha in sorted(partitions_of(rem)):
-                    yield alpha, beta, gamma
-
-
 def count_symmetry_sweep(max_beta_weight: int) -> SweepReport:
     """Socle and LR counts agree, swapping the end shapes preserves the LR
     count, and the direct conversion maps the socle set bijectively onto the
     swapped LR set."""
     rep = SweepReport("count-symmetry", max_beta=max_beta_weight)
-    for alpha, beta, gamma in _shapes(max_beta_weight):
+    for alpha, beta, gamma in shape_triples(max_beta_weight):
         rep.cases += 1
         socle = list(iter_tableaux(alpha, beta, gamma, kind="socle"))
         n_lr = count_tableaux(alpha, beta, gamma, kind="lr")
@@ -96,7 +87,7 @@ def count_symmetry_sweep(max_beta_weight: int) -> SweepReport:
 def realize_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
     """Every socle tableau is realized exactly by its constructed embedding."""
     rep = SweepReport("realize-roundtrip", max_beta=max_beta_weight, primes=list(primes))
-    for alpha, beta, gamma in _shapes(max_beta_weight):
+    for alpha, beta, gamma in shape_triples(max_beta_weight):
         for t in iter_tableaux(alpha, beta, gamma, kind="socle"):
             rep.cases += 1
             for p in primes:
@@ -113,7 +104,7 @@ def realize_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
 def realize_lr_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
     """Dual counterpart of realize_sweep for LR tableaux."""
     rep = SweepReport("realize-lr-roundtrip", max_beta=max_beta_weight, primes=list(primes))
-    for alpha, beta, gamma in _shapes(max_beta_weight):
+    for alpha, beta, gamma in shape_triples(max_beta_weight):
         for t in iter_tableaux(alpha, beta, gamma, kind="lr"):
             rep.cases += 1
             for p in primes:
@@ -229,7 +220,7 @@ def lattice_validator_sweep(max_beta_weight: int = 8) -> SweepReport:
     )
 
     rep = SweepReport("lattice-equivalence", max_beta=max_beta_weight)
-    for alpha, beta, gamma in _shapes(max_beta_weight):
+    for alpha, beta, gamma in shape_triples(max_beta_weight):
         for t in iter_st12_fillings(alpha, beta, gamma):
             rep.cases += 1
             a = check_socle(t)

@@ -244,7 +244,7 @@ def cmd_switch(args):
     else:
         final = run_switch(state)
     if args.trace:
-        replay = init_switch(t)
+        replay = state.copy()
         for s_e, t_e, sbox, tbox in final.history:
             replay.apply(sbox, tbox)
             trace.append(replay.to_json_dict())
@@ -255,7 +255,7 @@ def cmd_switch(args):
     lines = [f"terminal after {len(final.history)} swaps", out.render()]
     if args.trace:
         lines.append("")
-        replay = init_switch(t)
+        replay = state.copy()
         lines.append(replay.render())
         for s_e, t_e, sbox, tbox in final.history:
             replay.apply(sbox, tbox)

@@ -261,7 +261,8 @@ def socle_to_duallr(t: SkewTableau) -> SkewTableau:
     if chain[-1] != t.beta:
         raise InvalidTableau("derived chain does not reach the ambient shape")
     out = from_chain(chain, "lr")
-    assert out.shape == (t.gamma, t.beta, t.alpha)
+    if out.shape != (t.gamma, t.beta, t.alpha):
+        raise InvalidTableau(f"dual LR tableau has shape {tuple(out.shape)}, not the swapped shape")
     return out
 
 
@@ -292,7 +293,8 @@ def duallr_to_socle(t: SkewTableau) -> SkewTableau:
             if v:
                 mu[(ell, r)] = v
     out = tableau_from_mu("socle", t.beta, mu)
-    assert out.shape == (t.gamma, t.beta, t.alpha)
+    if out.shape != (t.gamma, t.beta, t.alpha):
+        raise InvalidTableau(f"socle tableau has shape {tuple(out.shape)}, not the swapped shape")
     return out
 
 

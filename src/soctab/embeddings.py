@@ -242,7 +242,15 @@ class HomMatrix:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(data["L"], data["M"], data["h"])
+        """Inverse of to_json_dict; ValueError unless data is an object with int L, M and a list h of lists."""
+        if not isinstance(data, dict) or not {"L", "M", "h"} <= data.keys():
+            raise ValueError("Hom-matrix JSON must be an object with keys L, M and h")
+        L, M, rows = data["L"], data["M"], data["h"]
+        if not (isinstance(L, int) and isinstance(M, int) and L >= 0 and M >= 0):
+            raise ValueError(f"L and M must be nonnegative integers, got {L!r} and {M!r}")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("h must be a list of rows, each a list")
+        return cls(L, M, rows)
 
 
 def _picket_hom_dim(x: Embedding, ell, m):

@@ -160,3 +160,12 @@ def subdiagrams(beta: tuple) -> Iterator[tuple]:
             yield from rec(i + 1, x, prefix + (x,))
 
     yield from rec(0, beta[0] if beta else 0, ())
+
+
+def shape_triples(max_beta_weight: int) -> Iterator[Shape]:
+    """Every shape triple with |beta| <= the bound: by |beta|, then beta, gamma, alpha sorted."""
+    for wgt in range(0, max_beta_weight + 1):
+        for beta in sorted(partitions_of(wgt)):
+            for gamma in sorted(subdiagrams(beta)):
+                for alpha in sorted(partitions_of(wgt - weight(gamma))):
+                    yield Shape(alpha, beta, gamma)

@@ -31,49 +31,114 @@ class NonTerminating(RuntimeError):
     """Swap-count guard exceeded; indicates a bug in the swap rules."""
 
 
+class _Geometry:
+    """Box lists of the diagram of beta, shared by every state over it.
+
+    ``lines`` holds every row (weak) and column (strict) as (boxes,
+    strict).  ``up``/``down`` map a box to the boxes above/below it in its
+    column, ``left``/``right`` to the boxes before/after it in its row.
+    ``targets`` maps each box, in the canonical (row-major) order, to the
+    boxes directly above and left of it (None outside the diagram): the S
+    boxes a T box there could swap with.
+    """
+
+    __slots__ = ("beta", "rows", "lines", "up", "down", "left", "right", "targets")
+
+    def __init__(self, beta):
+        rows = transpose(beta)
+        self.beta = beta
+        self.rows = rows
+        row_lines = [[(r, c) for c in range(1, n + 1)] for r, n in enumerate(rows, 1)]
+        col_lines = [[(r, c) for r in range(1, n + 1)] for c, n in enumerate(beta, 1)]
+        self.lines = [(line, False) for line in row_lines] + [(line, True) for line in col_lines]
+        self.up, self.down, self.left, self.right = {}, {}, {}, {}
+        for line in row_lines:
+            for i, box in enumerate(line):
+                self.left[box], self.right[box] = line[:i], line[i + 1 :]
+        for line in col_lines:
+            for i, box in enumerate(line):
+                self.up[box], self.down[box] = line[:i], line[i + 1 :]
+        self.targets = {
+            box: (self.up[box][-1] if self.up[box] else None, self.left[box][-1] if self.left[box] else None)
+            for line in row_lines
+            for box in line
+        }
+
+
 class SwitchState:
-    """Mutable grid over the diagram of beta; every box is owned by S or T."""
+    """Mutable grid over the diagram of beta; every box is owned by S or T.
 
-    __slots__ = ("beta", "owner", "entry", "history", "_rows", "_cols")
+    Both fillings are semistandard on their own boxes: ``init_switch``
+    checks the initial grid and ``swap_ok`` admits only swaps that keep
+    them so.  ``swap_ok`` relies on this.
+    """
 
-    def __init__(self, beta, owner, entry):
+    __slots__ = ("beta", "owner", "entry", "history", "_geo")
+
+    def __init__(self, beta, owner, entry, geometry=None):
         self.beta = partition(beta)
         self.owner = dict(owner)
         self.entry = dict(entry)
         self.history = []
-        rows = transpose(self.beta)
-        self._rows = {r: list(range(1, rows[r - 1] + 1)) for r in range(1, len(rows) + 1)}
-        self._cols = {c: list(range(1, self.beta[c - 1] + 1)) for c in range(1, len(self.beta) + 1)}
+        if geometry is None:
+            geometry = _Geometry(self.beta)
+        elif geometry.beta != self.beta:
+            raise ValueError(f"geometry of {geometry.beta} given for a state over {self.beta}")
+        self._geo = geometry
 
     def boxes(self):
-        return [(r, c) for r in self._rows for c in self._rows[r]]
+        return list(self._geo.targets)
 
     def copy(self):
-        st = SwitchState(self.beta, self.owner, self.entry)
+        st = SwitchState.__new__(SwitchState)
+        st.beta = self.beta
+        st.owner = dict(self.owner)
+        st.entry = dict(self.entry)
         st.history = list(self.history)
+        st._geo = self._geo
         return st
 
-    def _line_ok(self, who, box):
-        """Check the just-placed box against same-owner boxes in its row and column."""
-        r, c = box
-        v = self.entry[box]
-        for c2 in self._rows[r]:
-            if c2 == c or self.owner[(r, c2)] != who:
-                continue
-            v2 = self.entry[(r, c2)]
-            if c2 < c and v2 > v:
+    def _semistandard(self):
+        """Whether each owner's entries weakly increase along rows and strictly down columns."""
+        owner, entry = self.owner, self.entry
+        for line, strict in self._geo.lines:
+            last = {}
+            for box in line:
+                who, v = owner[box], entry[box]
+                u = last.get(who)
+                if u is not None and (u >= v if strict else u > v):
+                    return False
+                last[who] = v
+        return True
+
+    def _fits(self, who, v, before, after, strict):
+        """Whether value v sits between the ``who`` boxes before and after it in one line."""
+        owner, entry = self.owner, self.entry
+        for b in before:
+            if owner[b] == who and (entry[b] >= v if strict else entry[b] > v):
                 return False
-            if c2 > c and v2 < v:
-                return False
-        for r2 in self._cols[c]:
-            if r2 == r or self.owner[(r2, c)] != who:
-                continue
-            v2 = self.entry[(r2, c)]
-            if r2 < r and v2 >= v:
-                return False
-            if r2 > r and v2 <= v:
+        for b in after:
+            if owner[b] == who and (entry[b] <= v if strict else entry[b] < v):
                 return False
         return True
+
+    def _exchange_ok(self, sbox, tbox, vertical):
+        """Admissibility of an adjacent S/T pair, read off the two values.
+
+        The moving T value keeps its order against the other T boxes along
+        the line of the swap, and so does the moving S value, so only the
+        crossing line of each needs a check: the columns for a horizontal
+        swap, the rows for a vertical one.
+        """
+        geo = self._geo
+        s_val, t_val = self.entry[sbox], self.entry[tbox]
+        if vertical:
+            return self._fits("T", t_val, geo.left[sbox], geo.right[sbox], False) and self._fits(
+                "S", s_val, geo.left[tbox], geo.right[tbox], False
+            )
+        return self._fits("T", t_val, geo.up[sbox], geo.down[sbox], True) and self._fits(
+            "S", s_val, geo.up[tbox], geo.down[tbox], True
+        )
 
     def swap_ok(self, sbox, tbox):
         """Admissible iff exchanging the two boxes keeps both fillings semistandard."""
@@ -81,12 +146,11 @@ class SwitchState:
             return False
         sr, sc = sbox
         tr, tc = tbox
-        if not ((tr == sr and tc == sc + 1) or (tr == sr + 1 and tc == sc)):
-            return False
-        self._exchange(sbox, tbox)
-        ok = self._line_ok("T", sbox) and self._line_ok("S", tbox)
-        self._exchange(sbox, tbox)
-        return ok
+        if tr == sr and tc == sc + 1:
+            return self._exchange_ok(sbox, tbox, False)
+        if tr == sr + 1 and tc == sc:
+            return self._exchange_ok(sbox, tbox, True)
+        return False
 
     def _exchange(self, a, b):
         self.owner[a], self.owner[b] = self.owner[b], self.owner[a]
@@ -99,16 +163,14 @@ class SwitchState:
 
     def admissible_swaps(self):
         """All (sbox, tbox) pairs, in a canonical order."""
+        owner = self.owner
         out = []
-        for box, who in sorted(self.owner.items()):
-            if who != "T":
+        for box, (up, left) in self._geo.targets.items():
+            if owner[box] != "T":
                 continue
-            r, c = box
-            up = (r - 1, c)
-            left = (r, c - 1)
-            if self.owner.get(up) == "S" and self.swap_ok(up, box):
+            if up is not None and owner[up] == "S" and self._exchange_ok(up, box, True):
                 out.append((up, box))
-            if self.owner.get(left) == "S" and self.swap_ok(left, box):
+            if left is not None and owner[left] == "S" and self._exchange_ok(left, box, False):
                 out.append((left, box))
         return out
 
@@ -130,7 +192,7 @@ class SwitchState:
 
     def render(self) -> str:
         """One line per row; S entries are primed."""
-        rows = transpose(self.beta)
+        rows = self._geo.rows
         lines = []
         for r in range(1, len(rows) + 1):
             cells = []
@@ -142,7 +204,7 @@ class SwitchState:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        rows = transpose(self.beta)
+        rows = self._geo.rows
         grid = []
         for r in range(1, len(rows) + 1):
             grid.append(
@@ -154,8 +216,12 @@ class SwitchState:
         return {"beta": list(self.beta), "grid": grid}
 
 
-def init_switch(t: SkewTableau) -> SwitchState:
-    """Superstandard inner filling of gamma plus the inverted socle tableau outside."""
+def init_switch(t: SkewTableau, geometry=None) -> SwitchState:
+    """Superstandard inner filling of gamma plus the inverted socle tableau outside.
+
+    ``geometry`` is the box lists of another state over the same beta
+    (``state._geo``), to share rather than recompute.
+    """
     if not check_socle(t):
         raise InvalidTableau("socle tableau expected")
     s = t.max_entry()
@@ -169,10 +235,9 @@ def init_switch(t: SkewTableau) -> SwitchState:
     for box, v in t.entries.items():
         owner[box] = "T"
         entry[box] = s + 1 - v
-    state = SwitchState(t.beta, owner, entry)
-    for box in state.boxes():
-        if not state._line_ok(state.owner[box], box):
-            raise InvalidTableau("initial fillings are not semistandard")
+    state = SwitchState(t.beta, owner, entry, geometry)
+    if not state._semistandard():
+        raise InvalidTableau("initial fillings are not semistandard")
     return state
 
 
@@ -184,27 +249,26 @@ def run_switch(state: SwitchState, order: str = "deterministic", rng=None) -> Sw
     order draws uniformly among all admissible swaps.
     """
     st = state.copy()
-    s_hint = max(st.entry.values(), default=0)
+    owner, entry, targets = st.owner, st.entry, st._geo.targets
+    s_hint = max(entry.values(), default=0)
     guard = weight(st.beta) ** 2 * max(s_hint, 1) + 1
     if order == "deterministic":
         moved = True
         while moved:
             moved = False
-            snapshot = sorted(
-                (st.entry[b], b) for b, who in st.owner.items() if who == "T"
-            )
+            snapshot = sorted((entry[b], b) for b, who in owner.items() if who == "T")
             for v, box in snapshot:
-                if st.owner.get(box) != "T" or st.entry[box] != v:
+                if owner[box] != "T" or entry[box] != v:
                     continue  # displaced earlier in this pass
                 cur = box
                 while True:
-                    r, c = cur
-                    if st.owner.get((r - 1, c)) == "S" and st.swap_ok((r - 1, c), cur):
-                        st.apply((r - 1, c), cur)
-                        cur = (r - 1, c)
-                    elif st.owner.get((r, c - 1)) == "S" and st.swap_ok((r, c - 1), cur):
-                        st.apply((r, c - 1), cur)
-                        cur = (r, c - 1)
+                    up, left = targets[cur]
+                    if up is not None and owner[up] == "S" and st._exchange_ok(up, cur, True):
+                        st.apply(up, cur)
+                        cur = up
+                    elif left is not None and owner[left] == "S" and st._exchange_ok(left, cur, False):
+                        st.apply(left, cur)
+                        cur = left
                     else:
                         break
                     moved = True
@@ -238,6 +302,14 @@ def extract_duallr(state: SwitchState, expected_inner: tuple) -> SkewTableau:
         content_rows[v - 1] += 1
     content = transpose(tuple(content_rows))
     return SkewTableau(content, state.beta, inner, entries)
+
+
+def _read_off(state: SwitchState, expected_inner: tuple):
+    """extract_duallr, or None when the terminal inner region has the wrong shape."""
+    try:
+        return extract_duallr(state, expected_inner)
+    except ShapeMismatch:
+        return None
 
 
 def switch_to_duallr(t: SkewTableau, order: str = "deterministic", rng=None) -> SkewTableau:
@@ -297,52 +369,43 @@ def check_conjecture(max_beta_weight: int, seeds: int = 5, base_seed: int = 0) -
     A mismatch is recorded with full replay data; it is a result, not an
     error.
     """
-    from .partitions import partitions_of, subdiagrams
+    from .partitions import shape_triples
     from .tableaux import iter_tableaux
 
     report = ConjectureReport(max_beta_weight, seeds)
-    for wgt in range(0, max_beta_weight + 1):
-        for beta in sorted(partitions_of(wgt)):
-            for gamma in sorted(subdiagrams(beta)):
-                rem = weight(beta) - weight(gamma)
-                for alpha in sorted(partitions_of(rem)):
-                    report.shapes += 1
-                    for t in iter_tableaux(alpha, beta, gamma, kind="socle"):
-                        report.tableaux += 1
-                        expected = socle_to_duallr(t)
-                        results = []
-                        baseline = run_switch(init_switch(t))
-                        report.runs += 1
-                        results.append(("deterministic", baseline))
-                        for k in range(seeds):
-                            rng = random.Random(base_seed + k)
-                            results.append(
-                                (f"seed {base_seed + k}", run_switch(init_switch(t), "seeded-random", rng))
-                            )
-                            report.runs += 1
-                        for label, st in results:
-                            try:
-                                got = extract_duallr(st, t.alpha)
-                                bad = got != expected
-                            except ShapeMismatch:
-                                got = None
-                                bad = True
-                            if not bad and (
-                                st.owner != baseline.owner or st.entry != baseline.entry
-                            ):
-                                bad = True  # terminal grids must agree across orders
-                            if bad:
-                                report.mismatches.append(
-                                    {
-                                        "shape": [list(t.alpha), list(t.beta), list(t.gamma)],
-                                        "tableau": t.to_json_dict(),
-                                        "order": label,
-                                        "expected": expected.to_json_dict(),
-                                        "got": got.to_json_dict() if got else None,
-                                        "trace": [
-                                            [se, te, list(sb), list(tb)]
-                                            for se, te, sb, tb in st.history
-                                        ],
-                                    }
-                                )
+    geometry = None
+    for alpha, beta, gamma in shape_triples(max_beta_weight):
+        report.shapes += 1
+        if geometry is None or geometry.beta != beta:
+            geometry = _Geometry(beta)
+        for t in iter_tableaux(alpha, beta, gamma, kind="socle"):
+            report.tableaux += 1
+            expected = socle_to_duallr(t)
+            initial = init_switch(t, geometry)
+            baseline = run_switch(initial)
+            runs = [("deterministic", baseline)]
+            for k in range(seeds):
+                rng = random.Random(base_seed + k)
+                runs.append((f"seed {base_seed + k}", run_switch(initial, "seeded-random", rng)))
+            report.runs += len(runs)
+            base_got = _read_off(baseline, t.alpha)
+            base_bad = base_got != expected
+            for label, st in runs:
+                if st.owner == baseline.owner and st.entry == baseline.entry:
+                    got, bad = base_got, base_bad
+                else:  # terminal grids must agree across orders
+                    got, bad = _read_off(st, t.alpha), True
+                if bad:
+                    report.mismatches.append(
+                        {
+                            "shape": [list(t.alpha), list(t.beta), list(t.gamma)],
+                            "tableau": t.to_json_dict(),
+                            "order": label,
+                            "expected": expected.to_json_dict(),
+                            "got": got.to_json_dict() if got else None,
+                            "trace": [
+                                [se, te, list(sb), list(tb)] for se, te, sb, tb in st.history
+                            ],
+                        }
+                    )
     return report

@@ -54,15 +54,27 @@ class SkewTableau:
         self.gamma = partition(gamma)
         self.entries = dict(entries)
         self._hash = None
-        boxes = skew_boxes(self.beta, self.gamma)
-        if set(self.entries) != set(boxes):
+        self._check_filling(set(skew_boxes(self.beta, self.gamma)), transpose(self.alpha))
+
+    @classmethod
+    def _of_shape(cls, alpha, beta, gamma, boxes, cols, entries):
+        """Tableau on an already validated shape with its box set and content precomputed."""
+        t = cls.__new__(cls)
+        t.alpha, t.beta, t.gamma = alpha, beta, gamma
+        t.entries = entries
+        t._hash = None
+        t._check_filling(boxes, cols)
+        return t
+
+    def _check_filling(self, boxes, cols):
+        """Entries cover exactly ``boxes`` and entry l occurs cols[l-1] times."""
+        if self.entries.keys() != boxes:
             raise InvalidTableau("entries must cover exactly the skew boxes")
         counts = {}
         for v in self.entries.values():
             if not isinstance(v, int) or v < 1:
                 raise InvalidTableau(f"entries must be positive integers, got {v!r}")
             counts[v] = counts.get(v, 0) + 1
-        cols = transpose(self.alpha)
         expected = {l + 1: cols[l] for l in range(len(cols))}
         if counts != expected:
             raise InvalidTableau(
@@ -507,7 +519,10 @@ def _suffix_dominated(prev_cols, next_cols):
 
 def iter_socle_chains(alpha, beta, gamma) -> Iterator[tuple]:
     """All socle chains of shape (alpha, beta, gamma); no particular order."""
-    alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
+    yield from _socle_chains(partition(alpha), partition(beta), partition(gamma))
+
+
+def _socle_chains(alpha, beta, gamma):
     if weight(alpha) + weight(gamma) != weight(beta) or not contains(beta, gamma):
         return
     sizes = transpose(alpha)
@@ -537,7 +552,10 @@ def iter_socle_chains(alpha, beta, gamma) -> Iterator[tuple]:
 
 def iter_lr_chains(alpha, beta, gamma) -> Iterator[tuple]:
     """All LR chains of shape (alpha, beta, gamma); no particular order."""
-    alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
+    yield from _lr_chains(partition(alpha), partition(beta), partition(gamma))
+
+
+def _lr_chains(alpha, beta, gamma):
     if weight(alpha) + weight(gamma) != weight(beta) or not contains(beta, gamma):
         return
     sizes = transpose(alpha)
@@ -564,18 +582,26 @@ def iter_lr_chains(alpha, beta, gamma) -> Iterator[tuple]:
     yield from rec(1, start, None, (start,))
 
 
-def _chain_to_tableau(chain, view, alpha, beta, gamma):
-    """Entries from a padded chain; faster than from_chain, no revalidation."""
-    entries = {}
-    for l in range(1, len(chain)):
-        if view == "socle":
-            big, small = chain[l - 1], chain[l]
-        else:
-            big, small = chain[l], chain[l - 1]
-        for c in range(len(big)):
-            if big[c] != small[c]:
-                entries[(big[c], c + 1)] = l
-    return SkewTableau(alpha, beta, gamma, entries)
+def _chain_tableaux(chains, view, alpha, beta, gamma) -> Iterator[SkewTableau]:
+    """Tableaux of padded chains of one validated shape.
+
+    Each is checked against the shape's box set and content, which are
+    computed once, on the first chain.
+    """
+    boxes = cols = None
+    for chain in chains:
+        if boxes is None:
+            boxes, cols = set(skew_boxes(beta, gamma)), transpose(alpha)
+        entries = {}
+        for l in range(1, len(chain)):
+            if view == "socle":
+                big, small = chain[l - 1], chain[l]
+            else:
+                big, small = chain[l], chain[l - 1]
+            for c in range(len(big)):
+                if big[c] != small[c]:
+                    entries[(big[c], c + 1)] = l
+        yield SkewTableau._of_shape(alpha, beta, gamma, boxes, cols, entries)
 
 
 def iter_st12_fillings(alpha, beta, gamma) -> Iterator[SkewTableau]:
@@ -607,8 +633,7 @@ def iter_st12_fillings(alpha, beta, gamma) -> Iterator[SkewTableau]:
             yield from rec(level + 1, nxt, acc + (nxt,))
 
     start = tuple(beta)
-    for chain in rec(1, start, (start,)):
-        yield _chain_to_tableau(chain, "socle", alpha, beta, gamma)
+    yield from _chain_tableaux(rec(1, start, (start,)), "socle", alpha, beta, gamma)
 
 
 def iter_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> Iterator[SkewTableau]:
@@ -619,13 +644,12 @@ def iter_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> Iterat
         alpha = shape_or_alpha
     alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
     if kind == "socle":
-        for chain in iter_socle_chains(alpha, beta, gamma):
-            yield _chain_to_tableau(chain, "socle", alpha, beta, gamma)
+        chains = _socle_chains(alpha, beta, gamma)
     elif kind == "lr":
-        for chain in iter_lr_chains(alpha, beta, gamma):
-            yield _chain_to_tableau(chain, "lr", alpha, beta, gamma)
+        chains = _lr_chains(alpha, beta, gamma)
     else:
         raise ValueError(f"kind must be 'socle' or 'lr', got {kind!r}")
+    yield from _chain_tableaux(chains, kind, alpha, beta, gamma)
 
 
 def enumerate_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> list:

@@ -134,6 +134,15 @@ def test_invalid_inputs(tmp_path, capsys):
     assert rc == 1
 
 
+def test_convert_hom_rejects_non_object(tmp_path, capsys):
+    for text in ("[1, 2, 3]", '"h"', '{"L": 1, "M": 1, "h": [5, 6]}', '{"L": "a", "M": 1, "h": []}'):
+        hfile = tmp_path / "h.json"
+        hfile.write_text(text)
+        for dst in ("socle", "duallr"):
+            rc, _, err = run_cli(capsys, "convert", "--from", "hom", "--to", dst, str(hfile))
+            assert rc == 1 and "invalid input" in err and "Traceback" not in err
+
+
 def test_exit_code_3_on_counterexample(capsys, monkeypatch):
     import soctab.cli as cli
 

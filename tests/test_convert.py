@@ -25,7 +25,7 @@ from soctab.embeddings import (
     zero_embedding,
 )
 from soctab.partitions import partitions_of, subdiagrams, transpose, weight
-from soctab.tableaux import SkewTableau, iter_tableaux
+from soctab.tableaux import InvalidTableau, SkewTableau, iter_tableaux
 
 
 def test_socle_to_hom_examples():
@@ -93,6 +93,18 @@ def test_direct_conversions():
     assert out.shape == ((2, 1), (2, 1), ())
     back = duallr_to_socle(out)
     assert back == empty
+
+
+def test_direct_conversions_check_the_swapped_shape(monkeypatch):
+    # the shape check is a raised error, so it holds under python -O too
+    import soctab.convert as convert
+
+    monkeypatch.setattr(convert, "from_chain", lambda chain, view: SOCLE_M2)
+    with pytest.raises(InvalidTableau, match="swapped shape"):
+        socle_to_duallr(SOCLE_M2)
+    monkeypatch.setattr(convert, "tableau_from_mu", lambda kind, beta, mu: DUAL_LR_M2)
+    with pytest.raises(InvalidTableau, match="swapped shape"):
+        duallr_to_socle(DUAL_LR_M2)
 
 
 def test_triangle_coherence_exhaustive():

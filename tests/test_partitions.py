@@ -14,6 +14,7 @@ from soctab.partitions import (
     partition,
     partitions_of,
     shape,
+    shape_triples,
     skew_boxes,
     subdiagrams,
     transpose,
@@ -154,3 +155,19 @@ def test_subdiagrams():
     for beta in partitions_of(5):
         for g in subdiagrams(beta):
             assert contains(beta, g)
+
+
+def test_shape_triples():
+    triples = list(shape_triples(4))
+    assert triples[:3] == [((), (), ()), ((1,), (1,), ()), ((), (1,), (1,))]
+    assert len(triples) == len(set(triples))
+    for alpha, beta, gamma in triples:
+        assert shape(alpha, beta, gamma) == (alpha, beta, gamma)
+    # every valid triple of weight <= 4 appears, grouped by |beta| then sorted
+    assert sum(1 for t in triples if weight(t.beta) == 4) == sum(
+        len(list(partitions_of(4 - weight(g))))
+        for b in partitions_of(4)
+        for g in subdiagrams(b)
+    )
+    keys = [(weight(t.beta), t.beta, t.gamma, t.alpha) for t in triples]
+    assert keys == sorted(keys)

@@ -2,11 +2,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import soctab.switching as switching
 from fixtures import DUAL_LR_M2, SOCLE_M2
 from soctab.convert import socle_to_duallr
 from soctab.embeddings import dual_embedding, lr_tableau, picket, socle_tableau
-from soctab.partitions import partitions_of, subdiagrams, weight
+from soctab.partitions import partitions_of, shape_triples, subdiagrams, weight
 from soctab.switching import (
     check_conjecture,
     extract_duallr,
@@ -131,3 +134,52 @@ def test_check_conjecture_small():
 def test_example_shape_matches():
     for t in iter_tableaux((4, 2), (5, 3, 2), (3, 1), kind="socle"):
         assert switch_to_duallr(t) == socle_to_duallr(t)
+
+
+def test_check_conjecture_records_each_mismatching_run(monkeypatch):
+    # a wrong closed form on one single-tableau shape: every run of that
+    # tableau mismatches, and each record carries its own run
+    target = ((2, 1), (4, 1, 1), (2, 1))
+    wrong = SkewTableau((), (4, 1, 1), (4, 1, 1), {})
+    real = switching.socle_to_duallr
+    monkeypatch.setattr(
+        switching, "socle_to_duallr", lambda t: wrong if t.shape == target else real(t)
+    )
+    seeds, base = 3, 10
+    rep = check_conjecture(6, seeds=seeds, base_seed=base)
+    assert len(rep.mismatches) == 1 + seeds
+    (t,) = iter_tableaux(*target, kind="socle")
+    initial = init_switch(t)
+    finals = [run_switch(initial)] + [
+        run_switch(initial, "seeded-random", random.Random(base + k)) for k in range(seeds)
+    ]
+    labels = ["deterministic"] + [f"seed {base + k}" for k in range(seeds)]
+    traces = []
+    for m, label, final in zip(rep.mismatches, labels, finals):
+        assert m["order"] == label
+        assert m["shape"] == [list(p) for p in target]
+        assert m["tableau"] == t.to_json_dict()
+        assert m["expected"] == wrong.to_json_dict()
+        assert m["got"] == extract_duallr(final, t.alpha).to_json_dict()
+        assert m["trace"] == [[se, te, list(sb), list(tb)] for se, te, sb, tb in final.history]
+        traces.append(m["trace"])
+    assert len({repr(tr) for tr in traces}) == len(traces)  # the runs took different paths
+    assert "mismatches: 4" in rep.render()
+
+
+SMALL_SOCLE = [
+    t for sh in shape_triples(7) for t in iter_tableaux(*sh, kind="socle")
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(hst.sampled_from(SMALL_SOCLE), hst.integers(0, 2**32))
+def test_random_order_terminal_grid_and_input_untouched(t, seed):
+    """Switching is order-independent, and run_switch leaves its input state as it was."""
+    state = init_switch(t)
+    owner, entry = dict(state.owner), dict(state.entry)
+    base = run_switch(state)
+    rand = run_switch(state, "seeded-random", random.Random(seed))
+    assert rand.owner == base.owner and rand.entry == base.entry
+    assert state.owner == owner and state.entry == entry and state.history == []
+    assert rand.is_terminal() and base.is_terminal()
