@@ -6,6 +6,8 @@ switching sweep lives in the switching module because a mismatch there
 is a reportable result rather than a bug.
 """
 
+from itertools import groupby
+
 from .convert import (
     defect,
     duallr_to_hom,
@@ -26,7 +28,7 @@ from .embeddings import (
 )
 from .partitions import shape_triples
 from .realize import realize_lr, realize_socle
-from .tableaux import check_lr, count_tableaux, iter_tableaux
+from .tableaux import check_lr, iter_tableaux, lr_counts
 
 
 class SweepReport:
@@ -62,25 +64,27 @@ def count_symmetry_sweep(max_beta_weight: int) -> SweepReport:
     count, and the direct conversion maps the socle set bijectively onto the
     swapped LR set."""
     rep = SweepReport("count-symmetry", max_beta=max_beta_weight)
-    for alpha, beta, gamma in shape_triples(max_beta_weight):
-        rep.cases += 1
-        socle = list(iter_tableaux(alpha, beta, gamma, kind="socle"))
-        n_lr = count_tableaux(alpha, beta, gamma, kind="lr")
-        n_lr_swapped = count_tableaux(gamma, beta, alpha, kind="lr")
-        if not (len(socle) == n_lr == n_lr_swapped):
-            rep.fail(
-                f"{(alpha, beta, gamma)}: socle={len(socle)} lr={n_lr} swapped={n_lr_swapped}"
-            )
-            continue
-        images = set()
-        for t in socle:
-            img = socle_to_duallr(t)
-            if img.shape != (gamma, beta, alpha) or not check_lr(img):
-                rep.fail(f"{(alpha, beta, gamma)}: conversion left the target set")
-                break
-            images.add(img)
-        if len(images) != len(socle):
-            rep.fail(f"{(alpha, beta, gamma)}: conversion is not injective")
+    for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
+        triples = list(group)
+        # one count memo per beta serves each triple and its swapped triple
+        counts = lr_counts(beta, [(a, g) for a, _, g in triples] + [(g, a) for a, _, g in triples])
+        for (alpha, _, gamma), n_lr, n_lr_swapped in zip(triples, counts, counts[len(triples):]):
+            rep.cases += 1
+            socle = list(iter_tableaux(alpha, beta, gamma, kind="socle"))
+            if not (len(socle) == n_lr == n_lr_swapped):
+                rep.fail(
+                    f"{(alpha, beta, gamma)}: socle={len(socle)} lr={n_lr} swapped={n_lr_swapped}"
+                )
+                continue
+            images = set()
+            for t in socle:
+                img = socle_to_duallr(t)
+                if img.shape != (gamma, beta, alpha) or not check_lr(img):
+                    rep.fail(f"{(alpha, beta, gamma)}: conversion left the target set")
+                    break
+                images.add(img)
+            if len(images) != len(socle):
+                rep.fail(f"{(alpha, beta, gamma)}: conversion is not injective")
     return rep
 
 

@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid input, 2 internal assertion failure,
-3 conjecture counterexample found by ``check``.
+3 conjecture counterexample found by ``check``.  A standard output closed
+by its reader (``soctab enum ... | head``) also exits 1, silently: the
+rest of the output is discarded and no traceback is printed.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -33,7 +36,7 @@ from .embeddings import (
     socle_tableau,
     standardize,
 )
-from .partitions import InvalidShape, NotContained, parse_partition
+from .partitions import InvalidShape, NotContained, parse_shape
 from .realize import ConditionStarViolated, realize_lr, realize_socle
 from .switching import check_conjecture, init_switch, run_switch, extract_duallr
 from .tableaux import (
@@ -57,13 +60,6 @@ INPUT_ERRORS = (
     OSError,
     json.JSONDecodeError,
 )
-
-
-def _parse_shape_lenient(text):
-    pieces = text.split("/")
-    if len(pieces) != 3:
-        raise ValueError(f"shape must be alpha/beta/gamma, got {text!r}")
-    return tuple(parse_partition(x) for x in pieces)
 
 
 def _load_json(path):
@@ -99,7 +95,7 @@ def _side_by_side(blocks, labels, pad=4):
 
 
 def cmd_enum(args):
-    alpha, beta, gamma = _parse_shape_lenient(args.shape)
+    alpha, beta, gamma = parse_shape(args.shape)
     ts = enumerate_tableaux(alpha, beta, gamma, kind=args.kind)
     result = {
         "shape": [list(alpha), list(beta), list(gamma)],
@@ -116,7 +112,7 @@ def cmd_enum(args):
 
 
 def cmd_lr_coeff(args):
-    alpha, beta, gamma = _parse_shape_lenient(args.shape)
+    alpha, beta, gamma = parse_shape(args.shape)
     c = lr_coefficient(alpha, beta, gamma)
     result = {"shape": [list(alpha), list(beta), list(gamma)], "coefficient": c}
     _emit(args, "lr-coeff", result, str(c))
@@ -372,7 +368,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+        return rc
+    except BrokenPipeError:
+        # send the unwritten rest to devnull so the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConditionStarViolated as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,14 @@ from . import linalg
 from .embeddings import BadIndex, Embedding, HomMatrix, picket, direct_sum
 from .modules import Subspace, quotient_type
 from .partitions import partition, transpose
-from .tableaux import InvalidTableau, SkewTableau, check_lr, check_socle, from_chain, to_chain
+from .tableaux import (
+    InvalidTableau,
+    SkewTableau,
+    _valid_chain_tableau,
+    check_lr,
+    check_socle,
+    to_chain,
+)
 
 
 class InconsistentMatrix(ValueError):
@@ -260,7 +267,8 @@ def socle_to_duallr(t: SkewTableau) -> SkewTableau:
         chain.append(transpose(tuple(lam_rows)))
     if chain[-1] != t.beta:
         raise InvalidTableau("derived chain does not reach the ambient shape")
-    out = from_chain(chain, "lr")
+    # the layers are canonical partitions, so only the chain is validated
+    out = _valid_chain_tableau(chain, "lr")
     if out.shape != (t.gamma, t.beta, t.alpha):
         raise InvalidTableau(f"dual LR tableau has shape {tuple(out.shape)}, not the swapped shape")
     return out

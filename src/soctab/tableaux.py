@@ -367,9 +367,31 @@ def _validate_chain(chain, view):
     return sizes
 
 
-def from_chain(chain, view: str) -> SkewTableau:
-    """Inverse of to_chain; accepts trailing constant repeats and canonicalizes."""
-    chain = [partition(p) for p in chain]
+def _chain_entries(chain, view) -> dict:
+    """Entries of the tableau of a nested chain: entry l fills step l's strip.
+
+    A step's partitions may have different lengths (canonical chains) or
+    be padded to one length (enumerated chains).
+    """
+    entries = {}
+    for l in range(1, len(chain)):
+        if view == "socle":
+            big, small = chain[l - 1], chain[l]
+        else:
+            big, small = chain[l], chain[l - 1]
+        for c in range(len(big)):
+            if big[c] != (small[c] if c < len(small) else 0):
+                entries[(big[c], c + 1)] = l
+    return entries
+
+
+def _chain_shape(chain, view):
+    """(alpha, beta, gamma, entries) of a chain of canonical partitions.
+
+    Validates the chain, drops trailing constant repeats and rejects
+    interior empty strips.
+    """
+    chain = list(chain)
     if not chain:
         raise InvalidTableau("chain must contain at least one partition")
     if view not in ("socle", "lr"):
@@ -381,205 +403,200 @@ def from_chain(chain, view: str) -> SkewTableau:
     if any(x == 0 for x in sizes):
         raise InvalidTableau(f"interior strip of size 0 in chain sizes {sizes}")
     alpha = transpose(tuple(sizes))
-    entries = {}
-    for l in range(1, len(chain)):
-        if view == "socle":
-            big, small = chain[l - 1], chain[l]
-        else:
-            big, small = chain[l], chain[l - 1]
-        for c in range(1, len(big) + 1):
-            if big[c - 1] != part(small, c):
-                entries[(big[c - 1], c)] = l
     beta = chain[0] if view == "socle" else chain[-1]
     gamma = chain[-1] if view == "socle" else chain[0]
-    return SkewTableau(alpha, beta, gamma, entries)
+    return alpha, beta, gamma, _chain_entries(chain, view)
+
+
+def from_chain(chain, view: str) -> SkewTableau:
+    """Inverse of to_chain; accepts trailing constant repeats and canonicalizes."""
+    return SkewTableau(*_chain_shape([partition(p) for p in chain], view))
+
+
+def _valid_chain_tableau(chain, view: str) -> SkewTableau:
+    """from_chain for a chain of canonical partitions, without the filling check.
+
+    The chain is still validated (nesting, horizontal strips, weakly
+    decreasing sizes); a valid chain covers the skew boxes exactly and
+    has content transpose(alpha) by construction.
+    """
+    alpha, beta, gamma, entries = _chain_shape(chain, view)
+    t = SkewTableau.__new__(SkewTableau)
+    t.alpha, t.beta, t.gamma = alpha, beta, gamma
+    t.entries = entries
+    t._hash = None
+    return t
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 
-def _remove_strip_columns(sigma, floor, k, cap):
-    """Column index sets C (sorted) with sigma - 1_C a partition >= floor.
+def _strip_columns(part, gap, k, cap, prev, remove):
+    """Column sets of the size-k horizontal strips of one chain step.
 
-    Only columns with sigma[c] > floor[c] are eligible, the removed
-    columns form a suffix of every block of equal parts, and afterwards
-    every column must satisfy sigma[c] - floor[c] <= cap (so that the
-    remaining strips can still reach the floor).
+    ``part`` is the current partition padded to the width of beta, and
+    gap[c] is how far column c is from its end: part[c] - floor[c] when
+    removing a strip (socle), ceiling[c] - part[c] when adding one (LR).
+    A returned set C (an ascending list) satisfies:
+
+    * C is a suffix (removing) or a prefix (adding) of every block of
+      equal parts, so part -/+ 1_C is a partition;
+    * only columns with gap > 0 move;
+    * afterwards every gap is at most ``cap``, the number of strips still
+      to come, so the end stays reachable.  A column with gap cap + 1 is
+      forced into C, and one with a larger gap leaves no set at all;
+    * when ``prev`` (the previous strip's columns) is given, the lattice
+      step: the i-th smallest column of C is >= the i-th smallest of
+      prev when removing (mirrored lattice), and the i-th largest of C is
+      <= the i-th largest of prev when adding.
+
+    Each condition prunes while the columns are chosen, block by block
+    from the left.  The sets come in lexicographic order of their
+    per-block counts, fewest first.
     """
-    n = len(sigma)
-    blocks = []
+    n = len(part)
+    top = cap + 1
+    blocks = []  # (first, end, forced, free) of the blocks with a movable column
     i = 0
     while i < n:
-        j = i
-        while j < n and sigma[j] == sigma[i]:
+        v = part[i]
+        j = i + 1
+        while j < n and part[j] == v:
             j += 1
-        blocks.append((i, j))
+        forced = free = 0
+        for c in range(i, j):
+            g = gap[c]
+            if g:
+                free += 1
+                if g >= top:
+                    if g > top:
+                        return []
+                    forced += 1
+        if free:
+            blocks.append((i, j, forced, free))
         i = j
-    # per block: how many trailing columns may be removed
-    choices = []
-    for (i, j) in blocks:
-        free = 0
-        c = j - 1
-        while c >= i and sigma[c] > (floor[c] if c < len(floor) else 0):
-            free += 1
-            c -= 1
-        choices.append((i, j, free))
-
+    nb = len(blocks)
+    least = [0] * (nb + 1)  # columns the blocks from b on must / can still take
+    most = [0] * (nb + 1)
+    for b in range(nb - 1, -1, -1):
+        least[b] = least[b + 1] + blocks[b][2]
+        most[b] = most[b + 1] + blocks[b][3]
+    if not least[0] <= k <= most[0]:
+        return []
+    if prev is None:
+        bound = None
+    elif remove:
+        bound = prev[:k]  # the column at position q of C must be >= bound[q]
+    else:
+        bound = prev[len(prev) - k:]  # ... must be <= bound[q]
     out = []
 
-    def feasible(cols_removed):
-        removed = set(cols_removed)
-        for c in range(n):
-            rest = sigma[c] - (1 if c in removed else 0) - (floor[c] if c < len(floor) else 0)
-            if rest > cap:
-                return False
-        return True
-
-    def rec(bi, remaining, acc):
-        if remaining == 0:
-            cols = [c for block in acc for c in block]
-            if feasible(cols):
-                out.append(sorted(cols))
+    def rec(b, acc):
+        m = len(acc)
+        if m == k:
+            out.append(acc)
             return
-        if bi == len(blocks):
-            return
-        i, j, free = choices[bi]
-        maxtake = min(free, remaining)
-        for take in range(0, maxtake + 1):
-            rec(bi + 1, remaining - take, acc + [list(range(j - take, j))])
+        i, j, forced, free = blocks[b]
+        lo = max(forced, k - m - most[b + 1])
+        hi = min(free, k - m - least[b + 1])
+        for t in range(lo, hi + 1):
+            cols = list(range(j - t, j) if remove else range(i, i + t))
+            # a larger t fails the lattice step wherever this one does
+            if bound is not None and (
+                any(c < bound[m + q] for q, c in enumerate(cols))
+                if remove
+                else any(c > bound[m + q] for q, c in enumerate(cols))
+            ):
+                break
+            rec(b + 1, acc + cols)
 
-    rec(0, k, [])
+    rec(0, [])
     return out
 
 
-def _add_strip_columns(lam, ceil, k, cap):
-    """Column index sets C with lam + 1_C a partition <= ceil.
+def _chain_start(alpha, beta, gamma, kind):
+    """Strip sizes, start partition and start gaps of a validated shape, or None.
 
-    Added columns form a prefix of every block of equal parts; afterwards
-    ceil[c] - lam[c] <= cap must hold everywhere.
+    Partitions are padded to the width of beta; the socle chain starts at
+    beta and removes strips down to gamma, the LR chain starts at gamma
+    and adds strips up to beta.
     """
-    n = len(ceil)
-    lam = list(lam) + [0] * (n - len(lam))
-    blocks = []
-    i = 0
-    while i < n:
-        j = i
-        while j < n and lam[j] == lam[i]:
-            j += 1
-        blocks.append((i, j))
-        i = j
-    choices = []
-    for (i, j) in blocks:
-        free = 0
-        c = i
-        while c < j and lam[c] < ceil[c]:
-            free += 1
-            c += 1
-        choices.append((i, j, free))
+    if weight(alpha) + weight(gamma) != weight(beta) or not contains(beta, gamma):
+        return None
+    n = len(beta)
+    inner = tuple(gamma) + (0,) * (n - len(gamma))
+    gap = tuple(b - g for b, g in zip(beta, inner))
+    return transpose(alpha), (beta if kind == "socle" else inner), gap
 
-    out = []
 
-    def feasible(cols_added):
-        added = set(cols_added)
-        for c in range(n):
-            rest = ceil[c] - lam[c] - (1 if c in added else 0)
-            if rest > cap:
-                return False
-        return True
+def _step(part, gap, cols, remove):
+    """Partition and gaps after moving the strip columns ``cols`` one step."""
+    nxt, ngap = list(part), list(gap)
+    d = -1 if remove else 1
+    for c in cols:
+        nxt[c] += d
+        ngap[c] -= 1
+    return tuple(nxt), tuple(ngap)
 
-    def rec(bi, remaining, acc):
-        if remaining == 0:
-            cols = [c for block in acc for c in block]
-            if feasible(cols):
-                out.append(sorted(cols))
+
+def _chains(alpha, beta, gamma, kind, lattice=True):
+    """Padded partition chains of a validated shape's tableaux of the kind.
+
+    With ``lattice`` off the socle chains lose the mirrored lattice
+    condition and give every filling with weakly decreasing rows and
+    strictly decreasing columns.
+    """
+    start = _chain_start(alpha, beta, gamma, kind)
+    if start is None:
+        return
+    sizes, part, gap = start
+    s = len(sizes)
+    remove = kind == "socle"
+
+    def rec(level, part, gap, prev, acc):
+        if level == s:
+            yield acc
             return
-        if bi == len(blocks):
-            return
-        i, j, free = choices[bi]
-        maxtake = min(free, remaining)
-        for take in range(0, maxtake + 1):
-            rec(bi + 1, remaining - take, acc + [list(range(i, i + take))])
+        for cols in _strip_columns(part, gap, sizes[level], s - level - 1, prev, remove):
+            nxt, ngap = _step(part, gap, cols, remove)
+            yield from rec(level + 1, nxt, ngap, cols if lattice else None, acc + (nxt,))
 
-    rec(0, k, [])
-    return out
+    yield from rec(0, part, gap, None, (part,))
 
 
-def _prefix_dominates(prev_cols, next_cols):
-    """Mirrored lattice step: i-th smallest next >= i-th smallest prev."""
-    return all(b >= a for a, b in zip(prev_cols, next_cols))
+def _path_count(part, gap, prev, sizes, remove, memo) -> int:
+    """Number of chains from ``part`` with the given remaining strip sizes.
 
-
-def _suffix_dominated(prev_cols, next_cols):
-    """Lattice step: i-th largest next <= i-th largest prev."""
-    pa = prev_cols[::-1]
-    nb = next_cols[::-1]
-    return all(b <= a for a, b in zip(pa, nb))
+    ``memo`` is keyed by (part, the part of prev the next lattice step
+    reads, sizes), so it may be shared by every start on the same end
+    (the floor when removing, the ceiling when adding).
+    """
+    if not sizes:
+        return 1
+    k = sizes[0]
+    if prev is not None:
+        prev = tuple(prev[:k] if remove else prev[len(prev) - k:])
+    key = (part, prev, sizes)
+    got = memo.get(key)
+    if got is None:
+        got = 0
+        rest = sizes[1:]
+        for cols in _strip_columns(part, gap, k, len(rest), prev, remove):
+            nxt, ngap = _step(part, gap, cols, remove)
+            got += _path_count(nxt, ngap, cols, rest, remove, memo)
+        memo[key] = got
+    return got
 
 
 def iter_socle_chains(alpha, beta, gamma) -> Iterator[tuple]:
     """All socle chains of shape (alpha, beta, gamma); no particular order."""
-    yield from _socle_chains(partition(alpha), partition(beta), partition(gamma))
-
-
-def _socle_chains(alpha, beta, gamma):
-    if weight(alpha) + weight(gamma) != weight(beta) or not contains(beta, gamma):
-        return
-    sizes = transpose(alpha)
-    s = len(sizes)
-    n = len(beta)
-    floor = tuple(gamma) + (0,) * (n - len(gamma))
-    if any(beta[c] - floor[c] > s for c in range(n)):
-        return
-
-    def rec(level, sigma, prev_cols, acc):
-        if level > s:
-            yield acc
-            return
-        remaining = s - level
-        for cols in _remove_strip_columns(sigma, floor, sizes[level - 1], remaining):
-            if prev_cols is not None and not _prefix_dominates(prev_cols, cols):
-                continue
-            nxt = list(sigma)
-            for c in cols:
-                nxt[c] -= 1
-            nxt = tuple(nxt)
-            yield from rec(level + 1, nxt, cols, acc + (nxt,))
-
-    start = tuple(beta)
-    yield from rec(1, start, None, (start,))
+    yield from _chains(partition(alpha), partition(beta), partition(gamma), "socle")
 
 
 def iter_lr_chains(alpha, beta, gamma) -> Iterator[tuple]:
     """All LR chains of shape (alpha, beta, gamma); no particular order."""
-    yield from _lr_chains(partition(alpha), partition(beta), partition(gamma))
-
-
-def _lr_chains(alpha, beta, gamma):
-    if weight(alpha) + weight(gamma) != weight(beta) or not contains(beta, gamma):
-        return
-    sizes = transpose(alpha)
-    s = len(sizes)
-    n = len(beta)
-    if any(beta[c] - part(gamma, c + 1) > s for c in range(n)):
-        return
-
-    def rec(level, lam, prev_cols, acc):
-        if level > s:
-            yield acc
-            return
-        remaining = s - level
-        for cols in _add_strip_columns(lam, beta, sizes[level - 1], remaining):
-            if prev_cols is not None and not _suffix_dominated(prev_cols, cols):
-                continue
-            nxt = list(lam) + [0] * (n - len(lam))
-            for c in cols:
-                nxt[c] += 1
-            nxt = tuple(nxt)
-            yield from rec(level + 1, nxt, cols, acc + (nxt,))
-
-    start = tuple(gamma) + (0,) * (n - len(gamma))
-    yield from rec(1, start, None, (start,))
+    yield from _chains(partition(alpha), partition(beta), partition(gamma), "lr")
 
 
 def _chain_tableaux(chains, view, alpha, beta, gamma) -> Iterator[SkewTableau]:
@@ -592,64 +609,35 @@ def _chain_tableaux(chains, view, alpha, beta, gamma) -> Iterator[SkewTableau]:
     for chain in chains:
         if boxes is None:
             boxes, cols = set(skew_boxes(beta, gamma)), transpose(alpha)
-        entries = {}
-        for l in range(1, len(chain)):
-            if view == "socle":
-                big, small = chain[l - 1], chain[l]
-            else:
-                big, small = chain[l], chain[l - 1]
-            for c in range(len(big)):
-                if big[c] != small[c]:
-                    entries[(big[c], c + 1)] = l
-        yield SkewTableau._of_shape(alpha, beta, gamma, boxes, cols, entries)
+        yield SkewTableau._of_shape(alpha, beta, gamma, boxes, cols, _chain_entries(chain, view))
 
 
 def iter_st12_fillings(alpha, beta, gamma) -> Iterator[SkewTableau]:
     """All fillings with weakly decreasing rows and strictly decreasing columns.
 
-    Same chain enumeration as the socle kind but without the mirrored
-    lattice pruning; used to compare the three lattice validators.
+    The socle enumeration without the mirrored lattice condition; used to
+    compare the three lattice validators.
     """
     alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
-    if weight(alpha) + weight(gamma) != weight(beta) or not contains(beta, gamma):
-        return
-    sizes = transpose(alpha)
-    s = len(sizes)
-    n = len(beta)
-    floor = tuple(gamma) + (0,) * (n - len(gamma))
-    if any(beta[c] - floor[c] > s for c in range(n)):
-        return
-
-    def rec(level, sigma, acc):
-        if level > s:
-            yield acc
-            return
-        remaining = s - level
-        for cols in _remove_strip_columns(sigma, floor, sizes[level - 1], remaining):
-            nxt = list(sigma)
-            for c in cols:
-                nxt[c] -= 1
-            nxt = tuple(nxt)
-            yield from rec(level + 1, nxt, acc + (nxt,))
-
-    start = tuple(beta)
-    yield from _chain_tableaux(rec(1, start, (start,)), "socle", alpha, beta, gamma)
+    chains = _chains(alpha, beta, gamma, "socle", lattice=False)
+    yield from _chain_tableaux(chains, "socle", alpha, beta, gamma)
 
 
-def iter_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> Iterator[SkewTableau]:
-    """Generate all tableaux of the given kind, in no particular order."""
+def _shape_args(shape_or_alpha, beta, gamma, kind):
+    """Validated (alpha, beta, gamma) from a shape triple or three partitions."""
     if beta is None:
         alpha, beta, gamma = shape_or_alpha
     else:
         alpha = shape_or_alpha
-    alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
-    if kind == "socle":
-        chains = _socle_chains(alpha, beta, gamma)
-    elif kind == "lr":
-        chains = _lr_chains(alpha, beta, gamma)
-    else:
+    if kind not in ("socle", "lr"):
         raise ValueError(f"kind must be 'socle' or 'lr', got {kind!r}")
-    yield from _chain_tableaux(chains, kind, alpha, beta, gamma)
+    return partition(alpha), partition(beta), partition(gamma)
+
+
+def iter_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> Iterator[SkewTableau]:
+    """Generate all tableaux of the given kind, in no particular order."""
+    alpha, beta, gamma = _shape_args(shape_or_alpha, beta, gamma, kind)
+    yield from _chain_tableaux(_chains(alpha, beta, gamma, kind), kind, alpha, beta, gamma)
 
 
 def enumerate_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> list:
@@ -659,8 +647,28 @@ def enumerate_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> l
     return ts
 
 
+def _count(alpha, beta, gamma, kind, memo) -> int:
+    start = _chain_start(alpha, beta, gamma, kind)
+    if start is None:
+        return 0
+    sizes, part, gap = start
+    return _path_count(part, gap, None, sizes, kind == "socle", memo)
+
+
 def count_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> int:
-    return sum(1 for _ in iter_tableaux(shape_or_alpha, beta, gamma, kind=kind))
+    """Number of tableaux of the kind, counted as chain paths without building them."""
+    return _count(*_shape_args(shape_or_alpha, beta, gamma, kind), kind, {})
+
+
+def lr_counts(beta, pairs) -> list:
+    """LR coefficients of (alpha, beta, gamma) for every (alpha, gamma) in ``pairs``.
+
+    All pairs share one memo of partial path counts, because an LR chain
+    ends at beta whatever its start; the memo lives for this call only.
+    """
+    beta = partition(beta)
+    memo = {}
+    return [_count(partition(a), beta, partition(g), "lr", memo) for a, g in pairs]
 
 
 def lr_coefficient(alpha, beta, gamma) -> int:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from fixtures import DUAL_LR_M2, SOCLE_M2
 from soctab.cli import main
@@ -33,8 +37,43 @@ def test_enum_json(capsys):
 def test_lr_coeff(capsys):
     rc, out, _ = run_cli(capsys, "lr-coeff", "--shape", "42/642/42")
     assert rc == 0 and out.strip() == "3"
-    rc, out, _ = run_cli(capsys, "lr-coeff", "--shape", "42/532/32")
+    # weight-consistent and contained, but no LR tableau fits
+    rc, out, _ = run_cli(capsys, "lr-coeff", "--shape", "11/3/1")
     assert rc == 0 and out.strip() == "0"
+    # |alpha| + |gamma| != |beta| is a shape error, not a zero count
+    rc, out, err = run_cli(capsys, "lr-coeff", "--shape", "42/532/32")
+    assert rc == 1 and out == "" and "invalid input" in err
+
+
+def test_enum_and_lr_coeff_reject_inconsistent_shapes(capsys):
+    for argv in (
+        ("enum", "--shape", "4/532/31"),
+        ("lr-coeff", "--shape", "9/532/31"),
+        ("lr-coeff", "--shape", "1/31/5"),  # gamma not inside beta
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1 and out == "" and err.startswith("invalid input"), argv
+
+
+def test_closed_stdout_exits_1_silently():
+    # the reader is gone before the command writes anything
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "soctab.cli", "enum", "--shape", "42/532/31", "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_analyze(capsys):

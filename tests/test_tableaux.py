@@ -1,15 +1,27 @@
 import json
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2, SOCLE_642
-from soctab.partitions import partitions_of, skew_boxes, subdiagrams, transpose, weight
+from soctab.partitions import (
+    partitions_of,
+    shape_triples,
+    skew_boxes,
+    subdiagrams,
+    transpose,
+    weight,
+)
 from soctab.tableaux import (
     InvalidTableau,
     MatchingFailed,
     SkewTableau,
+    _chain_start,
+    _step,
+    _strip_columns,
     build_matching,
     check_lr,
     check_socle,
@@ -20,6 +32,7 @@ from soctab.tableaux import (
     iter_st12_fillings,
     iter_tableaux,
     lr_coefficient,
+    lr_counts,
     to_chain,
 )
 
@@ -266,3 +279,108 @@ def test_render():
     assert SOCLE_M2.render() == "..4\n.32\n.1\n2\n1"
     wide = SkewTableau((10,), (11,), (1,), {(r, 1): 12 - r for r in range(2, 12)})
     assert "[10]" in wide.render()
+
+
+# ---------------------------------------------------------------------------
+# the strip generator and the path counts
+
+
+def brute_strips(part, gap, k, cap, prev, remove):
+    """Oracle for _strip_columns: filter every k-subset of the columns.
+
+    Keeps the sets C for which part -/+ 1_C is a partition, no column
+    passes its end, every gap left is at most cap, and (with prev) the
+    lattice step holds; sorts them by their per-block counts.
+    """
+    n = len(part)
+    d = -1 if remove else 1
+    out = []
+    for cols in combinations(range(n), k):
+        nxt = [x + d * (c in cols) for c, x in enumerate(part)]
+        left = [g - (c in cols) for c, g in enumerate(gap)]
+        if any(a < b for a, b in zip(nxt, nxt[1:])) or not all(0 <= g <= cap for g in left):
+            continue
+        if prev is not None:
+            if remove and any(c < p for c, p in zip(cols, prev)):
+                continue  # i-th smallest of C below the i-th smallest of prev
+            if not remove and any(c > p for c, p in zip(cols[::-1], prev[::-1])):
+                continue  # i-th largest of C above the i-th largest of prev
+        out.append(list(cols))
+    starts = [c for c in range(n) if c == 0 or part[c] != part[c - 1]] + [n]
+
+    def per_block(cols):
+        return [sum(1 for c in cols if a <= c < b) for a, b in zip(starts, starts[1:])]
+
+    return sorted(out, key=per_block)
+
+
+def test_strip_columns_match_brute_force_on_every_reached_state():
+    seen = set()
+    for alpha, beta, gamma in shape_triples(8):
+        for kind in ("socle", "lr"):
+            sizes, part, gap = _chain_start(alpha, beta, gamma, kind)
+            remove = kind == "socle"
+            for lattice in (True, False):
+                todo = [(part, gap, None, 0)]
+                while todo:
+                    part_, gap_, prev, level = todo.pop()
+                    if level == len(sizes):
+                        continue
+                    state = (part_, gap_, sizes[level], len(sizes) - level - 1, prev, remove)
+                    if state in seen:
+                        continue
+                    seen.add(state)
+                    got = _strip_columns(*state)
+                    assert got == brute_strips(*state), state
+                    for cols in got:
+                        nxt, ngap = _step(part_, gap_, cols, remove)
+                        todo.append((nxt, ngap, tuple(cols) if lattice else None, level + 1))
+    assert len(seen) > 10000, len(seen)
+
+
+@st.composite
+def shapes(draw, max_weight=11):
+    beta = draw(st.sampled_from(sorted(partitions_of(draw(st.integers(0, max_weight))))))
+    gamma = draw(st.sampled_from(sorted(subdiagrams(beta))))
+    alpha = draw(st.sampled_from(sorted(partitions_of(weight(beta) - weight(gamma)))))
+    return alpha, beta, gamma
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(shapes(), st.sampled_from(["socle", "lr"]))
+def test_count_is_the_number_of_tableaux(shape, kind):
+    assert count_tableaux(*shape, kind=kind) == len(list(iter_tableaux(*shape, kind=kind)))
+
+
+def test_lr_counts_match_count_tableaux():
+    for wgt in range(0, 8):
+        for beta in partitions_of(wgt):
+            pairs = [
+                (alpha, gamma)
+                for gamma in subdiagrams(beta)
+                for alpha in partitions_of(wgt - weight(gamma))
+            ]
+            # swapped pairs include shapes with no tableau, like gamma outside beta
+            pairs += [(gamma, alpha) for alpha, gamma in pairs]
+            expect = [count_tableaux(a, beta, g, kind="lr") for a, g in pairs]
+            assert lr_counts(beta, pairs) == expect
+            assert lr_counts(beta, pairs[::-1]) == expect[::-1]
+    assert lr_counts((5, 3, 2), [((4, 2), (3, 1)), ((4, 2), (3, 2))]) == [2, 0]
+
+
+def st12(t):
+    """Weakly decreasing rows and strictly decreasing columns."""
+    e = t.entries
+    return all(
+        e[(r, c)] >= e[(r, c + 1)] for (r, c) in e if (r, c + 1) in e
+    ) and all(e[(r, c)] > e[(r + 1, c)] for (r, c) in e if (r + 1, c) in e)
+
+
+def test_st12_fillings_are_every_monotone_filling():
+    total = 0
+    for alpha, beta, gamma in shape_triples(6):
+        got = list(iter_st12_fillings(alpha, beta, gamma))
+        assert len(set(got)) == len(got)
+        assert set(got) == brute_tableaux(alpha, beta, gamma, st12), (alpha, beta, gamma)
+        total += len(got)
+    assert total > 900
