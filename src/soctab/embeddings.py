@@ -30,7 +30,7 @@ from .modules import (
     zero_subspace,
 )
 from .partitions import Shape, partition, transpose
-from .tableaux import SkewTableau, from_chain
+from .tableaux import SkewTableau, _valid_chain_tableau
 
 
 class PrimeMismatch(ValueError):
@@ -139,22 +139,35 @@ def direct_sum(x: Embedding, y: Embedding) -> Embedding:
     return Embedding(mod, Subspace(mod, rows))
 
 
-def socle_tableau(x: Embedding) -> SkewTableau:
-    """Tableau of the socle filtration: layer i is the type of ambient / soc^i(sub)."""
+def _filtration_chain(x: Embedding, layer, first, last):
+    """Quotient types of ambient / layer(sub, i) for i = 0..s, s = alpha[0].
+
+    The end layers are read from the shape: layer 0 has quotient type
+    ``first`` and layer s has ``last``; only the interior is computed.
+    """
     s = x.alpha[0] if x.alpha else 0
-    chain = [
-        quotient_type(x.ambient, soc_layer(x.ambient, x.sub, i)) for i in range(s + 1)
-    ]
-    return from_chain(chain, "socle")
+    if s == 0:
+        return [first]  # sub = 0, so first == last
+    inner = [quotient_type(x.ambient, layer(x.ambient, x.sub, i)) for i in range(1, s)]
+    return [first, *inner, last]
+
+
+def socle_tableau(x: Embedding) -> SkewTableau:
+    """Tableau of the socle filtration: layer i is the type of ambient / soc^i(sub).
+
+    soc^0(sub) = 0 and soc^s(sub) = sub, so the end layers are beta and gamma.
+    """
+    chain = _filtration_chain(x, soc_layer, x.beta, x.gamma)
+    return _valid_chain_tableau(chain, "socle")
 
 
 def lr_tableau(x: Embedding) -> SkewTableau:
-    """Tableau of the radical filtration: layer i is the type of ambient / rad^i(sub)."""
-    s = x.alpha[0] if x.alpha else 0
-    chain = [
-        quotient_type(x.ambient, rad_layer(x.ambient, x.sub, i)) for i in range(s + 1)
-    ]
-    return from_chain(chain, "lr")
+    """Tableau of the radical filtration: layer i is the type of ambient / rad^i(sub).
+
+    rad^0(sub) = sub and rad^s(sub) = 0, so the end layers are gamma and beta.
+    """
+    chain = _filtration_chain(x, rad_layer, x.gamma, x.beta)
+    return _valid_chain_tableau(chain, "lr")
 
 
 def dual_embedding(x: Embedding) -> Embedding:

@@ -4,6 +4,11 @@ The operator plays multiplication by the uniformizer.  A module is
 isomorphic to a direct sum of Jordan blocks; the block sizes, sorted,
 are its type.  Subspaces carry their ambient module and a reduced
 row-echelon basis, so equal subspaces have equal basis arrays.
+
+A module's operator and its cached powers are read-only arrays, and its
+type is kept once computed.  ``standard_module`` returns one shared module
+per (prime, partition), so a write to a module's arrays raises instead of
+changing every embedding built on it.
 """
 
 from functools import lru_cache
@@ -44,10 +49,18 @@ def _check_prime(p, dim):
         raise BadPrime(f"modulus {p} is not a prime")
 
 
-class FpModule:
-    """F_p vector space with a nilpotent operator acting on column vectors."""
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
-    __slots__ = ("prime", "op", "dim", "_powers")
+
+class FpModule:
+    """F_p vector space with a nilpotent operator acting on column vectors.
+
+    ``op`` and the arrays ``power`` returns are read-only.
+    """
+
+    __slots__ = ("prime", "op", "dim", "_powers", "_type")
 
     def __init__(self, prime, op):
         self.prime = int(prime)
@@ -55,16 +68,17 @@ class FpModule:
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError("operator must be square")
         _check_prime(self.prime, op.shape[0])
-        op = op % self.prime
+        op = _read_only(op % self.prime)
         self.op = op
         self.dim = op.shape[0]
-        self._powers = [np.eye(self.dim, dtype=np.int64)]
+        self._type = None
+        self._powers = [_read_only(np.eye(self.dim, dtype=np.int64))]
         # cache powers up to the nilpotency index; fail fast otherwise
         cur = self._powers[0]
         for _ in range(self.dim):
             if not cur.any():
                 break
-            cur = (cur @ op) % self.prime
+            cur = _read_only((cur @ op) % self.prime)
             self._powers.append(cur)
         if self._powers[-1].any():
             raise ValueError("operator is not nilpotent")
@@ -99,6 +113,17 @@ class Subspace:
             linalg.asmat(basis, module.dim, module.prime), module.prime
         )
         self._annihilator = None
+
+    @classmethod
+    def _canonical(cls, module, basis):
+        """Subspace on a basis that is already reduced row-echelon, as
+        ``linalg.nullspace``, ``row_space``, ``image`` and ``preimage``
+        return it; skips the second rref."""
+        sub = cls.__new__(cls)
+        sub.module = module
+        sub.basis = basis
+        sub._annihilator = None
+        return sub
 
     @property
     def dim(self):
@@ -152,8 +177,15 @@ def standard_module(prime, parts):
 
     Basis vector offset+i of block j represents p^i times the j-th
     generator, so the operator sends it to the next one in the block.
+    Equal (prime, partition) give the same shared, read-only module.
     """
-    parts = partition(parts)
+    return _standard_module(int(prime), partition(parts))
+
+
+@lru_cache(maxsize=None)
+def _standard_module(prime, parts):
+    # keyed by the validated partition, so one entry per partition a caller
+    # visits; a construction that raises (BadPrime) caches nothing
     n = sum(parts)
     op = np.zeros((n, n), dtype=np.int64)
     off = 0
@@ -175,7 +207,16 @@ def block_offsets(parts):
 
 
 def module_type(module):
-    """Type partition: the r-th row length is dim ker T^r - dim ker T^(r-1)."""
+    """Type partition: the r-th row length is dim ker T^r - dim ker T^(r-1).
+
+    Kept on the module after the first call.
+    """
+    if module._type is None:
+        module._type = _module_type(module)
+    return module._type
+
+
+def _module_type(module):
     p = module.prime
     rows = []
     prev = 0
@@ -246,12 +287,14 @@ def soc_layer(module, sub, ell):
 
 def rad_layer(module, sub, m):
     """T^m applied to sub."""
-    return Subspace(module, linalg.image(module.power(m), sub.basis, module.prime))
+    return Subspace._canonical(module, linalg.image(module.power(m), sub.basis, module.prime))
 
 
 def preimage(module, sub, r):
     """{b in module : T^r b in sub}."""
-    return Subspace(module, linalg.preimage(module.power(r), sub.basis, module.prime))
+    return Subspace._canonical(
+        module, linalg.preimage(module.power(r), sub.basis, module.prime)
+    )
 
 
 def dual_module(module):

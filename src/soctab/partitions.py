@@ -7,6 +7,7 @@ the diagram of ``p`` iff r <= p[c-1].  Row lengths are obtained through
 ``transpose``.
 """
 
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -49,12 +50,21 @@ def part(p: tuple, i: int) -> int:
 
 
 def transpose(p: tuple) -> tuple:
-    """Row lengths of the diagram: result[r-1] = #{c : p[c-1] >= r}."""
+    """Row lengths of the diagram: result[r-1] = #{c : p[c-1] >= r}.
+
+    ``p`` must be weakly decreasing and nonnegative; trailing zeros are
+    accepted.  Raises ValueError otherwise.
+    """
     if not p:
         return ()
+    if p[-1] < 0 or any(map(lt, p, p[1:])):
+        raise ValueError(f"transpose needs a weakly decreasing nonnegative tuple, got {p}")
     out = []
+    c = len(p)  # parts >= r are exactly p[:c]
     for r in range(1, p[0] + 1):
-        out.append(sum(1 for x in p if x >= r))
+        while p[c - 1] < r:
+            c -= 1
+        out.append(c)
     return tuple(out)
 
 

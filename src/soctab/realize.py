@@ -102,6 +102,7 @@ def build_chain(t: SkewTableau, prime: int, with_corrections: bool = True) -> Ep
     acols = transpose(t.alpha)
     stages = [standard_module(prime, chain[i]) for i in range(s + 1)]
     maps = []
+    kernels = []
     for ell in range(1, s + 1):
         src, dst = layers[ell - 1], layers[ell]
         soffs, doffs = _offsets(src), _offsets(dst)
@@ -113,14 +114,17 @@ def build_chain(t: SkewTableau, prime: int, with_corrections: bool = True) -> Ep
             h = _correction(t, layers[ell], doffs, ell, prime)
             g = (h @ g) % prime
         maps.append(g)
-        if linalg.rank(maps[-1], prime) != sum(dst):
+        # one elimination gives the kernel, and rank = source dim - kernel dim
+        kernels.append(linalg.nullspace(g, prime))
+        if sum(src) - kernels[-1].shape[0] != sum(dst):
             raise ConditionStarViolated(f"stage {ell} map is not surjective")
         kdim = sum(src) - sum(dst)
         if kdim != acols[ell - 1]:
             raise ConditionStarViolated(f"stage {ell} kernel has the wrong length")
     epi = EpiChain(prime, stages, maps)
     if with_corrections:
-        _assert_condition_star(epi)
+        for idx in _socle_condition_failures(epi, kernels):
+            raise ConditionStarViolated(f"socle condition fails between stages {idx+1},{idx+2}")
     return epi
 
 
@@ -146,53 +150,48 @@ def _correction(t, layer, offs, ell, prime):
     return h
 
 
-def _assert_condition_star(epi: EpiChain):
-    """soc(Ker f_(l+1) f_l) must equal Ker f_l for every interior l."""
+def _socle_condition_failures(epi: EpiChain, kernels):
+    """Indices idx where soc(Ker f_(idx+2) f_(idx+1)) != Ker f_(idx+1) (condition star).
+
+    ``kernels[i]`` is ``linalg.nullspace(epi.maps[i], p)``.
+    """
     p = epi.prime
     for idx in range(len(epi.maps) - 1):
         f1, f2 = epi.maps[idx], epi.maps[idx + 1]
         src = epi.stages[idx]
-        ker1 = linalg.nullspace(f1, p)
-        ker12 = linalg.nullspace((f2 @ f1) % p, p)
-        soc = Subspace(src, ker12)
-        soc = soc_layer(src, soc, 1).basis
-        if not np.array_equal(soc, ker1):
-            raise ConditionStarViolated(f"socle condition fails between stages {idx+1},{idx+2}")
+        ker12 = Subspace._canonical(src, linalg.nullspace((f2 @ f1) % p, p))
+        if not np.array_equal(soc_layer(src, ker12, 1).basis, kernels[idx]):
+            yield idx
 
 
 def verify_epi_chain(epi: EpiChain, expected_alpha=None) -> list:
     """Diagnostic report: list of violation descriptions, empty when clean."""
     p = epi.prime
     problems = []
-    for i, f in enumerate(epi.maps, 1):
+    kernels = [linalg.nullspace(f, p) for f in epi.maps]
+    for i, (f, ker) in enumerate(zip(epi.maps, kernels), 1):
         src, dst = epi.stages[i - 1], epi.stages[i]
         if f.shape != (dst.dim, src.dim):
             problems.append(f"map {i} has shape {f.shape}, expected {(dst.dim, src.dim)}")
             continue
-        if linalg.rank(f, p) != dst.dim:
+        if src.dim - ker.shape[0] != dst.dim:
             problems.append(f"map {i} is not surjective")
-        ker = linalg.nullspace(f, p)
         if ker.shape[0] and ((ker @ src.op.T) % p).any():
             problems.append(f"kernel of map {i} is not semisimple")
-    for idx in range(len(epi.maps) - 1):
-        f1, f2 = epi.maps[idx], epi.maps[idx + 1]
-        src = epi.stages[idx]
-        ker1 = linalg.nullspace(f1, p)
-        ker12 = linalg.nullspace((f2 @ f1) % p, p)
-        soc = soc_layer(src, Subspace(src, ker12), 1).basis
-        if not np.array_equal(soc, ker1):
-            problems.append(f"socle condition fails between maps {idx+1} and {idx+2}")
+    for idx in _socle_condition_failures(epi, kernels):
+        problems.append(f"socle condition fails between maps {idx+1} and {idx+2}")
     if expected_alpha is not None:
         acols = transpose(partition(expected_alpha))
-        for i, f in enumerate(epi.maps, 1):
-            kdim = epi.stages[i - 1].dim - linalg.rank(f, p)
+        for i, (f, ker) in enumerate(zip(epi.maps, kernels), 1):
+            # rank(f) = f.shape[1] - dim ker f
+            kdim = epi.stages[i - 1].dim - (f.shape[1] - ker.shape[0])
             want = acols[i - 1] if i <= len(acols) else 0
             if kdim != want:
                 problems.append(f"kernel of map {i} has length {kdim}, expected {want}")
     # quotients along the socle filtration of the composite kernel
     if not problems and epi.maps:
         amb = epi.stages[0]
-        sub = Subspace(amb, linalg.nullspace(epi.composite(), p))
+        sub = Subspace._canonical(amb, linalg.nullspace(epi.composite(), p))
         for ell in range(len(epi.stages)):
             got = quotient_type(amb, soc_layer(amb, sub, ell))
             want = module_type(epi.stages[ell])
@@ -209,7 +208,7 @@ def realize_socle(t: SkewTableau, prime: int = 2) -> Embedding:
     amb = epi.stages[0]
     if not epi.maps:
         return Embedding(amb, zero_subspace(amb))
-    sub = Subspace(amb, linalg.nullspace(epi.composite(), prime))
+    sub = Subspace._canonical(amb, linalg.nullspace(epi.composite(), prime))
     return Embedding(amb, sub)
 
 

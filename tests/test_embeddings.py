@@ -27,8 +27,8 @@ from soctab.embeddings import (
     standardize,
     zero_embedding,
 )
-from soctab.modules import Subspace
-from soctab.tableaux import SkewTableau, check_lr, check_socle, to_chain
+from soctab.modules import Subspace, quotient_type, rad_layer, soc_layer, zero_subspace
+from soctab.tableaux import SkewTableau, check_lr, check_socle, from_chain, to_chain
 
 
 def test_picket():
@@ -127,6 +127,39 @@ def test_dual_fixture_equalities():
     assert lr_tableau(d2) == lr_tableau(d3)
     assert lr_tableau(d1) != lr_tableau(d2)
     assert socle_tableau(d2) != socle_tableau(d3)
+
+
+def _read_back_cases(p):
+    """Fixtures, pickets, direct sums and corpus embeddings, each with its dual."""
+    xs = [load_fixture(name, prime=p) for name in ("m1", "m2", "m3")]
+    xs += [picket(p, ell, m) for ell, m in ((0, 3), (1, 1), (2, 4), (4, 5))]
+    xs += [
+        direct_sum(picket(p, 2, 4), picket(p, 1, 3)),
+        direct_sum(load_fixture("m2", prime=p), picket(p, 1, 2)),
+        direct_sum(zero_embedding(p), picket(p, 0, 2)),
+    ]
+    xs += [embedding_from_spec(spec, p) for spec in random_corpus(31, 20, 8)]
+    return xs + [dual_embedding(x) for x in xs]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_read_back_end_layers_equal_direct_computation(p):
+    for x in _read_back_cases(p):
+        amb, sub = x.ambient, x.sub
+        s = x.alpha[0] if x.alpha else 0
+        socs = [quotient_type(amb, soc_layer(amb, sub, i)) for i in range(s + 1)]
+        rads = [quotient_type(amb, rad_layer(amb, sub, i)) for i in range(s + 1)]
+        beta = quotient_type(amb, zero_subspace(amb))
+        gamma = quotient_type(amb, sub)
+        # soc^0 = 0, soc^s = sub; rad^0 = sub, rad^s = 0
+        assert (socs[0], socs[-1]) == (beta, gamma) == (x.beta, x.gamma)
+        assert (rads[0], rads[-1]) == (gamma, beta)
+        sigma, lam = socle_tableau(x), lr_tableau(x)
+        assert sigma == from_chain(socs, "socle")
+        assert lam == from_chain(rads, "lr")
+        assert (to_chain(sigma, "socle")[0], to_chain(sigma, "socle")[-1]) == (beta, gamma)
+        assert (to_chain(lam, "lr")[0], to_chain(lam, "lr")[-1]) == (gamma, beta)
+        assert check_socle(sigma) and check_lr(lam)
 
 
 def test_random_corpus_tableaux_valid():

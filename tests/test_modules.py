@@ -36,6 +36,67 @@ def test_standard_module():
     assert p3.nilpotency_index == 4
 
 
+def test_standard_modules_are_shared():
+    m = standard_module(3, [2, 1])
+    assert m is standard_module(3, (2, 1, 0))
+    assert m is standard_module(3.0, (2, 1))
+    assert m is not standard_module(2, (2, 1))
+    assert m is not standard_module(3, (2, 2))
+
+
+def test_module_arrays_are_read_only():
+    m = standard_module(2, (3, 1))
+    with pytest.raises(ValueError):
+        m.op[0, 0] = 1
+    with pytest.raises(ValueError):
+        m.power(1)[1, 0] = 0
+    with pytest.raises(ValueError):
+        m.power(0)[0, 0] = 0
+    # a fresh module's arrays are read-only too
+    f = FpModule(2, np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(ValueError):
+        f.op[0, 1] = 1
+
+
+def test_module_type_is_kept():
+    m = standard_module(5, (4, 2, 2))
+    first = module_type(m)
+    assert first == (4, 2, 2)
+    assert module_type(m) is first
+    assert module_type(dual_module(m)) == first
+
+
+def test_bad_prime_is_raised_on_every_call():
+    for _ in range(3):
+        with pytest.raises(BadPrime):
+            standard_module(4, (2,))
+    with pytest.raises(ValueError):
+        standard_module(2, (1, 2))
+
+
+def test_direct_sum_and_dual_build_fresh_modules():
+    from soctab.embeddings import direct_sum, picket
+
+    x = picket(2, 1, 2)
+    s1, s2 = direct_sum(x, x), direct_sum(x, x)
+    assert s1.ambient == s2.ambient
+    assert s1.ambient is not s2.ambient
+    assert s1.ambient is not standard_module(2, (2, 2))
+    d1, d2 = dual_module(x.ambient), dual_module(x.ambient)
+    assert d1 == d2 and d1 is not d2
+    assert d1 is not x.ambient
+
+
+def test_embedding_rejects_non_invariant_subspace_of_shared_module():
+    from soctab.embeddings import Embedding
+
+    m = standard_module(2, (5,))
+    op_before = m.op.copy()
+    with pytest.raises(ValueError):
+        Embedding(m, Subspace(m, np.eye(5, dtype=np.int64)[:1]))
+    assert np.array_equal(standard_module(2, (5,)).op, op_before)
+
+
 def test_not_nilpotent_rejected():
     with pytest.raises(ValueError):
         FpModule(2, np.eye(2, dtype=np.int64))

@@ -42,6 +42,27 @@ def test_transpose_examples():
     assert transpose((4, 2)) == (2, 2, 1, 1)
 
 
+def _transpose_by_recount(p):
+    """The defining formula, recounted per row: result[r-1] = #{c : p[c-1] >= r}."""
+    return tuple(sum(1 for x in p if x >= r) for r in range(1, (p[0] if p else 0) + 1))
+
+
+def test_transpose_walk_equals_recount():
+    for n in range(15):
+        for p in partitions_of(n):
+            want = _transpose_by_recount(p)
+            assert transpose(p) == want
+            # trailing zeros add no box and stay accepted
+            assert transpose(p + (0,)) == want
+            assert transpose(p + (0, 0, 0)) == want
+
+
+@pytest.mark.parametrize("bad", [(2, 0, 1), (1, 2), (3, 3, 4), (2, -1), (-1,)])
+def test_transpose_rejects_non_partitions(bad):
+    with pytest.raises(ValueError):
+        transpose(bad)
+
+
 def test_transpose_involution():
     rng = random.Random(1)
     for _ in range(1000):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
 from soctab import linalg
 from soctab.embeddings import lr_tableau, picket, socle_tableau
 from soctab.modules import module_type
-from soctab.partitions import partitions_of, subdiagrams, transpose, weight
+from soctab.partitions import partitions_of, shape_triples, subdiagrams, transpose, weight
 from soctab.realize import (
+    ConditionStarViolated,
     EpiChain,
     build_chain,
     realize_lr,
@@ -52,7 +55,28 @@ def test_empty_chain():
 def test_uncorrected_chain_reports_violations():
     epi = build_chain(SOCLE_M2, 2, with_corrections=False)
     problems = verify_epi_chain(epi, (4, 2))
-    assert any("socle condition" in p for p in problems)
+    assert problems == [
+        "socle condition fails between maps 1 and 2",
+        "socle condition fails between maps 2 and 3",
+        "socle condition fails between maps 3 and 4",
+    ]
+
+
+def test_build_chain_checks_every_map(monkeypatch):
+    from soctab import realize
+
+    # identity corrections: every map stays surjective, condition star fails first at 1,2
+    monkeypatch.setattr(
+        realize, "_correction", lambda t, layer, offs, ell, prime: np.eye(sum(layer), dtype=np.int64)
+    )
+    with pytest.raises(ConditionStarViolated, match=r"^socle condition fails between stages 1,2$"):
+        build_chain(SOCLE_M2, 2)
+    # zero corrections: the first corrected map is not onto
+    monkeypatch.setattr(
+        realize, "_correction", lambda t, layer, offs, ell, prime: np.zeros((sum(layer),) * 2, dtype=np.int64)
+    )
+    with pytest.raises(ConditionStarViolated, match=r"^stage 1 map is not surjective$"):
+        build_chain(SOCLE_M2, 2)
 
 
 def test_realize_fixtures():
@@ -104,6 +128,28 @@ def test_exhaustive_round_trip_small():
                         assert x.shape == (alpha, beta, gamma)
                     for t in iter_tableaux(alpha, beta, gamma, kind="lr"):
                         assert lr_tableau(realize_lr(t, 2)) == t
+
+
+# every socle and LR tableau with |beta| <= 6, with its kind
+TABLEAUX_TO_6 = [
+    (kind, t)
+    for kind in ("socle", "lr")
+    for sh in shape_triples(6)
+    for t in iter_tableaux(*sh, kind=kind)
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(TABLEAUX_TO_6), p=st.sampled_from([2, 3, 5, 7, 11]))
+def test_round_trip_at_random_primes(case, p):
+    kind, t = case
+    if kind == "socle":
+        x = realize_socle(t, p)
+        assert socle_tableau(x) == t
+    else:
+        x = realize_lr(t, p)
+        assert lr_tableau(x) == t
+    assert x.shape == t.shape and x.prime == p
 
 
 def test_verify_rejects_bad_chains():
