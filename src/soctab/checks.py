@@ -28,7 +28,16 @@ from .embeddings import (
 )
 from .partitions import shape_triples
 from .realize import realize_lr, realize_socle
-from .tableaux import check_lr, iter_tableaux, lr_counts
+from .tableaux import (
+    MatchingFailed,
+    build_matching,
+    check_lr,
+    check_socle,
+    check_st3_prime,
+    iter_st12_fillings,
+    iter_tableaux,
+    lr_counts,
+)
 
 
 class SweepReport:
@@ -141,8 +150,6 @@ def hom_triple_sweep(
         max_beta=max_beta_weight,
         primes=list(primes),
     )
-    from .tableaux import check_socle
-
     for name, per_prime in _corpus_embeddings(corpus_seed, corpus_count, max_beta_weight, primes):
         rep.cases += 1
         results = {}
@@ -215,14 +222,6 @@ def defect_sweep(
 
 def lattice_validator_sweep(max_beta_weight: int = 8) -> SweepReport:
     """The three socle-lattice validators agree on every row/column-monotone filling."""
-    from .tableaux import (
-        MatchingFailed,
-        build_matching,
-        check_socle,
-        check_st3_prime,
-        iter_st12_fillings,
-    )
-
     rep = SweepReport("lattice-equivalence", max_beta=max_beta_weight)
     for alpha, beta, gamma in shape_triples(max_beta_weight):
         for t in iter_st12_fillings(alpha, beta, gamma):

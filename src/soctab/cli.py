@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid input, 2 internal assertion failure,
-3 conjecture counterexample found by ``check``.  A standard output closed
-by its reader (``soctab enum ... | head``) also exits 1, silently: the
-rest of the output is discarded and no traceback is printed.
+Exit codes: 0 success, 1 invalid input or a usage error, 2 internal
+assertion failure, 3 conjecture counterexample found by ``check``.  A
+standard output closed by its reader (``soctab enum ... | head``) also
+exits 1, silently: the rest of the output is discarded and no traceback is
+printed.
 """
 
 import argparse
@@ -39,14 +40,7 @@ from .embeddings import (
 from .partitions import InvalidShape, NotContained, parse_shape
 from .realize import ConditionStarViolated, realize_lr, realize_socle
 from .switching import check_conjecture, init_switch, run_switch, extract_duallr
-from .tableaux import (
-    InvalidTableau,
-    SkewTableau,
-    check_lr,
-    check_socle,
-    enumerate_tableaux,
-    lr_coefficient,
-)
+from .tableaux import InvalidTableau, SkewTableau, enumerate_tableaux, lr_coefficient
 
 INPUT_ERRORS = (
     InvalidTableau,
@@ -173,12 +167,8 @@ def cmd_realize(args):
     data = _load_json(args.file)
     t = SkewTableau.from_json_dict(data)
     if args.kind == "socle":
-        if not check_socle(t):
-            raise InvalidTableau("input does not satisfy the socle axioms")
         x = realize_socle(t, args.prime)
     else:
-        if not check_lr(t):
-            raise InvalidTableau("input does not satisfy the LR axioms")
         # the dual ambient operator is not in standard block form; rebase it
         x = standardize(realize_lr(t, args.prime))
     result = embedding_to_json(x)
@@ -230,8 +220,6 @@ def cmd_convert(args):
 def cmd_switch(args):
     data = _load_json(args.file)
     t = SkewTableau.from_json_dict(data)
-    if not check_socle(t):
-        raise InvalidTableau("input does not satisfy the socle axioms")
     state = init_switch(t)
     trace = [state.to_json_dict()] if args.trace else None
     if args.seed is not None:
@@ -305,13 +293,26 @@ def cmd_check(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, the invalid-input code.
+
+    argparse itself exits 2, which this CLI reserves for internal
+    assertion failures.  Subparsers inherit the class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="soctab", description=__doc__)
+    ap = _Parser(prog="soctab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, output=False):
+    def common(p, output=False, prime=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--prime", type=int, default=2)
+        if prime:
+            p.add_argument("--prime", type=int, default=2)
         if output:
             p.add_argument("-o", "--output", help="also write the raw result JSON here")
 
@@ -328,13 +329,13 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="all four tableaux, Hom matrix, defects of an embedding")
     p.add_argument("file", help="embedding JSON file")
-    common(p)
+    common(p, prime=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("realize", help="build an embedding with the given tableau")
     p.add_argument("file", help="tableau JSON file")
     p.add_argument("--kind", choices=("socle", "lr"), default="socle")
-    common(p, output=True)
+    common(p, output=True, prime=True)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("convert", help="convert between tableaux and Hom matrices")

@@ -11,16 +11,16 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .embeddings import BadIndex, Embedding, HomMatrix, picket, direct_sum
+from .embeddings import BadIndex, Embedding, HomMatrix, _picket_constraints, picket, direct_sum
 from .modules import Subspace, quotient_type
 from .partitions import partition, transpose
 from .tableaux import (
     InvalidTableau,
     SkewTableau,
+    _chain_layers,
     _valid_chain_tableau,
     check_lr,
     check_socle,
-    to_chain,
 )
 
 
@@ -99,7 +99,7 @@ def socle_to_hom(t: SkewTableau) -> HomMatrix:
     """h[l][m] = |soc^l(sub)| + first (m - l) row lengths of the level-l layer."""
     if not check_socle(t):
         raise InvalidTableau("socle tableau expected")
-    chain = to_chain(t, "socle")
+    chain = _chain_layers(t, "socle")
     s = len(chain) - 1
     acols = transpose(t.alpha)
     a1 = t.alpha[0] if t.alpha else 0
@@ -179,7 +179,7 @@ def duallr_to_hom(t: SkewTableau) -> HomMatrix:
     """h[r][m] = first m row lengths of the layer m - r of the dual LR chain."""
     if not check_lr(t):
         raise InvalidTableau("LR tableau expected")
-    chain = to_chain(t, "lr")
+    chain = _chain_layers(t, "lr")
     tmax = len(chain) - 1
     layers = [transpose(lam) for lam in chain]
     a1 = t.gamma[0] if t.gamma else 0  # inner shape of the dual LR tableau
@@ -278,7 +278,7 @@ def duallr_to_socle(t: SkewTableau) -> SkewTableau:
     """Socle tableau with the same Hom-matrix, built without the matrix."""
     if not check_lr(t):
         raise InvalidTableau("LR tableau expected")
-    chain = to_chain(t, "lr")
+    chain = _chain_layers(t, "lr")
     tmax = len(chain) - 1
     layers = [transpose(lam) for lam in chain]
 
@@ -308,19 +308,6 @@ def duallr_to_socle(t: SkewTableau) -> SkewTableau:
 
 # ---------------------------------------------------------------------------
 # the defect of the canonical picket map
-
-
-def _picket_solutions(x: Embedding, a: int, b: int):
-    """Basis of {v : T^b v = 0 and T^(b-a) v in sub}; coordinates of picket maps."""
-    p = x.prime
-    n = x.ambient.dim
-    if n == 0 or b == 0:
-        return np.zeros((0, n), dtype=np.int64)
-    blocks = [x.ambient.power(b)]
-    ann = x.sub.annihilator_basis
-    if ann.shape[0] > 0:
-        blocks.append((ann @ x.ambient.power(b - a)) % p)
-    return linalg.nullspace(np.vstack(blocks) % p, p)
 
 
 @lru_cache(maxsize=None)
@@ -364,9 +351,10 @@ def defect(x: Embedding, ell: int, m: int) -> int:
         raise BadIndex(f"defect requires 1 <= ell < m, got ({ell},{m})")
     _verify_defect_sequence(x.prime, ell, m)
     p = x.prime
-    top = _picket_solutions(x, ell, m - 1)
-    v1 = _picket_solutions(x, ell, m)
-    v2 = _picket_solutions(x, ell - 1, m - 2)
+    # the maps from the (a, b) picket, as the solutions v of T^b v = 0, T^(b-a) v in sub
+    top = linalg.nullspace(_picket_constraints(x, ell, m - 1), p)
+    v1 = linalg.nullspace(_picket_constraints(x, ell, m), p)
+    v2 = linalg.nullspace(_picket_constraints(x, ell - 1, m - 2), p)
     tv1 = linalg.image(x.ambient.op, v1, p)
     img = linalg.subspace_sum(tv1, v2, p)
     return top.shape[0] - img.shape[0]

@@ -19,8 +19,11 @@ from . import linalg
 from .modules import (
     FpModule,
     Subspace,
+    _type_from_kernels,
     annihilator,
+    block_offsets,
     dual_module,
+    full_subspace,
     module_type,
     quotient_type,
     rad_layer,
@@ -29,7 +32,7 @@ from .modules import (
     submodule_span,
     zero_subspace,
 )
-from .partitions import Shape, partition, transpose
+from .partitions import Shape, partition
 from .tableaux import SkewTableau, _valid_chain_tableau
 
 
@@ -89,20 +92,10 @@ def _sub_type(x: Embedding):
     """Type of the subspace as a module under the restricted operator."""
     p = x.prime
     basis = x.sub.basis
-    if basis.shape[0] == 0:
-        return ()
-    rows = []
-    prev = 0
-    total = 0
-    r = 1
-    while total < basis.shape[0]:
-        mat = (x.ambient.power(r) @ basis.T) % p
-        cur = basis.shape[0] - linalg.rank(mat, p)
-        rows.append(cur - prev)
-        total += cur - prev
-        prev = cur
-        r += 1
-    return transpose(tuple(rows))
+    dim = basis.shape[0]
+    return _type_from_kernels(
+        dim, lambda r: dim - linalg.rank((x.ambient.power(r) @ basis.T) % p, p)
+    )
 
 
 def zero_embedding(prime):
@@ -266,19 +259,17 @@ class HomMatrix:
         return cls(L, M, rows)
 
 
-def _picket_hom_dim(x: Embedding, ell, m):
-    """dim {b : T^m b = 0 and T^(m-ell) b in sub}; equals hom_dim(picket, x)."""
-    p = x.prime
-    n = x.ambient.dim
-    if n == 0 or m == 0:
-        return 0
+def _picket_constraints(x: Embedding, ell, m):
+    """Matrix whose nullspace is {b : T^m b = 0 and T^(m-ell) b in sub}.
+
+    That space holds the images of the generator under the maps from the
+    (ell, m) picket into x, so its dimension is hom_dim(picket, x).
+    """
     blocks = [x.ambient.power(m)]
     ann = x.sub.annihilator_basis
-    if ann.shape[0] > 0 and m > ell:
-        blocks.append((ann @ x.ambient.power(m - ell)) % p)
-    elif ann.shape[0] > 0 and m == ell:
-        blocks.append(ann)
-    return n - linalg.rank(np.vstack(blocks) % p, p)
+    if ann.shape[0] > 0:
+        blocks.append((ann @ x.ambient.power(m - ell)) % x.prime)
+    return np.vstack(blocks)
 
 
 def hom_matrix(x: Embedding) -> HomMatrix:
@@ -286,11 +277,12 @@ def hom_matrix(x: Embedding) -> HomMatrix:
     alpha, beta = x.alpha, x.beta
     L = (alpha[0] if alpha else 0) + 1
     M = (alpha[0] if alpha else 0) + (beta[0] if beta else 0) + 1
+    n, p = x.ambient.dim, x.prime
     rows = []
     for ell in range(L + 1):
         row = [None] * (M + 1)
         for m in range(ell, M + 1):
-            row[m] = _picket_hom_dim(x, ell, m)
+            row[m] = n - linalg.rank(_picket_constraints(x, ell, m), p)
         rows.append(row)
     return HomMatrix(L, M, rows)
 
@@ -300,7 +292,7 @@ def entries_below(x: Embedding, ell, r) -> int:
     if ell < 1 or r < 1:
         raise BadIndex("entries_below requires ell, r >= 1")
     p = x.prime
-    radb = rad_layer(x.ambient, Subspace(x.ambient, np.eye(x.ambient.dim, dtype=np.int64)), r - 1)
+    radb = rad_layer(x.ambient, full_subspace(x.ambient), r - 1)
     hi = linalg.intersection(soc_layer(x.ambient, x.sub, ell).basis, radb.basis, p)
     lo = linalg.intersection(soc_layer(x.ambient, x.sub, ell - 1).basis, radb.basis, p)
     return hi.shape[0] - lo.shape[0]
@@ -339,14 +331,10 @@ def embedding_to_json(x: Embedding, blocks=None) -> dict:
     beta = partition(blocks) if blocks is not None else module_type(x.ambient)
     if standard_module(x.prime, beta) != x.ambient:
         raise ValueError("only standard-form ambient modules can be serialized")
-    offs = []
-    off = 0
-    for size in beta:
-        offs.append((off, size))
-        off += size
+    offs = block_offsets(beta)
     gens = []
     for v in x.sub.basis:
-        gens.append([[int(v[o + i]) for i in range(size)] for (o, size) in offs])
+        gens.append([[int(v[o + i]) for i in range(size)] for o, size in zip(offs, beta)])
     d = embedding_spec(beta, gens)
     return {"prime": x.prime, **d}
 

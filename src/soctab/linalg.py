@@ -14,8 +14,8 @@ bit-packed into one int and eliminated by XOR at p = 2 (as in M4RI) were
 tried and ran the realization sweep slower at these sizes, so one row form
 serves every prime.
 
-The matrix products that remain in numpy (in ``image``, ``preimage``,
-``matmul`` and the callers of this module) are exact while
+The matrix products that remain in numpy (in ``image``, ``preimage`` and
+the callers of this module) are exact while
 ncols * (p - 1)**2 < 2**63; ``FpModule`` rejects moduli beyond that.
 """
 
@@ -173,10 +173,6 @@ def image(op, basis, p):
     return row_space((basis @ op.T) % p, p)
 
 
-def matmul(a, b, p):
-    return (a @ b) % p
-
-
 def inverse(mat, p):
     """Inverse of a square matrix; raises ValueError when singular."""
     n = mat.shape[0]
@@ -186,18 +182,3 @@ def inverse(mat, p):
         raise ValueError("matrix is singular")
     return _to_array(rows, 2 * n)[:, n:]
 
-
-def solve_commutant(t_source, t_target, p):
-    """Basis of maps F (target_dim x source_dim) with F @ t_source = t_target @ F.
-
-    Returned as a list of matrices; the basis is canonical in the
-    flattened coordinates.
-    """
-    ns, nt = t_source.shape[0], t_target.shape[0]
-    if ns == 0 or nt == 0:
-        return []
-    lhs = np.kron(t_source.T, np.eye(nt, dtype=np.int64)) - np.kron(
-        np.eye(ns, dtype=np.int64), t_target
-    )
-    sols = nullspace(lhs % p, p)
-    return [v.reshape(ns, nt).T.copy() for v in sols]

@@ -188,11 +188,9 @@ def _standard_module(prime, parts):
     # visits; a construction that raises (BadPrime) caches nothing
     n = sum(parts)
     op = np.zeros((n, n), dtype=np.int64)
-    off = 0
-    for size in parts:
+    for off, size in zip(block_offsets(parts), parts):
         for i in range(size - 1):
             op[off + i + 1, off + i] = 1
-        off += size
     return FpModule(prime, op)
 
 
@@ -206,29 +204,31 @@ def block_offsets(parts):
     return offs
 
 
-def module_type(module):
-    """Type partition: the r-th row length is dim ker T^r - dim ker T^(r-1).
+def _type_from_kernels(dim, ker_dim):
+    """Type of a dim-dimensional module from r -> dim ker T^r.
 
-    Kept on the module after the first call.
+    The r-th row of the type has dim ker T^r - dim ker T^(r-1) boxes; rows
+    are added until the kernels fill the module.
     """
-    if module._type is None:
-        module._type = _module_type(module)
-    return module._type
-
-
-def _module_type(module):
-    p = module.prime
     rows = []
     prev = 0
-    total = 0
     r = 1
-    while total < module.dim:
-        cur = module.dim - linalg.rank(module.power(r), p)
+    while prev < dim:
+        cur = ker_dim(r)
         rows.append(cur - prev)
-        total += cur - prev
         prev = cur
         r += 1
     return transpose(tuple(rows))
+
+
+def module_type(module):
+    """Type partition of the module; kept on the module after the first call."""
+    if module._type is None:
+        p = module.prime
+        module._type = _type_from_kernels(
+            module.dim, lambda r: module.dim - linalg.rank(module.power(r), p)
+        )
+    return module._type
 
 
 def submodule_span(module, generators):
@@ -255,23 +255,12 @@ def quotient_type(module, sub):
     _require_invariant(sub)
     p = module.prime
     ann = sub.annihilator_basis
-    qdim = module.dim - sub.dim
-    rows = []
-    prev = 0
-    total = 0
-    r = 1
-    while total < qdim:
+
+    def ker_dim(r):
         # dim ker of the induced T^r equals dim {v : T^r v in sub} - dim sub
-        if ann.shape[0] == 0:
-            cur = qdim
-        else:
-            mat = (ann @ module.power(r)) % p
-            cur = (module.dim - linalg.rank(mat, p)) - sub.dim
-        rows.append(cur - prev)
-        total += cur - prev
-        prev = cur
-        r += 1
-    return transpose(tuple(rows))
+        return module.dim - linalg.rank((ann @ module.power(r)) % p, p) - sub.dim
+
+    return _type_from_kernels(module.dim - sub.dim, ker_dim)
 
 
 def soc_layer(module, sub, ell):

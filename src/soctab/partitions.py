@@ -32,14 +32,6 @@ def partition(parts: Iterable[int]) -> tuple:
     return t
 
 
-def is_partition(parts) -> bool:
-    try:
-        partition(parts)
-    except ValueError:
-        return False
-    return True
-
-
 def weight(p: tuple) -> int:
     return sum(p)
 

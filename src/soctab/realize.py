@@ -15,20 +15,21 @@ from .convert import duallr_to_socle
 from .embeddings import Embedding, dual_embedding
 from .modules import (
     Subspace,
+    block_offsets,
     module_type,
     quotient_type,
     soc_layer,
     standard_module,
     zero_subspace,
 )
-from .partitions import part, partition, transpose
+from .partitions import partition, transpose
 from .tableaux import (
     InvalidTableau,
     SkewTableau,
+    _chain_layers,
     build_matching,
     check_lr,
     check_socle,
-    to_chain,
 )
 
 
@@ -77,15 +78,6 @@ def _incl_block(v, u):
     return m
 
 
-def _offsets(cols):
-    offs = []
-    off = 0
-    for c in cols:
-        offs.append(off)
-        off += c
-    return offs
-
-
 def build_chain(t: SkewTableau, prime: int, with_corrections: bool = True) -> EpiChain:
     """Epimorphism chain realizing the socle tableau ``t``.
 
@@ -94,18 +86,17 @@ def build_chain(t: SkewTableau, prime: int, with_corrections: bool = True) -> Ep
     """
     if not check_socle(t):
         raise InvalidTableau("socle tableau expected")
-    chain = to_chain(t, "socle")
-    s = len(chain) - 1
+    # the axioms make the layers a valid chain; each is padded to the width of beta
+    layers = _chain_layers(t, "socle")
+    s = len(layers) - 1
     width = len(t.beta)
-    # pad every layer to the full column count of the ambient shape
-    layers = [tuple(part(c, j + 1) for j in range(width)) for c in chain]
     acols = transpose(t.alpha)
-    stages = [standard_module(prime, chain[i]) for i in range(s + 1)]
+    stages = [standard_module(prime, layer) for layer in layers]
     maps = []
     kernels = []
     for ell in range(1, s + 1):
         src, dst = layers[ell - 1], layers[ell]
-        soffs, doffs = _offsets(src), _offsets(dst)
+        soffs, doffs = block_offsets(src), block_offsets(dst)
         g = np.zeros((sum(dst), sum(src)), dtype=np.int64)
         for j in range(width):
             blk = _can_block(src[j], dst[j])

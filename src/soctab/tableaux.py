@@ -191,61 +191,49 @@ def _col_rows(t: SkewTableau):
     return cols
 
 
-def check_lr(t: SkewTableau) -> bool:
-    """Weakly increasing rows, strictly increasing columns, lattice word from the right."""
+def _check_axioms(t: SkewTableau, increasing: bool) -> bool:
+    """Rows weakly and columns strictly monotone, and the lattice condition.
+
+    LR tableaux (``increasing``) grow along rows and down columns, and
+    their columns are swept from the right; socle tableaux shrink, and
+    theirs are swept from the left.  Either way, no sweep prefix of whole
+    columns holds more entries l + 1 than entries l.
+    """
     e = t.entries
     for r, cols in _row_cols(t).items():
         for a, b in zip(cols, cols[1:]):
-            if e[(r, a)] > e[(r, b)]:
+            x, y = e[(r, a)], e[(r, b)]
+            if (x > y) if increasing else (x < y):
                 return False
     col_rows = _col_rows(t)
     for c, rows in col_rows.items():
         for a, b in zip(rows, rows[1:]):
-            if e[(a, c)] >= e[(b, c)]:
+            x, y = e[(a, c)], e[(b, c)]
+            if (x >= y) if increasing else (x <= y):
                 return False
-    s = t.max_entry()
+    # count[l] is the number of entries l swept so far.  Each column is
+    # taken in increasing order of its (distinct) values, so when entry
+    # l + 1 is counted, the column's entry l already is.
+    count = [0] * (t.max_entry() + 1)
     width = len(t.beta)
-    for l in range(1, s):
-        # count entries l and l+1 in columns > c, sweeping c from the right
-        hi = lo = 0
-        for c in range(width, 0, -1):
-            for r in col_rows.get(c, []):
-                v = e[(r, c)]
-                if v == l:
-                    lo += 1
-                elif v == l + 1:
-                    hi += 1
-            if hi > lo:
+    for c in range(width, 0, -1) if increasing else range(1, width + 1):
+        rows = col_rows.get(c, [])
+        for r in rows if increasing else reversed(rows):
+            v = e[(r, c)]
+            count[v] += 1
+            if v > 1 and count[v] > count[v - 1]:
                 return False
     return True
+
+
+def check_lr(t: SkewTableau) -> bool:
+    """Weakly increasing rows, strictly increasing columns, lattice word from the right."""
+    return _check_axioms(t, increasing=True)
 
 
 def check_socle(t: SkewTableau) -> bool:
     """Weakly decreasing rows, strictly decreasing columns, mirrored lattice from the left."""
-    e = t.entries
-    for r, cols in _row_cols(t).items():
-        for a, b in zip(cols, cols[1:]):
-            if e[(r, a)] < e[(r, b)]:
-                return False
-    col_rows = _col_rows(t)
-    for c, rows in col_rows.items():
-        for a, b in zip(rows, rows[1:]):
-            if e[(a, c)] <= e[(b, c)]:
-                return False
-    s = t.max_entry()
-    width = len(t.beta)
-    for l in range(1, s):
-        hi = lo = 0
-        for c in range(1, width + 1):
-            for r in col_rows.get(c, []):
-                v = e[(r, c)]
-                if v == l:
-                    lo += 1
-                elif v == l + 1:
-                    hi += 1
-            if hi > lo:
-                return False
-    return True
+    return _check_axioms(t, increasing=False)
 
 
 def check_st3_prime(t: SkewTableau) -> bool:
@@ -320,27 +308,34 @@ def build_matching(t: SkewTableau, level: int) -> EntryMatching:
     return EntryMatching(level, pairs)
 
 
+def _chain_layers(t: SkewTableau, view: str) -> list:
+    """Chain layers of ``t``, each padded to the width of beta; not validated.
+
+    Layer i is gamma plus, in each column, the entries > i (socle view) or
+    <= i (LR view).  On a tableau that passes ``check_socle`` (socle view)
+    or ``check_lr`` (LR view) the layers form a valid chain.
+    """
+    if view not in ("socle", "lr"):
+        raise ValueError(f"view must be 'socle' or 'lr', got {view!r}")
+    width = len(t.beta)
+    # strips[l-1][c-1] is the number of entries l in column c
+    strips = [[0] * width for _ in range(t.max_entry())]
+    for (_r, c), v in t.entries.items():
+        strips[v - 1][c - 1] += 1
+    layer = [part(t.gamma, c) for c in range(1, width + 1)]
+    chain = [tuple(layer)]
+    for strip in strips if view == "lr" else reversed(strips):
+        layer = [a + b for a, b in zip(layer, strip)]
+        chain.append(tuple(layer))
+    return chain if view == "lr" else chain[::-1]
+
+
 def to_chain(t: SkewTableau, view: str) -> tuple:
     """Partition chain of ``t``; view is 'socle' (decreasing) or 'lr' (increasing)."""
-    s = t.max_entry()
-    width = len(t.beta)
-    col_entries = {c: [] for c in range(1, width + 1)}
-    for (r, c), v in t.entries.items():
-        col_entries[c].append(v)
     chain = []
-    for i in range(s + 1):
-        cols = []
-        for c in range(1, width + 1):
-            base = part(t.gamma, c)
-            if view == "socle":
-                extra = sum(1 for v in col_entries[c] if v > i)
-            elif view == "lr":
-                extra = sum(1 for v in col_entries[c] if v <= i)
-            else:
-                raise ValueError(f"view must be 'socle' or 'lr', got {view!r}")
-            cols.append(base + extra)
+    for i, layer in enumerate(_chain_layers(t, view)):
         try:
-            chain.append(partition(cols))
+            chain.append(partition(layer))
         except ValueError:
             raise InvalidTableau(
                 f"level-{i} layer is not a partition; tableau violates the {view} axioms"
@@ -587,16 +582,6 @@ def _path_count(part, gap, prev, sizes, remove, memo) -> int:
             got += _path_count(nxt, ngap, cols, rest, remove, memo)
         memo[key] = got
     return got
-
-
-def iter_socle_chains(alpha, beta, gamma) -> Iterator[tuple]:
-    """All socle chains of shape (alpha, beta, gamma); no particular order."""
-    yield from _chains(partition(alpha), partition(beta), partition(gamma), "socle")
-
-
-def iter_lr_chains(alpha, beta, gamma) -> Iterator[tuple]:
-    """All LR chains of shape (alpha, beta, gamma); no particular order."""
-    yield from _chains(partition(alpha), partition(beta), partition(gamma), "lr")
 
 
 def _chain_tableaux(chains, view, alpha, beta, gamma) -> Iterator[SkewTableau]:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fixtures import DUAL_LR_M2, SOCLE_M2
 from soctab.cli import main
 from soctab.embeddings import embedding_from_json, socle_tableau
@@ -150,6 +152,19 @@ def test_check_exit_codes(capsys):
     rc, out, _ = run_cli(capsys, "check", "--max-beta", "4", "--suite", "all", "--corpus-count", "5")
     assert rc == 0
     assert "mismatches: none" in out
+
+
+def test_usage_errors_exit_1(capsys):
+    # --prime belongs to analyze and realize only
+    for argv in (("enum", "--shape", "42/532/31", "--prime", "3"), ("check", "--prime", "3")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 1, argv
+        assert err.startswith("usage: soctab") and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
 
 
 def test_invalid_inputs(tmp_path, capsys):

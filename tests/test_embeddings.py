@@ -215,12 +215,28 @@ def test_hom_matrix_invariants():
                 assert h.value(ell, h.M) == h.value(ell, h.M - 1)
 
 
+def solve_commutant(t_source, t_target, p):
+    """Basis of maps F (target_dim x source_dim) with F @ t_source = t_target @ F.
+
+    Returned as a list of matrices; the basis is canonical in the
+    flattened coordinates.
+    """
+    ns, nt = t_source.shape[0], t_target.shape[0]
+    if ns == 0 or nt == 0:
+        return []
+    lhs = np.kron(t_source.T, np.eye(nt, dtype=np.int64)) - np.kron(
+        np.eye(ns, dtype=np.int64), t_target
+    )
+    sols = linalg.nullspace(lhs % p, p)
+    return [v.reshape(ns, nt).T.copy() for v in sols]
+
+
 def test_hom_isomorphism_invariance():
     rng = random.Random(23)
     for spec in random_corpus(24, 10, 8):
         x = embedding_from_spec(spec, 2)
         n = x.ambient.dim
-        comm = linalg.solve_commutant(x.ambient.op, x.ambient.op, 2)
+        comm = solve_commutant(x.ambient.op, x.ambient.op, 2)
         u = None
         for _ in range(100):
             cand = np.zeros((n, n), dtype=np.int64)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
-from soctab import linalg
+from soctab import checks, linalg
 from soctab.embeddings import lr_tableau, picket, socle_tableau
 from soctab.modules import module_type
 from soctab.partitions import partitions_of, shape_triples, subdiagrams, transpose, weight
@@ -128,6 +128,13 @@ def test_exhaustive_round_trip_small():
                         assert x.shape == (alpha, beta, gamma)
                     for t in iter_tableaux(alpha, beta, gamma, kind="lr"):
                         assert lr_tableau(realize_lr(t, 2)) == t
+
+
+def test_realize_lr_sweep():
+    # every LR tableau with |beta| <= 6 at p = 2 and 3; as many as socle tableaux
+    rep = checks.realize_lr_sweep(6)
+    assert rep.ok, rep.failures[:5]
+    assert rep.cases == 295
 
 
 # every socle and LR tableau with |beta| <= 6, with its kind

@@ -177,14 +177,7 @@ def test_enumerate_exact_sets():
 
 
 def test_enumerate_against_brute_force():
-    shapes = [
-        ((4, 2), (5, 3, 2), (3, 1)),
-        ((3, 1), (5, 3, 2), (4, 2)),
-        ((2, 2), (3, 2, 1), (1, 1)),
-        ((2, 1, 1), (3, 2, 1, 1), (2, 1)),
-        ((1, 1, 1), (2, 2, 2), (1, 1, 1)),
-    ]
-    for alpha, beta, gamma in shapes:
+    for alpha, beta, gamma in shape_triples(6):
         assert set(iter_tableaux(alpha, beta, gamma, kind="socle")) == brute_tableaux(
             alpha, beta, gamma, check_socle
         )
