@@ -15,7 +15,6 @@ import sys
 
 from . import checks
 from .convert import (
-    InconsistentMatrix,
     defect,
     duallr_to_hom,
     duallr_to_socle,
@@ -25,10 +24,8 @@ from .convert import (
     socle_to_hom,
 )
 from .embeddings import (
-    BadIndex,
     Embedding,
     HomMatrix,
-    PrimeMismatch,
     dual_embedding,
     embedding_from_json,
     embedding_to_json,
@@ -37,23 +34,13 @@ from .embeddings import (
     socle_tableau,
     standardize,
 )
-from .partitions import InvalidShape, NotContained, parse_shape
+from .partitions import parse_shape
 from .realize import ConditionStarViolated, realize_lr, realize_socle
 from .switching import check_conjecture, init_switch, run_switch, extract_duallr
-from .tableaux import InvalidTableau, SkewTableau, enumerate_tableaux, lr_coefficient
+from .tableaux import SkewTableau, enumerate_tableaux, lr_coefficient
 
-INPUT_ERRORS = (
-    InvalidTableau,
-    InvalidShape,
-    InconsistentMatrix,
-    NotContained,
-    PrimeMismatch,
-    BadIndex,
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-)
+# every typed input error of the library, and json.JSONDecodeError, is a ValueError
+INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
 def _load_json(path):
@@ -166,11 +153,12 @@ def cmd_analyze(args):
 def cmd_realize(args):
     data = _load_json(args.file)
     t = SkewTableau.from_json_dict(data)
+    prime = 2 if args.prime is None else args.prime
     if args.kind == "socle":
-        x = realize_socle(t, args.prime)
+        x = realize_socle(t, prime)
     else:
         # the dual ambient operator is not in standard block form; rebase it
-        x = standardize(realize_lr(t, args.prime))
+        x = standardize(realize_lr(t, prime))
     result = embedding_to_json(x)
     text = (
         f"realized embedding with alpha={list(x.alpha)} beta={list(x.beta)} "
@@ -182,38 +170,19 @@ def cmd_realize(args):
 
 def cmd_convert(args):
     data = _load_json(args.file)
-    src, dst = args.src, args.dst
-    if src == "hom":
-        h = HomMatrix.from_json_dict(data)
-        if dst == "socle":
-            out = hom_to_socle(h)
-        elif dst == "duallr":
-            out = hom_to_duallr(h)
-        else:
-            raise ValueError(f"cannot convert {src} -> {dst}")
-        result = out.to_json_dict()
-        text = out.render()
-    else:
-        t = SkewTableau.from_json_dict(data)
-        if src == "socle":
-            if dst == "hom":
-                out = socle_to_hom(t)
-            elif dst == "duallr":
-                out = socle_to_duallr(t)
-            else:
-                raise ValueError(f"cannot convert {src} -> {dst}")
-        elif src == "duallr":
-            if dst == "hom":
-                out = duallr_to_hom(t)
-            elif dst == "socle":
-                out = duallr_to_socle(t)
-            else:
-                raise ValueError(f"cannot convert {src} -> {dst}")
-        else:
-            raise ValueError(f"unknown source kind {src!r}")
-        result = out.to_json_dict()
-        text = out.render()
-    _emit(args, "convert", result, text)
+    src = HomMatrix.from_json_dict(data) if args.src == "hom" else SkewTableau.from_json_dict(data)
+    convert = {
+        ("socle", "hom"): socle_to_hom,
+        ("socle", "duallr"): socle_to_duallr,
+        ("duallr", "hom"): duallr_to_hom,
+        ("duallr", "socle"): duallr_to_socle,
+        ("hom", "socle"): hom_to_socle,
+        ("hom", "duallr"): hom_to_duallr,
+    }.get((args.src, args.dst))
+    if convert is None:
+        raise ValueError(f"cannot convert {args.src} -> {args.dst}")
+    out = convert(src)
+    _emit(args, "convert", out.to_json_dict(), out.render())
     return 0
 
 
@@ -221,30 +190,23 @@ def cmd_switch(args):
     data = _load_json(args.file)
     t = SkewTableau.from_json_dict(data)
     state = init_switch(t)
-    trace = [state.to_json_dict()] if args.trace else None
     if args.seed is not None:
         rng = random.Random(args.seed)
         final = run_switch(state, "seeded-random", rng)
     else:
         final = run_switch(state)
+    out = extract_duallr(final, t.alpha)
+    result = {"tableau": out.to_json_dict(), "swaps": len(final.history)}
+    lines = [f"terminal after {len(final.history)} swaps", out.render()]
     if args.trace:
         replay = state.copy()
+        trace = [replay.to_json_dict()]
+        lines += ["", replay.render()]
         for s_e, t_e, sbox, tbox in final.history:
             replay.apply(sbox, tbox)
             trace.append(replay.to_json_dict())
-    out = extract_duallr(final, t.alpha)
-    result = {"tableau": out.to_json_dict(), "swaps": len(final.history)}
-    if args.trace:
+            lines += [f"-- swap {s_e}-{t_e} at {sbox}/{tbox} -->", replay.render()]
         result["trace"] = trace
-    lines = [f"terminal after {len(final.history)} swaps", out.render()]
-    if args.trace:
-        lines.append("")
-        replay = state.copy()
-        lines.append(replay.render())
-        for s_e, t_e, sbox, tbox in final.history:
-            replay.apply(sbox, tbox)
-            lines.append(f"-- swap {s_e}-{t_e} at {sbox}/{tbox} -->")
-            lines.append(replay.render())
     _emit(args, "switch", result, "\n".join(lines))
     return 0
 
@@ -312,7 +274,7 @@ def build_parser():
     def common(p, output=False, prime=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
         if prime:
-            p.add_argument("--prime", type=int, default=2)
+            p.add_argument("--prime", type=int, default=None)
         if output:
             p.add_argument("-o", "--output", help="also write the raw result JSON here")
 
@@ -378,10 +340,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except ConditionStarViolated as exc:
-        print(f"internal assertion failed: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
+    except (ConditionStarViolated, AssertionError) as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 2
     except INPUT_ERRORS as exc:

@@ -2,8 +2,8 @@
 and the Hom-matrix, plus the cokernel defect of a fixed picket map.
 
 Entry multiplicities are plain dicts mu[(entry, row)] -> count; a tableau
-of known kind and ambient is reconstructible from its multiplicity map by
-placing the entries of each row in the unique admissible order.
+of known kind and ambient is reconstructible from its multiplicity map,
+whose cumulative row sums are the row lengths of its partition chain.
 """
 
 from functools import lru_cache
@@ -18,7 +18,7 @@ from .tableaux import (
     InvalidTableau,
     SkewTableau,
     _chain_layers,
-    _valid_chain_tableau,
+    _chain_tableau,
     check_lr,
     check_socle,
 )
@@ -41,7 +41,11 @@ def _mu(mu, entry, row):
 
 
 def tableau_from_mu(kind: str, beta: tuple, mu: dict) -> SkewTableau:
-    """Rebuild a tableau of the given kind on ambient beta from its multiplicities."""
+    """Rebuild a tableau of the given kind on ambient beta from its multiplicities.
+
+    Layer i of its chain has the row lengths of beta less the entries <= i
+    (socle kind), or of the inner shape plus them (LR kind).
+    """
     beta = partition(beta)
     rows = transpose(beta)
     nrows = len(rows)
@@ -50,43 +54,21 @@ def tableau_from_mu(kind: str, beta: tuple, mu: dict) -> SkewTableau:
             raise InconsistentMatrix(f"negative multiplicity at {(entry, row)}")
         if cnt > 0 and not (1 <= row <= nrows and entry >= 1):
             raise InconsistentMatrix(f"multiplicity outside the diagram at {(entry, row)}")
-    inner_rows = []
-    for r in range(1, nrows + 1):
-        filled = sum(cnt for (e, row), cnt in mu.items() if row == r)
-        if filled > rows[r - 1]:
-            raise InconsistentMatrix(f"row {r} overfilled")
-        inner_rows.append(rows[r - 1] - filled)
-    for a, b in zip(inner_rows, inner_rows[1:]):
-        if b > a:
-            raise InconsistentMatrix("leftover boxes do not form a partition")
-    inner = transpose(tuple(inner_rows))
-    counts = {}
-    for (e, _r), cnt in mu.items():
-        if cnt:
-            counts[e] = counts.get(e, 0) + cnt
-    alpha_rows = [counts.get(e, 0) for e in range(1, max(counts, default=0) + 1)]
-    for a, b in zip(alpha_rows, alpha_rows[1:]):
-        if b > a:
-            raise InconsistentMatrix("entry content is not the transpose of a partition")
-    if any(x == 0 for x in alpha_rows):
-        raise InconsistentMatrix("entry content has gaps")
-    alpha = transpose(tuple(alpha_rows))
-    entries = {}
-    reverse = kind == "socle"
-    for r in range(1, nrows + 1):
-        vals = []
-        for (e, row), cnt in mu.items():
-            if row == r:
-                vals.extend([e] * cnt)
-        vals.sort(reverse=reverse)
-        for i, v in enumerate(vals):
-            entries[(r, inner_rows[r - 1] + 1 + i)] = v
+    s = max((e for (e, _r), cnt in mu.items() if cnt), default=0)
+    # filled[i][r-1] is the number of entries <= i in row r
+    filled = [(0,) * nrows]
+    for e in range(1, s + 1):
+        filled.append(tuple(f + _mu(mu, e, r) for r, f in enumerate(filled[-1], 1)))
+    if kind == "socle":
+        layers = [[b - f for b, f in zip(rows, fs)] for fs in filled]
+    else:
+        inner = [b - f for b, f in zip(rows, filled[-1])]
+        layers = [[g + f for g, f in zip(inner, fs)] for fs in filled]
     try:
-        t = SkewTableau(alpha, beta, inner, entries)
-    except InvalidTableau as exc:
+        t = _chain_tableau([transpose(tuple(layer)) for layer in layers], kind)
+    except ValueError as exc:
         raise InconsistentMatrix(str(exc)) from exc
-    ok = check_socle(t) if kind == "socle" else check_lr(t)
-    if not ok:
+    if not (check_socle(t) if kind == "socle" else check_lr(t)):
         raise InconsistentMatrix(f"reconstructed filling violates the {kind} axioms")
     return t
 
@@ -268,7 +250,7 @@ def socle_to_duallr(t: SkewTableau) -> SkewTableau:
     if chain[-1] != t.beta:
         raise InvalidTableau("derived chain does not reach the ambient shape")
     # the layers are canonical partitions, so only the chain is validated
-    out = _valid_chain_tableau(chain, "lr")
+    out = _chain_tableau(chain, "lr")
     if out.shape != (t.gamma, t.beta, t.alpha):
         raise InvalidTableau(f"dual LR tableau has shape {tuple(out.shape)}, not the swapped shape")
     return out

@@ -33,7 +33,7 @@ from .modules import (
     zero_subspace,
 )
 from .partitions import Shape, partition
-from .tableaux import SkewTableau, _valid_chain_tableau
+from .tableaux import SkewTableau, _chain_tableau
 
 
 class PrimeMismatch(ValueError):
@@ -151,7 +151,7 @@ def socle_tableau(x: Embedding) -> SkewTableau:
     soc^0(sub) = 0 and soc^s(sub) = sub, so the end layers are beta and gamma.
     """
     chain = _filtration_chain(x, soc_layer, x.beta, x.gamma)
-    return _valid_chain_tableau(chain, "socle")
+    return _chain_tableau(chain, "socle")
 
 
 def lr_tableau(x: Embedding) -> SkewTableau:
@@ -160,7 +160,7 @@ def lr_tableau(x: Embedding) -> SkewTableau:
     rad^0(sub) = sub and rad^s(sub) = 0, so the end layers are gamma and beta.
     """
     chain = _filtration_chain(x, rad_layer, x.gamma, x.beta)
-    return _valid_chain_tableau(chain, "lr")
+    return _chain_tableau(chain, "lr")
 
 
 def dual_embedding(x: Embedding) -> Embedding:

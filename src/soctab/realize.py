@@ -62,22 +62,6 @@ class EpiChain:
         return f"EpiChain(p={self.prime}, dims={dims})"
 
 
-def _can_block(u, v):
-    """Canonical surjection between blocks of lengths u >= v: p^i -> p^i, i < v."""
-    m = np.zeros((v, u), dtype=np.int64)
-    for i in range(v):
-        m[i, i] = 1
-    return m
-
-
-def _incl_block(v, u):
-    """Inclusion of the length-v block into the length-u one: p^i -> p^(u-v+i)."""
-    m = np.zeros((u, v), dtype=np.int64)
-    for i in range(v):
-        m[u - v + i, i] = 1
-    return m
-
-
 def build_chain(t: SkewTableau, prime: int, with_corrections: bool = True) -> EpiChain:
     """Epimorphism chain realizing the socle tableau ``t``.
 
@@ -99,7 +83,8 @@ def build_chain(t: SkewTableau, prime: int, with_corrections: bool = True) -> Ep
         soffs, doffs = block_offsets(src), block_offsets(dst)
         g = np.zeros((sum(dst), sum(src)), dtype=np.int64)
         for j in range(width):
-            blk = _can_block(src[j], dst[j])
+            # canonical surjection of blocks, p^i -> p^i for i < dst[j]
+            blk = np.eye(dst[j], src[j], dtype=np.int64)
             g[doffs[j] : doffs[j] + dst[j], soffs[j] : soffs[j] + src[j]] = blk
         if with_corrections and ell < s:
             h = _correction(t, layers[ell], doffs, ell, prime)
@@ -136,8 +121,8 @@ def _correction(t, layer, offs, ell, prime):
         # u == v is possible and harmless: the inclusion degenerates to the identity
         if not (i < j and u >= v >= 1):
             raise ConditionStarViolated(f"bad column pair ({i+1},{j+1}) at level {ell}")
-        blk = _incl_block(v, u)
-        h[offs[i] : offs[i] + u, offs[j] : offs[j] + v] = blk
+        # inclusion of the length-v block into the length-u one: p^i -> p^(u-v+i)
+        h[offs[i] : offs[i] + u, offs[j] : offs[j] + v] = np.eye(u, v, k=v - u, dtype=np.int64)
     return h
 
 

@@ -69,8 +69,8 @@ class SwitchState:
     """Mutable grid over the diagram of beta; every box is owned by S or T.
 
     Both fillings are semistandard on their own boxes: ``init_switch``
-    checks the initial grid and ``swap_ok`` admits only swaps that keep
-    them so.  ``swap_ok`` relies on this.
+    checks the initial grid and ``_exchange_ok`` admits only swaps that
+    keep them so.  ``_exchange_ok`` relies on this.
     """
 
     __slots__ = ("beta", "owner", "entry", "history", "_geo")
@@ -139,18 +139,6 @@ class SwitchState:
         return self._fits("T", t_val, geo.up[sbox], geo.down[sbox], True) and self._fits(
             "S", s_val, geo.up[tbox], geo.down[tbox], True
         )
-
-    def swap_ok(self, sbox, tbox):
-        """Admissible iff exchanging the two boxes keeps both fillings semistandard."""
-        if self.owner.get(sbox) != "S" or self.owner.get(tbox) != "T":
-            return False
-        sr, sc = sbox
-        tr, tc = tbox
-        if tr == sr and tc == sc + 1:
-            return self._exchange_ok(sbox, tbox, False)
-        if tr == sr + 1 and tc == sc:
-            return self._exchange_ok(sbox, tbox, True)
-        return False
 
     def _exchange(self, a, b):
         self.owner[a], self.owner[b] = self.owner[b], self.owner[a]

@@ -11,6 +11,13 @@ Tableaux are equivalently partition chains: for the socle kind the chain
 decreases from beta to gamma and entry l occupies chain[l-1] \\ chain[l];
 for the LR kind the chain increases from gamma to beta and entry l
 occupies chain[l] \\ chain[l-1].
+
+A tableau is built in one of two ways.  ``SkewTableau(...)`` takes a
+filling from outside (JSON, the switching read-off, user code) and checks
+that it covers the skew boxes with content transpose(alpha).  Every
+tableau the library derives (enumeration, ``from_chain``, the read-offs of
+an embedding, the conversions) comes from ``_chain_tableau``, which
+validates the chain instead: a valid chain fixes the boxes and the content.
 """
 
 from typing import Iterator, NamedTuple
@@ -18,7 +25,6 @@ from typing import Iterator, NamedTuple
 from .partitions import (
     Shape,
     contains,
-    is_horizontal_strip,
     part,
     partition,
     skew_boxes,
@@ -54,27 +60,15 @@ class SkewTableau:
         self.gamma = partition(gamma)
         self.entries = dict(entries)
         self._hash = None
-        self._check_filling(set(skew_boxes(self.beta, self.gamma)), transpose(self.alpha))
-
-    @classmethod
-    def _of_shape(cls, alpha, beta, gamma, boxes, cols, entries):
-        """Tableau on an already validated shape with its box set and content precomputed."""
-        t = cls.__new__(cls)
-        t.alpha, t.beta, t.gamma = alpha, beta, gamma
-        t.entries = entries
-        t._hash = None
-        t._check_filling(boxes, cols)
-        return t
-
-    def _check_filling(self, boxes, cols):
-        """Entries cover exactly ``boxes`` and entry l occurs cols[l-1] times."""
-        if self.entries.keys() != boxes:
+        # the entries cover exactly the skew boxes, with content transpose(alpha)
+        if self.entries.keys() != set(skew_boxes(self.beta, self.gamma)):
             raise InvalidTableau("entries must cover exactly the skew boxes")
         counts = {}
         for v in self.entries.values():
             if not isinstance(v, int) or v < 1:
                 raise InvalidTableau(f"entries must be positive integers, got {v!r}")
             counts[v] = counts.get(v, 0) + 1
+        cols = transpose(self.alpha)
         expected = {l + 1: cols[l] for l in range(len(cols))}
         if counts != expected:
             raise InvalidTableau(
@@ -340,87 +334,54 @@ def to_chain(t: SkewTableau, view: str) -> tuple:
             raise InvalidTableau(
                 f"level-{i} layer is not a partition; tableau violates the {view} axioms"
             )
-    _validate_chain(chain, view)
+    _chain_tableau(chain, view)  # validates the chain
     return tuple(chain)
 
 
-def _validate_chain(chain, view):
-    if view == "socle":
-        steps = zip(chain[1:], chain[:-1])
-    else:
-        steps = zip(chain[:-1], chain[1:])
-    sizes = []
-    for small, big in steps:
-        if not contains(big, small):
-            raise ChainNotNested(f"{small} not contained in {big}")
-        if not is_horizontal_strip(big, small):
-            raise NotHorizontalStrip(f"{big} \\ {small} has a column with two boxes")
-        sizes.append(weight(big) - weight(small))
-    for a, b in zip(sizes, sizes[1:]):
-        if b > a:
-            raise InvalidTableau(f"strip sizes {sizes} are not weakly decreasing")
-    return sizes
+def _chain_tableau(chain, view: str) -> SkewTableau:
+    """The tableau of a chain of canonical partitions: entry l fills step l's strip.
 
-
-def _chain_entries(chain, view) -> dict:
-    """Entries of the tableau of a nested chain: entry l fills step l's strip.
-
-    A step's partitions may have different lengths (canonical chains) or
-    be padded to one length (enumerated chains).
+    Every tableau the library derives is built here.  The chain is
+    validated (nesting, horizontal strips, weakly decreasing strip sizes),
+    so its empty strips are trailing constant repeats, which add nothing.  A
+    valid chain covers the skew boxes exactly and has content
+    transpose(alpha), so the filling is not checked again.
     """
-    entries = {}
-    for l in range(1, len(chain)):
-        if view == "socle":
-            big, small = chain[l - 1], chain[l]
-        else:
-            big, small = chain[l], chain[l - 1]
-        for c in range(len(big)):
-            if big[c] != (small[c] if c < len(small) else 0):
-                entries[(big[c], c + 1)] = l
-    return entries
-
-
-def _chain_shape(chain, view):
-    """(alpha, beta, gamma, entries) of a chain of canonical partitions.
-
-    Validates the chain, drops trailing constant repeats and rejects
-    interior empty strips.
-    """
-    chain = list(chain)
     if not chain:
         raise InvalidTableau("chain must contain at least one partition")
     if view not in ("socle", "lr"):
         raise ValueError(f"view must be 'socle' or 'lr', got {view!r}")
-    sizes = _validate_chain(chain, view)
-    while len(chain) > 1 and chain[-1] == chain[-2]:
-        chain.pop()
-        sizes.pop()
-    if any(x == 0 for x in sizes):
-        raise InvalidTableau(f"interior strip of size 0 in chain sizes {sizes}")
-    alpha = transpose(tuple(sizes))
-    beta = chain[0] if view == "socle" else chain[-1]
-    gamma = chain[-1] if view == "socle" else chain[0]
-    return alpha, beta, gamma, _chain_entries(chain, view)
+    socle = view == "socle"
+    sizes = []
+    entries = {}
+    for l in range(1, len(chain)):
+        big, small = (chain[l - 1], chain[l]) if socle else (chain[l], chain[l - 1])
+        if not contains(big, small):
+            raise ChainNotNested(f"{small} not contained in {big}")
+        n = len(small)
+        size = 0
+        for c, b in enumerate(big):
+            d = b - small[c] if c < n else b
+            if d:
+                if d > 1:
+                    raise NotHorizontalStrip(f"{big} \\ {small} has a column with two boxes")
+                entries[(b, c + 1)] = l
+                size += 1
+        sizes.append(size)
+    for a, b in zip(sizes, sizes[1:]):
+        if b > a:
+            raise InvalidTableau(f"strip sizes {sizes} are not weakly decreasing")
+    t = SkewTableau.__new__(SkewTableau)
+    t.alpha = transpose(tuple(sizes))
+    t.beta, t.gamma = (chain[0], chain[-1]) if socle else (chain[-1], chain[0])
+    t.entries = entries
+    t._hash = None
+    return t
 
 
 def from_chain(chain, view: str) -> SkewTableau:
     """Inverse of to_chain; accepts trailing constant repeats and canonicalizes."""
-    return SkewTableau(*_chain_shape([partition(p) for p in chain], view))
-
-
-def _valid_chain_tableau(chain, view: str) -> SkewTableau:
-    """from_chain for a chain of canonical partitions, without the filling check.
-
-    The chain is still validated (nesting, horizontal strips, weakly
-    decreasing sizes); a valid chain covers the skew boxes exactly and
-    has content transpose(alpha) by construction.
-    """
-    alpha, beta, gamma, entries = _chain_shape(chain, view)
-    t = SkewTableau.__new__(SkewTableau)
-    t.alpha, t.beta, t.gamma = alpha, beta, gamma
-    t.entries = entries
-    t._hash = None
-    return t
+    return _chain_tableau([partition(p) for p in chain], view)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +496,19 @@ def _step(part, gap, cols, remove):
     return tuple(nxt), tuple(ngap)
 
 
+def _unpad(p):
+    """``p`` without its trailing zeros."""
+    n = len(p)
+    while n and not p[n - 1]:
+        n -= 1
+    return p[:n]
+
+
 def _chains(alpha, beta, gamma, kind, lattice=True):
-    """Padded partition chains of a validated shape's tableaux of the kind.
+    """Chains of canonical partitions of a validated shape's tableaux of the kind.
+
+    The recursion moves padded partitions; each chain member is unpadded
+    once, as it is reached.
 
     With ``lattice`` off the socle chains lose the mirrored lattice
     condition and give every filling with weakly decreasing rows and
@@ -555,9 +527,9 @@ def _chains(alpha, beta, gamma, kind, lattice=True):
             return
         for cols in _strip_columns(part, gap, sizes[level], s - level - 1, prev, remove):
             nxt, ngap = _step(part, gap, cols, remove)
-            yield from rec(level + 1, nxt, ngap, cols if lattice else None, acc + (nxt,))
+            yield from rec(level + 1, nxt, ngap, cols if lattice else None, acc + (_unpad(nxt),))
 
-    yield from rec(0, part, gap, None, (part,))
+    yield from rec(0, part, gap, None, (_unpad(part),))
 
 
 def _path_count(part, gap, prev, sizes, remove, memo) -> int:
@@ -584,19 +556,6 @@ def _path_count(part, gap, prev, sizes, remove, memo) -> int:
     return got
 
 
-def _chain_tableaux(chains, view, alpha, beta, gamma) -> Iterator[SkewTableau]:
-    """Tableaux of padded chains of one validated shape.
-
-    Each is checked against the shape's box set and content, which are
-    computed once, on the first chain.
-    """
-    boxes = cols = None
-    for chain in chains:
-        if boxes is None:
-            boxes, cols = set(skew_boxes(beta, gamma)), transpose(alpha)
-        yield SkewTableau._of_shape(alpha, beta, gamma, boxes, cols, _chain_entries(chain, view))
-
-
 def iter_st12_fillings(alpha, beta, gamma) -> Iterator[SkewTableau]:
     """All fillings with weakly decreasing rows and strictly decreasing columns.
 
@@ -604,8 +563,8 @@ def iter_st12_fillings(alpha, beta, gamma) -> Iterator[SkewTableau]:
     compare the three lattice validators.
     """
     alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
-    chains = _chains(alpha, beta, gamma, "socle", lattice=False)
-    yield from _chain_tableaux(chains, "socle", alpha, beta, gamma)
+    for chain in _chains(alpha, beta, gamma, "socle", lattice=False):
+        yield _chain_tableau(chain, "socle")
 
 
 def _shape_args(shape_or_alpha, beta, gamma, kind):
@@ -622,7 +581,8 @@ def _shape_args(shape_or_alpha, beta, gamma, kind):
 def iter_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> Iterator[SkewTableau]:
     """Generate all tableaux of the given kind, in no particular order."""
     alpha, beta, gamma = _shape_args(shape_or_alpha, beta, gamma, kind)
-    yield from _chain_tableaux(_chains(alpha, beta, gamma, kind), kind, alpha, beta, gamma)
+    for chain in _chains(alpha, beta, gamma, kind):
+        yield _chain_tableau(chain, kind)
 
 
 def enumerate_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> list:

@@ -96,6 +96,22 @@ def test_analyze_prime_override(capsys):
     assert json.loads(out)["result"]["prime"] == 3
 
 
+def test_analyze_reads_the_prime_of_the_file(tmp_path, capsys):
+    data = json.loads(Path(M2_PATH).read_text())
+    data["prime"] = 3
+    m2p3 = tmp_path / "m2p3.json"
+    m2p3.write_text(json.dumps(data))
+    for fmt in ("text", "json"):
+        rc, out, err = run_cli(capsys, "analyze", str(m2p3), "--format", fmt)
+        assert (rc, err) == (0, "")
+        assert (rc, out, err) == run_cli(capsys, "analyze", str(m2p3), "--prime", "3", "--format", fmt)
+    # with neither a flag nor a stored prime, analyze works at p = 2
+    del data["prime"]
+    m2p3.write_text(json.dumps(data))
+    rc, out, _ = run_cli(capsys, "analyze", str(m2p3), "--format", "json")
+    assert rc == 0 and json.loads(out)["result"]["prime"] == 2
+
+
 def test_realize_and_round_trip(tmp_path, capsys):
     tfile = tmp_path / "sigma2.json"
     tfile.write_text(json.dumps(SOCLE_M2.to_json_dict()))
@@ -104,6 +120,16 @@ def test_realize_and_round_trip(tmp_path, capsys):
     assert rc == 0
     x = embedding_from_json(json.loads(ofile.read_text()))
     assert socle_tableau(x) == SOCLE_M2
+
+
+def test_realize_prime_flag(tmp_path, capsys):
+    tfile = tmp_path / "sigma2.json"
+    tfile.write_text(json.dumps(SOCLE_M2.to_json_dict()))
+    rc, out, _ = run_cli(capsys, "realize", str(tfile), "--format", "json")
+    assert rc == 0 and json.loads(out)["result"]["prime"] == 2
+    for bad in ("0", "4"):
+        rc, out, err = run_cli(capsys, "realize", str(tfile), "--prime", bad)
+        assert rc == 1 and out == "" and err == f"invalid input: modulus {bad} is not a prime\n"
 
 
 def test_realize_lr_kind(tmp_path, capsys):
@@ -186,6 +212,14 @@ def test_invalid_inputs(tmp_path, capsys):
     badt.write_text(json.dumps(t.to_json_dict()))
     rc, _, err = run_cli(capsys, "switch", str(badt))
     assert rc == 1
+
+
+def test_missing_keys_are_invalid_input(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    for argv in (("analyze", str(empty)), ("realize", str(empty)), ("switch", str(empty))):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out, err) == (1, "", "invalid input: 'beta'\n"), argv
 
 
 def test_convert_hom_rejects_non_object(tmp_path, capsys):

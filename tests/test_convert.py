@@ -99,7 +99,7 @@ def test_direct_conversions_check_the_swapped_shape(monkeypatch):
     # the shape check is a raised error, so it holds under python -O too
     import soctab.convert as convert
 
-    monkeypatch.setattr(convert, "_valid_chain_tableau", lambda chain, view: SOCLE_M2)
+    monkeypatch.setattr(convert, "_chain_tableau", lambda chain, view: SOCLE_M2)
     with pytest.raises(InvalidTableau, match="swapped shape"):
         socle_to_duallr(SOCLE_M2)
     monkeypatch.setattr(convert, "tableau_from_mu", lambda kind, beta, mu: DUAL_LR_M2)

@@ -66,3 +66,5 @@ def test_nullspace_is_annihilated_and_has_the_right_dimension(mp):
     for v in m.tolist():
         for x in ns.tolist():
             assert sum(a * b for a, b in zip(v, x)) % p == 0
+    # the basis is canonical: Subspace equality compares these arrays
+    assert linalg.rref(ns, p)[0].tolist() == ns.tolist()

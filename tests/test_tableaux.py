@@ -16,8 +16,10 @@ from soctab.partitions import (
     weight,
 )
 from soctab.tableaux import (
+    ChainNotNested,
     InvalidTableau,
     MatchingFailed,
+    NotHorizontalStrip,
     SkewTableau,
     _chain_start,
     _step,
@@ -157,6 +159,31 @@ def test_from_chain_trailing_repeats():
     t = from_chain(chain, "socle")
     assert t.alpha == (4,)
     assert to_chain(t, "socle") == ((5,), (4,), (3,), (2,), (1,))
+
+
+def test_from_chain_rejects_invalid_chains():
+    for chain, view, exc, msg in (
+        ([], "socle", InvalidTableau, "at least one partition"),
+        ([(3, 1)], "both", ValueError, "view must be"),
+        ([(3, 1), (2, 2)], "socle", ChainNotNested, "not contained"),
+        ([(2, 2), (3, 1)], "lr", ChainNotNested, "not contained"),
+        ([(3,), (1,)], "socle", NotHorizontalStrip, "two boxes"),
+        ([(1,), (3,)], "lr", NotHorizontalStrip, "two boxes"),
+        ([(1, 1, 1), (1, 1), ()], "socle", InvalidTableau, "not weakly decreasing"),
+        ([(), (1,), (1, 1, 1)], "lr", InvalidTableau, "not weakly decreasing"),
+        # an empty strip inside the chain is followed by a larger one
+        ([(2, 1), (2, 1), (2,)], "socle", InvalidTableau, "not weakly decreasing"),
+    ):
+        with pytest.raises(exc, match=msg):
+            from_chain(chain, view)
+
+
+def test_chain_tableaux_pass_the_filling_check():
+    # derived tableaux skip the filling check of SkewTableau(...), and pass it
+    for sh in shape_triples(6):
+        for kind in ("socle", "lr"):
+            for t in iter_tableaux(sh, kind=kind):
+                assert SkewTableau(t.alpha, t.beta, t.gamma, t.entries) == t
 
 
 def test_enumerate_counts():
