@@ -77,7 +77,6 @@ from .embeddings import (
     picket,
     random_corpus,
     socle_tableau,
-    standardize,
     zero_embedding,
 )
 from .realize import (

@@ -32,7 +32,6 @@ from .embeddings import (
     hom_matrix,
     lr_tableau,
     socle_tableau,
-    standardize,
 )
 from .partitions import parse_shape
 from .realize import ConditionStarViolated, realize_lr, realize_socle
@@ -154,11 +153,8 @@ def cmd_realize(args):
     data = _load_json(args.file)
     t = SkewTableau.from_json_dict(data)
     prime = 2 if args.prime is None else args.prime
-    if args.kind == "socle":
-        x = realize_socle(t, prime)
-    else:
-        # the dual ambient operator is not in standard block form; rebase it
-        x = standardize(realize_lr(t, prime))
+    realize = realize_socle if args.kind == "socle" else realize_lr
+    x = realize(t, prime)
     result = embedding_to_json(x)
     text = (
         f"realized embedding with alpha={list(x.alpha)} beta={list(x.beta)} "

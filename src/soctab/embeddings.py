@@ -12,6 +12,7 @@ pickets into the embedding.
 import json
 import random
 from importlib import resources
+from numbers import Integral
 
 import numpy as np
 
@@ -168,18 +169,6 @@ def dual_embedding(x: Embedding) -> Embedding:
     return Embedding(dual_module(x.ambient), annihilator(x.ambient, x.sub))
 
 
-def standardize(x: Embedding) -> Embedding:
-    """Isomorphic embedding whose ambient is in standard block form."""
-    from .modules import jordan_basis_matrix
-
-    p = x.prime
-    u = jordan_basis_matrix(x.ambient)
-    std = standard_module(p, module_type(x.ambient))
-    uinv = linalg.inverse(u, p) if x.ambient.dim else u
-    basis = (x.sub.basis @ uinv.T) % p if x.sub.dim else x.sub.basis
-    return Embedding(std, Subspace(std, basis))
-
-
 def hom_dim(x: Embedding, y: Embedding) -> int:
     """Dimension of {f : ambient_x -> ambient_y, f T = T f, f(sub_x) <= sub_y}."""
     if x.prime != y.prime:
@@ -301,34 +290,50 @@ def entries_below(x: Embedding, ell, r) -> int:
 # ---------------------------------------------------------------------------
 # serialization and fixtures
 
+def _is_int(v):
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
 def embedding_spec(beta, generators) -> dict:
-    """Prime-free description: ambient block sizes plus per-block generator coefficients."""
+    """Prime-free description: ambient block sizes plus per-block generator coefficients.
+
+    ``beta`` is a list of int block sizes and ``generators`` a list whose
+    items hold one list of int coefficients per block; ValueError otherwise.
+    """
+    if not isinstance(beta, (list, tuple)) or not all(map(_is_int, beta)):
+        raise ValueError(f"beta must be a list of integers, got {beta!r}")
+    if not isinstance(generators, (list, tuple)):
+        raise ValueError(f"generators must be a list, got {generators!r}")
     beta = partition(beta)
     gens = []
     for gen in generators:
-        if len(gen) != len(beta):
+        if not isinstance(gen, (list, tuple)) or len(gen) != len(beta):
             raise ValueError("each generator needs one coefficient list per block")
         for coeffs, size in zip(gen, beta):
-            if len(coeffs) != size:
+            if not isinstance(coeffs, (list, tuple)) or len(coeffs) != size:
                 raise ValueError("coefficient list length must match the block size")
-        gens.append([list(map(int, coeffs)) for coeffs in gen])
+            if not all(map(_is_int, coeffs)):
+                raise ValueError(f"coefficients must be integers, got {coeffs!r}")
+        gens.append([[int(v) for v in coeffs] for coeffs in gen])
     return {"beta": list(beta), "generators": gens}
 
 
 def embedding_from_spec(spec, prime) -> Embedding:
-    beta = partition(spec["beta"])
-    mod = standard_module(prime, beta)
-    vecs = []
-    for gen in spec["generators"]:
-        vecs.append(np.concatenate([np.array(c, dtype=np.int64) for c in gen])
-                    if beta else np.zeros(0, dtype=np.int64))
+    spec = embedding_spec(spec["beta"], spec["generators"])
+    mod = standard_module(prime, spec["beta"])
+    p = mod.prime
+    # reduced in Python first, so no coefficient overflows int64
+    vecs = [
+        np.array([v % p for coeffs in gen for v in coeffs], dtype=np.int64)
+        for gen in spec["generators"]
+    ]
     sub = submodule_span(mod, vecs) if vecs else zero_subspace(mod)
     return Embedding(mod, sub)
 
 
-def embedding_to_json(x: Embedding, blocks=None) -> dict:
-    """JSON form; the ambient must be a standard module with the given block sizes."""
-    beta = partition(blocks) if blocks is not None else module_type(x.ambient)
+def embedding_to_json(x: Embedding) -> dict:
+    """JSON form; the ambient must be the standard module of its type."""
+    beta = module_type(x.ambient)
     if standard_module(x.prime, beta) != x.ambient:
         raise ValueError("only standard-form ambient modules can be serialized")
     offs = block_offsets(beta)
@@ -340,8 +345,16 @@ def embedding_to_json(x: Embedding, blocks=None) -> dict:
 
 
 def embedding_from_json(data, prime=None) -> Embedding:
-    p = prime if prime is not None else data.get("prime", 2)
-    return embedding_from_spec(data, p)
+    """Embedding of a JSON object; ``prime`` overrides its stored prime (default 2).
+
+    ValueError unless data is an object whose stored prime, if any, is an int.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("embedding JSON must be an object")
+    stored = data.get("prime", 2)
+    if not _is_int(stored):
+        raise ValueError(f"prime must be an integer, got {stored!r}")
+    return embedding_from_spec(data, stored if prime is None else prime)
 
 
 def load_fixture(name, prime=None) -> Embedding:

@@ -12,7 +12,8 @@ matrices the library produces (mostly smaller than 20 x 20) pay no
 per-entry numpy call, and arithmetic is exact at any prime.  Rows
 bit-packed into one int and eliminated by XOR at p = 2 (as in M4RI) were
 tried and ran the realization sweep slower at these sizes, so one row form
-serves every prime.
+serves every prime.  ``nullspace`` costs one elimination: the reduced
+echelon basis of the kernel is read off the reduced rows directly.
 
 The matrix products that remain in numpy (in ``image``, ``preimage`` and
 the callers of this module) are exact while
@@ -82,16 +83,24 @@ def _eliminate(rows, ncols, p):
 
 
 def _null_rows(rows, ncols, p):
-    """Reduced echelon basis of {x : row . x = 0 for every row}, as kernel rows."""
-    red, pivots = _eliminate(rows, ncols, p)
+    """Reduced echelon basis of {x : row . x = 0 for every row}, as kernel rows.
+
+    The rows are eliminated once, with their columns reversed.  The kernel
+    vector of a free column c there (1 at c, -r[c] at the pivot of each
+    reduced row r) is nonzero only at c and at pivots left of c, so with
+    its columns reversed back it leads at its free column and vanishes at
+    every other free column: taken in decreasing c, these vectors are
+    already the reduced echelon basis.
+    """
+    red, pivots = _eliminate([r[::-1] for r in rows], ncols, p)
     basis = []
-    for c in sorted(set(range(ncols)) - set(pivots)):
+    for c in sorted(set(range(ncols)) - set(pivots), reverse=True):
         v = [0] * ncols
         v[c] = 1
         for r, pc in zip(red, pivots):
             v[pc] = -r[c] % p
-        basis.append(v)
-    return _eliminate(basis, ncols, p)[0]
+        basis.append(v[::-1])
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +132,6 @@ def nullspace(mat, p):
 def left_annihilator(basis, n, p):
     """Canonical basis of {f : f . v = 0 for every row v of basis}."""
     return nullspace(asmat(basis, n, p), p)
-
-
-def in_row_space(vec, basis, p):
-    """True iff vec lies in the span of the basis rows."""
-    if basis.shape[0] == 0:
-        return not np.any(vec % p)
-    stacked = np.vstack([basis, vec % p])
-    return rank(stacked, p) == basis.shape[0]
 
 
 def is_subspace(small, big, p):
@@ -171,14 +172,3 @@ def image(op, basis, p):
     if basis.shape[0] == 0:
         return basis.copy()
     return row_space((basis @ op.T) % p, p)
-
-
-def inverse(mat, p):
-    """Inverse of a square matrix; raises ValueError when singular."""
-    n = mat.shape[0]
-    aug = np.hstack([mat % p, np.eye(n, dtype=np.int64)])
-    rows, pivots = _eliminate(_to_rows(aug, p), 2 * n, p)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return _to_array(rows, 2 * n)[:, n:]
-

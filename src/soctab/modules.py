@@ -9,6 +9,11 @@ A module's operator and its cached powers are read-only arrays, and its
 type is kept once computed.  ``standard_module`` returns one shared module
 per (prime, partition), so a write to a module's arrays raises instead of
 changing every embedding built on it.
+
+``dual_module`` has the transposed operator.  Each Jordan block is
+self-dual, so reversing the basis inside every block of a standard module
+turns its dual back into the same standard module, and no Jordan basis
+needs computing.
 """
 
 from functools import lru_cache
@@ -141,11 +146,6 @@ class Subspace:
                 self.basis, self.module.dim, self.module.prime
             )
         return self._annihilator
-
-    def contains(self, vec):
-        return linalg.in_row_space(
-            np.array(vec, dtype=np.int64), self.basis, self.module.prime
-        )
 
     def is_invariant(self):
         """True iff the operator maps this subspace into itself."""
@@ -289,36 +289,6 @@ def preimage(module, sub, r):
 def dual_module(module):
     """Linear dual with the transposed operator."""
     return FpModule(module.prime, module.op.T % module.prime)
-
-
-def jordan_basis_matrix(module):
-    """Invertible U whose columns are chain vectors v, Tv, ... per block,
-    blocks ordered by decreasing length; then T U = U T_std."""
-    p = module.prime
-    n = module.dim
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    top_h = module.nilpotency_index
-    kers = [linalg.nullspace(module.power(h), p) for h in range(top_h + 1)]
-    tops = []
-    for h in range(top_h, 0, -1):
-        rows = [kers[h - 1]]
-        for v, hh in tops:
-            rows.append(((module.power(hh - h) @ v) % p).reshape(1, -1))
-        span = linalg.row_space(np.vstack(rows), p)
-        for cand in kers[h]:
-            if not linalg.in_row_space(cand, span, p):
-                tops.append((cand, h))
-                span = linalg.row_space(np.vstack([span, cand.reshape(1, -1)]), p)
-    cols = []
-    for v, h in sorted(tops, key=lambda t: -t[1]):
-        cur = v.copy()
-        for _ in range(h):
-            cols.append(cur)
-            cur = (module.op @ cur) % p
-    u = np.array(cols, dtype=np.int64).T % p
-    linalg.inverse(u, p)  # raises if the chains are dependent; never expected
-    return u
 
 
 def annihilator(module, sub):

@@ -34,15 +34,14 @@ class NonTerminating(RuntimeError):
 class _Geometry:
     """Box lists of the diagram of beta, shared by every state over it.
 
-    ``lines`` holds every row (weak) and column (strict) as (boxes,
-    strict).  ``up``/``down`` map a box to the boxes above/below it in its
+    ``up``/``down`` map a box to the boxes above/below it in its
     column, ``left``/``right`` to the boxes before/after it in its row.
     ``targets`` maps each box, in the canonical (row-major) order, to the
     boxes directly above and left of it (None outside the diagram): the S
     boxes a T box there could swap with.
     """
 
-    __slots__ = ("beta", "rows", "lines", "up", "down", "left", "right", "targets")
+    __slots__ = ("beta", "rows", "up", "down", "left", "right", "targets")
 
     def __init__(self, beta):
         rows = transpose(beta)
@@ -50,7 +49,6 @@ class _Geometry:
         self.rows = rows
         row_lines = [[(r, c) for c in range(1, n + 1)] for r, n in enumerate(rows, 1)]
         col_lines = [[(r, c) for r in range(1, n + 1)] for c, n in enumerate(beta, 1)]
-        self.lines = [(line, False) for line in row_lines] + [(line, True) for line in col_lines]
         self.up, self.down, self.left, self.right = {}, {}, {}, {}
         for line in row_lines:
             for i, box in enumerate(line):
@@ -68,9 +66,12 @@ class _Geometry:
 class SwitchState:
     """Mutable grid over the diagram of beta; every box is owned by S or T.
 
-    Both fillings are semistandard on their own boxes: ``init_switch``
-    checks the initial grid and ``_exchange_ok`` admits only swaps that
-    keep them so.  ``_exchange_ok`` relies on this.
+    Both fillings are semistandard on their own boxes, and
+    ``_exchange_ok`` relies on this.  The initial grid is: ``init_switch``
+    accepts only socle tableaux, whose inverted entries weakly increase
+    along rows and strictly down columns, and the superstandard S filling
+    (row r holds r) is semistandard as well.  ``_exchange_ok`` admits only
+    swaps that keep both fillings so.
     """
 
     __slots__ = ("beta", "owner", "entry", "history", "_geo")
@@ -86,9 +87,6 @@ class SwitchState:
             raise ValueError(f"geometry of {geometry.beta} given for a state over {self.beta}")
         self._geo = geometry
 
-    def boxes(self):
-        return list(self._geo.targets)
-
     def copy(self):
         st = SwitchState.__new__(SwitchState)
         st.beta = self.beta
@@ -97,19 +95,6 @@ class SwitchState:
         st.history = list(self.history)
         st._geo = self._geo
         return st
-
-    def _semistandard(self):
-        """Whether each owner's entries weakly increase along rows and strictly down columns."""
-        owner, entry = self.owner, self.entry
-        for line, strict in self._geo.lines:
-            last = {}
-            for box in line:
-                who, v = owner[box], entry[box]
-                u = last.get(who)
-                if u is not None and (u >= v if strict else u > v):
-                    return False
-                last[who] = v
-        return True
 
     def _fits(self, who, v, before, after, strict):
         """Whether value v sits between the ``who`` boxes before and after it in one line."""
@@ -223,10 +208,7 @@ def init_switch(t: SkewTableau, geometry=None) -> SwitchState:
     for box, v in t.entries.items():
         owner[box] = "T"
         entry[box] = s + 1 - v
-    state = SwitchState(t.beta, owner, entry, geometry)
-    if not state._semistandard():
-        raise InvalidTableau("initial fillings are not semistandard")
-    return state
+    return SwitchState(t.beta, owner, entry, geometry)
 
 
 def run_switch(state: SwitchState, order: str = "deterministic", rng=None) -> SwitchState:

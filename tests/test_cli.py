@@ -222,6 +222,24 @@ def test_missing_keys_are_invalid_input(tmp_path, capsys):
         assert (rc, out, err) == (1, "", "invalid input: 'beta'\n"), argv
 
 
+def test_malformed_embedding_json_is_invalid_input(tmp_path, capsys):
+    m2 = json.loads(Path(M2_PATH).read_text())
+    cases = [
+        {**m2, "prime": 3.5},
+        {**m2, "prime": "3"},
+        {**m2, "generators": [[[1.5, 0, 0, 0, 0], [0, 0, 0], [0, 0]]]},
+        [m2],
+        {**m2, "generators": 5},
+        {**m2, "beta": 5},
+    ]
+    efile = tmp_path / "e.json"
+    for data in cases:
+        efile.write_text(json.dumps(data))
+        rc, out, err = run_cli(capsys, "analyze", str(efile))
+        assert (rc, out) == (1, ""), data
+        assert err.startswith("invalid input") and "Traceback" not in err, data
+
+
 def test_convert_hom_rejects_non_object(tmp_path, capsys):
     for text in ("[1, 2, 3]", '"h"', '{"L": 1, "M": 1, "h": [5, 6]}', '{"L": "a", "M": 1, "h": []}'):
         hfile = tmp_path / "h.json"

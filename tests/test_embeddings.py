@@ -24,7 +24,6 @@ from soctab.embeddings import (
     picket,
     random_corpus,
     socle_tableau,
-    standardize,
     zero_embedding,
 )
 from soctab.modules import Subspace, quotient_type, rad_layer, soc_layer, zero_subspace
@@ -280,14 +279,12 @@ def test_json_round_trip():
         embedding_to_json(dual_embedding(m2))  # dual operator is not standard
 
 
-def test_standardize():
-    m2 = load_fixture("m2")
-    d = dual_embedding(m2)
-    s = standardize(d)
-    assert s.shape == d.shape
-    assert socle_tableau(s) == socle_tableau(d)
-    assert lr_tableau(s) == lr_tableau(d)
-    embedding_to_json(s)  # round-trippable once standard
+def test_spec_coefficients_beyond_int64_are_reduced_exactly():
+    spec = embedding_to_json(load_fixture("m2"))
+    big = {**spec, "generators": [
+        [[v + 3**50 for v in coeffs] for coeffs in gen] for gen in spec["generators"]
+    ]}
+    assert embedding_from_spec(big, 3).sub == embedding_from_spec(spec, 3).sub
 
 
 def test_hom_matrix_json():

@@ -13,7 +13,6 @@ from soctab.modules import (
     annihilator,
     dual_module,
     full_subspace,
-    jordan_basis_matrix,
     module_type,
     preimage,
     quotient_type,
@@ -241,19 +240,3 @@ def test_prime_independence_of_types():
         x3 = embedding_from_spec(spec, 3)
         assert x2.shape == x3.shape
         assert x2.sub.dim == x3.sub.dim
-
-
-def test_jordan_basis_matrix():
-    rng = random.Random(12)
-    for spec in random_corpus(13, 20, 8):
-        for p in (2, 3):
-            x = embedding_from_spec(spec, p)
-            m = x.ambient
-            u = jordan_basis_matrix(m)
-            std = standard_module(p, module_type(m))
-            assert np.array_equal((m.op @ u) % p, (u @ std.op) % p)
-    # also exercise a non-standard operator: the dual of a standard module
-    d = dual_module(standard_module(2, (4, 3, 1)))
-    u = jordan_basis_matrix(d)
-    std = standard_module(2, (4, 3, 1))
-    assert np.array_equal((d.op @ u) % 2, (u @ std.op) % 2)

@@ -5,8 +5,14 @@ from hypothesis import strategies as st
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
 from soctab import checks, linalg
-from soctab.embeddings import lr_tableau, picket, socle_tableau
-from soctab.modules import module_type
+from soctab.embeddings import (
+    embedding_from_json,
+    embedding_to_json,
+    lr_tableau,
+    picket,
+    socle_tableau,
+)
+from soctab.modules import module_type, standard_module
 from soctab.partitions import partitions_of, shape_triples, subdiagrams, transpose, weight
 from soctab.realize import (
     ConditionStarViolated,
@@ -135,6 +141,16 @@ def test_realize_lr_sweep():
     rep = checks.realize_lr_sweep(6)
     assert rep.ok, rep.failures[:5]
     assert rep.cases == 295
+
+
+def test_realize_lr_lands_in_the_standard_module():
+    # no change of basis is needed to serialize an LR realization
+    for sh in shape_triples(6):
+        for t in iter_tableaux(*sh, kind="lr"):
+            for p in (2, 3):
+                x = realize_lr(t, p)
+                assert x.ambient is standard_module(p, t.beta)
+                assert lr_tableau(embedding_from_json(embedding_to_json(x))) == t
 
 
 # every socle and LR tableau with |beta| <= 6, with its kind
