@@ -50,7 +50,6 @@ from .modules import (
     NotInvariant,
     Subspace,
     annihilator,
-    dual_module,
     module_type,
     preimage,
     quotient_type,

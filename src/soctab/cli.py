@@ -221,10 +221,10 @@ def cmd_check(args):
         texts.append(rep.render())
         internal_failure |= not rep.ok
     if "realize" in suites:
-        rep = checks.realize_sweep(args.max_beta)
-        reports.append(rep.to_json_dict())
-        texts.append(rep.render())
-        internal_failure |= not rep.ok
+        for rep in (checks.realize_sweep(args.max_beta), checks.realize_lr_sweep(args.max_beta)):
+            reports.append(rep.to_json_dict())
+            texts.append(rep.render())
+            internal_failure |= not rep.ok
     if "hom" in suites:
         for rep in (
             checks.hom_triple_sweep(

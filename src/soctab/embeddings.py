@@ -7,23 +7,24 @@ the socle filtration of the subspace, the LR tableau those along the
 radical filtration; pickets are the single-block embeddings, and the
 Hom-matrix collects the dimensions of homomorphism spaces from all
 pickets into the embedding.
+
+Every ambient module is the shared standard module of its type: the dual
+embedding keeps its ambient module, and a direct sum lies in the standard
+module of the merged block sizes, so every embedding serializes.
 """
 
 import json
 import random
 from importlib import resources
-from numbers import Integral
 
 import numpy as np
 
 from . import linalg
 from .modules import (
-    FpModule,
     Subspace,
     _type_from_kernels,
     annihilator,
     block_offsets,
-    dual_module,
     full_subspace,
     module_type,
     quotient_type,
@@ -34,7 +35,7 @@ from .modules import (
     zero_subspace,
 )
 from .partitions import Shape, partition
-from .tableaux import SkewTableau, _chain_tableau
+from .tableaux import SkewTableau, _chain_tableau, _is_int
 
 
 class PrimeMismatch(ValueError):
@@ -100,7 +101,7 @@ def _sub_type(x: Embedding):
 
 
 def zero_embedding(prime):
-    m = FpModule(prime, np.zeros((0, 0), dtype=np.int64))
+    m = standard_module(prime, ())
     return Embedding(m, zero_subspace(m))
 
 
@@ -118,19 +119,22 @@ def picket(prime, ell, m):
 
 
 def direct_sum(x: Embedding, y: Embedding) -> Embedding:
+    """Direct sum, in the standard module of the merged block sizes.
+
+    The blocks of x, then those of y, are sorted by a stable descending
+    sort, and the coordinates move with their blocks.
+    """
     if x.prime != y.prime:
         raise PrimeMismatch(f"primes differ: {x.prime} vs {y.prime}")
-    nx, ny = x.ambient.dim, y.ambient.dim
-    op = np.zeros((nx + ny, nx + ny), dtype=np.int64)
-    op[:nx, :nx] = x.ambient.op
-    op[nx:, nx:] = y.ambient.op
-    mod = FpModule(x.prime, op)
-    rows = []
-    for v in x.sub.basis:
-        rows.append(np.concatenate([v, np.zeros(ny, dtype=np.int64)]))
-    for v in y.sub.basis:
-        rows.append(np.concatenate([np.zeros(nx, dtype=np.int64), v]))
-    return Embedding(mod, Subspace(mod, rows))
+    merged = x.ambient.parts + y.ambient.parts
+    order = sorted(range(len(merged)), key=lambda j: -merged[j])
+    mod = standard_module(x.prime, [merged[j] for j in order])
+    offs = block_offsets(merged)
+    cols = [offs[j] + i for j in order for i in range(merged[j])]
+    rows = np.zeros((x.sub.dim + y.sub.dim, mod.dim), dtype=np.int64)
+    rows[: x.sub.dim, : x.ambient.dim] = x.sub.basis
+    rows[x.sub.dim :, x.ambient.dim :] = y.sub.basis
+    return Embedding(mod, Subspace(mod, rows[:, cols]))
 
 
 def _filtration_chain(x: Embedding, layer, first, last):
@@ -165,8 +169,8 @@ def lr_tableau(x: Embedding) -> SkewTableau:
 
 
 def dual_embedding(x: Embedding) -> Embedding:
-    """Annihilator of the subspace inside the dual module; swaps alpha and gamma."""
-    return Embedding(dual_module(x.ambient), annihilator(x.ambient, x.sub))
+    """Annihilator of the subspace, in the same module; swaps alpha and gamma."""
+    return Embedding(x.ambient, annihilator(x.ambient, x.sub))
 
 
 def hom_dim(x: Embedding, y: Embedding) -> int:
@@ -290,10 +294,6 @@ def entries_below(x: Embedding, ell, r) -> int:
 # ---------------------------------------------------------------------------
 # serialization and fixtures
 
-def _is_int(v):
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
 def embedding_spec(beta, generators) -> dict:
     """Prime-free description: ambient block sizes plus per-block generator coefficients.
 
@@ -332,10 +332,8 @@ def embedding_from_spec(spec, prime) -> Embedding:
 
 
 def embedding_to_json(x: Embedding) -> dict:
-    """JSON form; the ambient must be the standard module of its type."""
-    beta = module_type(x.ambient)
-    if standard_module(x.prime, beta) != x.ambient:
-        raise ValueError("only standard-form ambient modules can be serialized")
+    """JSON form: the block sizes and one generator per basis row of the subspace."""
+    beta = x.ambient.parts
     offs = block_offsets(beta)
     gens = []
     for v in x.sub.basis:

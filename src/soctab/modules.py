@@ -1,19 +1,20 @@
-"""Finite-length modules over F_p[T]/(T^N) as vector spaces with a nilpotent operator.
+"""Finite-length modules over F_p[T]/(T^N), each a direct sum of Jordan blocks.
 
-The operator plays multiplication by the uniformizer.  A module is
-isomorphic to a direct sum of Jordan blocks; the block sizes, sorted,
-are its type.  Subspaces carry their ambient module and a reduced
-row-echelon basis, so equal subspaces have equal basis arrays.
+A module is kept as its type, the partition of its block sizes.  Basis
+vector offset+i of block j represents p^i times the j-th generator, and
+the operator, multiplication by the uniformizer, shifts it to the next
+one in the block.  Subspaces carry their ambient module and a reduced row-echelon
+basis, so equal subspaces have equal basis arrays.
 
-A module's operator and its cached powers are read-only arrays, and its
-type is kept once computed.  ``standard_module`` returns one shared module
-per (prime, partition), so a write to a module's arrays raises instead of
-changing every embedding built on it.
+A module's operator and its powers are read-only block shifts, and
+``standard_module`` returns one shared module per (prime, partition), so
+a write to a module's arrays raises instead of changing every embedding
+built on it.
 
-``dual_module`` has the transposed operator.  Each Jordan block is
-self-dual, so reversing the basis inside every block of a standard module
-turns its dual back into the same standard module, and no Jordan basis
-needs computing.
+Each Jordan block is self-dual: reversing the basis inside every block
+turns the transposed operator back into the shift.  So the annihilator of
+a subspace, with its coordinates reversed per block, is a subspace of the
+same module, and no dual module needs building.
 """
 
 from functools import lru_cache
@@ -60,51 +61,46 @@ def _read_only(a):
 
 
 class FpModule:
-    """F_p vector space with a nilpotent operator acting on column vectors.
+    """Direct sum of Jordan blocks of the sizes ``parts`` over F_p.
 
     ``op`` and the arrays ``power`` returns are read-only.
     """
 
-    __slots__ = ("prime", "op", "dim", "_powers", "_type")
+    __slots__ = ("prime", "parts", "dim", "op", "_powers")
 
-    def __init__(self, prime, op):
+    def __init__(self, prime, parts):
         self.prime = int(prime)
-        op = np.array(op, dtype=np.int64)
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise ValueError("operator must be square")
-        _check_prime(self.prime, op.shape[0])
-        op = _read_only(op % self.prime)
-        self.op = op
-        self.dim = op.shape[0]
-        self._type = None
-        self._powers = [_read_only(np.eye(self.dim, dtype=np.int64))]
-        # cache powers up to the nilpotency index; fail fast otherwise
-        cur = self._powers[0]
-        for _ in range(self.dim):
-            if not cur.any():
-                break
-            cur = _read_only((cur @ op) % self.prime)
-            self._powers.append(cur)
-        if self._powers[-1].any():
-            raise ValueError("operator is not nilpotent")
+        self.parts = partition(parts)
+        self.dim = sum(self.parts)
+        _check_prime(self.prime, self.dim)
+        # T^0 .. T^N for N = parts[0]; T^N and every higher power are zero
+        self._powers = [_shift(self.parts, r) for r in range(self.nilpotency_index + 1)]
+        self.op = self.power(1)
 
     def power(self, r):
         """T^r as a matrix; saturates at zero beyond the nilpotency index."""
-        if r < len(self._powers):
-            return self._powers[r]
-        return np.zeros((self.dim, self.dim), dtype=np.int64)
+        return self._powers[min(r, self.nilpotency_index)]
 
     @property
     def nilpotency_index(self):
-        return len(self._powers) - 1
+        return self.parts[0] if self.parts else 0
 
     def __eq__(self, other):
         if not isinstance(other, FpModule):
             return NotImplemented
-        return self.prime == other.prime and np.array_equal(self.op, other.op)
+        return (self.prime, self.parts) == (other.prime, other.parts)
 
     def __repr__(self):
-        return f"FpModule(p={self.prime}, dim={self.dim})"
+        return f"FpModule(p={self.prime}, parts={self.parts})"
+
+
+def _shift(parts, r):
+    """T^r on the blocks ``parts``: p^i -> p^(i+r) inside each block, read-only."""
+    n = sum(parts)
+    a = np.zeros((n, n), dtype=np.int64)
+    for off, size in zip(block_offsets(parts), parts):
+        a[off : off + size, off : off + size] = np.eye(size, k=-r, dtype=np.int64)
+    return _read_only(a)
 
 
 class Subspace:
@@ -175,8 +171,6 @@ def full_subspace(module):
 def standard_module(prime, parts):
     """Direct sum of Jordan blocks of the given sizes.
 
-    Basis vector offset+i of block j represents p^i times the j-th
-    generator, so the operator sends it to the next one in the block.
     Equal (prime, partition) give the same shared, read-only module.
     """
     return _standard_module(int(prime), partition(parts))
@@ -186,12 +180,7 @@ def standard_module(prime, parts):
 def _standard_module(prime, parts):
     # keyed by the validated partition, so one entry per partition a caller
     # visits; a construction that raises (BadPrime) caches nothing
-    n = sum(parts)
-    op = np.zeros((n, n), dtype=np.int64)
-    for off, size in zip(block_offsets(parts), parts):
-        for i in range(size - 1):
-            op[off + i + 1, off + i] = 1
-    return FpModule(prime, op)
+    return FpModule(prime, parts)
 
 
 def block_offsets(parts):
@@ -222,13 +211,8 @@ def _type_from_kernels(dim, ker_dim):
 
 
 def module_type(module):
-    """Type partition of the module; kept on the module after the first call."""
-    if module._type is None:
-        p = module.prime
-        module._type = _type_from_kernels(
-            module.dim, lambda r: module.dim - linalg.rank(module.power(r), p)
-        )
-    return module._type
+    """Type partition of the module: its block sizes."""
+    return module.parts
 
 
 def submodule_span(module, generators):
@@ -286,11 +270,17 @@ def preimage(module, sub, r):
     )
 
 
-def dual_module(module):
-    """Linear dual with the transposed operator."""
-    return FpModule(module.prime, module.op.T % module.prime)
-
-
 def annihilator(module, sub):
-    """Functionals vanishing on sub, as a subspace of the dual module."""
-    return Subspace(dual_module(module), sub.annihilator_basis)
+    """Functionals vanishing on sub, with coordinates reversed inside each block.
+
+    The functionals form an invariant subspace of the dual module, whose
+    operator is the transposed shift; reversing each block turns that back
+    into the shift, so the result is an invariant subspace of ``module``.
+    Applied twice it returns ``sub``.
+    """
+    rev = [
+        off + size - 1 - i
+        for off, size in zip(block_offsets(module.parts), module.parts)
+        for i in range(size)
+    ]
+    return Subspace(module, sub.annihilator_basis[:, rev])

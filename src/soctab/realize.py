@@ -5,15 +5,15 @@ between the standard modules of the chain layers.  Column pairs found by
 the level matching receive a unipotent correction so that the kernel of
 each two-step composite has socle equal to the kernel of the first step;
 the kernel of the full composite is then the subspace sought.  LR
-tableaux are realized through the dual correspondence, and the dual is
-carried back into the standard module of beta by reversing each block.
+tableaux are realized as the duals of the realizations of their mirrored
+socle tableaux, which lie in the same standard module of beta.
 """
 
 import numpy as np
 
 from . import linalg
 from .convert import duallr_to_socle
-from .embeddings import Embedding
+from .embeddings import Embedding, dual_embedding
 from .modules import (
     Subspace,
     block_offsets,
@@ -29,7 +29,6 @@ from .tableaux import (
     SkewTableau,
     _chain_layers,
     build_matching,
-    check_lr,
     check_socle,
 )
 
@@ -192,18 +191,7 @@ def realize_socle(t: SkewTableau, prime: int = 2) -> Embedding:
 def realize_lr(t: SkewTableau, prime: int = 2) -> Embedding:
     """Embedding in ``standard_module(prime, t.beta)`` whose LR tableau is exactly ``t``.
 
-    The annihilator of a realization of the mirrored socle tableau is an
-    embedding in the dual module, whose operator is the transpose of the
-    shift.  A Jordan block is self-dual: reversing the basis inside each
-    block turns the transpose back into the shift, so the annihilator with
-    its coordinates reversed per block lies in the same standard module.
+    It is the dual of the realization of the mirrored socle tableau;
+    ``duallr_to_socle`` rejects a tableau that is not LR.
     """
-    if not check_lr(t):
-        raise InvalidTableau("LR tableau expected")
-    x = realize_socle(duallr_to_socle(t), prime)
-    rev = [
-        off + size - 1 - i
-        for off, size in zip(block_offsets(t.beta), t.beta)
-        for i in range(size)
-    ]
-    return Embedding(x.ambient, Subspace(x.ambient, x.sub.annihilator_basis[:, rev]))
+    return dual_embedding(realize_socle(duallr_to_socle(t), prime))

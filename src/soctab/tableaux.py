@@ -20,6 +20,7 @@ an embedding, the conversions) comes from ``_chain_tableau``, which
 validates the chain instead: a valid chain fixes the boxes and the content.
 """
 
+from numbers import Integral
 from typing import Iterator, NamedTuple
 
 from .partitions import (
@@ -47,6 +48,14 @@ class ChainNotNested(InvalidTableau):
 
 class NotHorizontalStrip(InvalidTableau):
     pass
+
+
+def _is_int(v):
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _is_int_list(v):
+    return isinstance(v, list) and all(map(_is_int, v))
 
 
 class SkewTableau:
@@ -143,11 +152,19 @@ class SkewTableau:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SkewTableau":
-        beta = partition(data["beta"])
-        gamma = partition(data["gamma"])
+        """Inverse of to_json_dict; InvalidTableau unless data is an object whose
+        alpha, beta and gamma are lists of integers and whose grid is a list of them."""
+        if not isinstance(data, dict):
+            raise InvalidTableau("tableau JSON must be an object")
+        beta, gamma, grid, alpha = (data[k] for k in ("beta", "gamma", "grid", "alpha"))
+        if not all(map(_is_int_list, (alpha, beta, gamma))) or not (
+            isinstance(grid, list) and all(map(_is_int_list, grid))
+        ):
+            raise InvalidTableau("alpha, beta, gamma and each grid row must be lists of integers")
+        beta = partition(beta)
+        gamma = partition(gamma)
         rows = transpose(beta)
         grows = transpose(gamma)
-        grid = data["grid"]
         if len(grid) != len(rows):
             raise InvalidTableau("grid has the wrong number of rows")
         entries = {}
@@ -163,7 +180,7 @@ class SkewTableau:
                         raise InvalidTableau(f"cell ({r},{c}) lies in gamma and must be 0")
                 else:
                     entries[(r, c)] = v
-        return cls(data["alpha"], beta, gamma, entries)
+        return cls(alpha, beta, gamma, entries)
 
 
 def _row_cols(t: SkewTableau):

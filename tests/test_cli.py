@@ -178,6 +178,12 @@ def test_check_exit_codes(capsys):
     rc, out, _ = run_cli(capsys, "check", "--max-beta", "4", "--suite", "all", "--corpus-count", "5")
     assert rc == 0
     assert "mismatches: none" in out
+    assert "realize-lr-roundtrip (max_beta=4, primes=[2, 3]): 57 cases, ok" in out.splitlines()
+    rc, out, _ = run_cli(capsys, "check", "--max-beta", "4", "--suite", "realize", "--format", "json")
+    reports = {r["name"]: r for r in json.loads(out)["result"]["reports"]}
+    assert rc == 0 and list(reports) == ["realize-roundtrip", "realize-lr-roundtrip"]
+    assert reports["realize-lr-roundtrip"]["cases"] == reports["realize-roundtrip"]["cases"] > 0
+    assert reports["realize-lr-roundtrip"]["failures"] == []
 
 
 def test_usage_errors_exit_1(capsys):
@@ -238,6 +244,34 @@ def test_malformed_embedding_json_is_invalid_input(tmp_path, capsys):
         rc, out, err = run_cli(capsys, "analyze", str(efile))
         assert (rc, out) == (1, ""), data
         assert err.startswith("invalid input") and "Traceback" not in err, data
+
+
+def test_malformed_tableau_json_is_invalid_input(tmp_path, capsys):
+    t = SOCLE_M2.to_json_dict()
+    true_entry = json.loads(json.dumps(t))
+    true_entry["grid"][4][0] = True  # the entry 1 in row 5
+    cases = [
+        [t],
+        {**t, "grid": 5},
+        {**t, "grid": [5]},
+        {**t, "alpha": 5},
+        {**t, "beta": [1.5]},
+        {**t, "beta": ["1"]},
+        true_entry,
+    ]
+    tfile = tmp_path / "t.json"
+    commands = (
+        ("realize",),
+        ("switch",),
+        ("convert", "--from", "socle", "--to", "hom"),
+        ("convert", "--from", "duallr", "--to", "hom"),
+    )
+    for data in cases:
+        tfile.write_text(json.dumps(data))
+        for cmd in commands:
+            rc, out, err = run_cli(capsys, *cmd, str(tfile))
+            assert (rc, out) == (1, ""), (cmd, data)
+            assert err.startswith("invalid input") and "Traceback" not in err, (cmd, data)
 
 
 def test_convert_hom_rejects_non_object(tmp_path, capsys):

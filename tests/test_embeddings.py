@@ -26,7 +26,14 @@ from soctab.embeddings import (
     socle_tableau,
     zero_embedding,
 )
-from soctab.modules import Subspace, quotient_type, rad_layer, soc_layer, zero_subspace
+from soctab.modules import (
+    Subspace,
+    quotient_type,
+    rad_layer,
+    soc_layer,
+    standard_module,
+    zero_subspace,
+)
 from soctab.tableaux import SkewTableau, check_lr, check_socle, from_chain, to_chain
 
 
@@ -139,6 +146,22 @@ def _read_back_cases(p):
     ]
     xs += [embedding_from_spec(spec, p) for spec in random_corpus(31, 20, 8)]
     return xs + [dual_embedding(x) for x in xs]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_dual_and_direct_sum_stay_in_the_shared_module(p):
+    xs = _read_back_cases(p)
+    for x in xs:
+        d = dual_embedding(x)
+        assert d.ambient is x.ambient
+        assert dual_embedding(d).sub == x.sub
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        merged = sorted(x.beta + y.beta, reverse=True)
+        s = direct_sum(x, y)
+        assert s.ambient is standard_module(p, merged)
+        assert s.shape == tuple(
+            tuple(sorted(a + b, reverse=True)) for a, b in zip(x.shape, y.shape)
+        )
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -275,8 +298,11 @@ def test_json_round_trip():
     assert again.shape == m2.shape
     assert socle_tableau(again) == socle_tableau(m2)
     assert embedding_from_json(blob, prime=3).prime == 3
-    with pytest.raises(ValueError):
-        embedding_to_json(dual_embedding(m2))  # dual operator is not standard
+    # the dual lies in the same standard module, so it serializes too
+    d = dual_embedding(m2)
+    back = embedding_from_json(embedding_to_json(d))
+    assert back.shape == (m2.gamma, m2.beta, m2.alpha)
+    assert back.sub == d.sub
 
 
 def test_spec_coefficients_beyond_int64_are_reduced_exactly():

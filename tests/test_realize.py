@@ -123,6 +123,12 @@ def test_realize_lr():
     assert z.sub.dim == 0
 
 
+def test_realize_lr_rejects_non_lr_tableaux():
+    for t in (SOCLE_M2, SOCLE_M1):
+        with pytest.raises(InvalidTableau, match=r"^LR tableau expected$"):
+            realize_lr(t, 2)
+
+
 def test_exhaustive_round_trip_small():
     for wgt in range(0, 8):
         for beta in partitions_of(wgt):
