@@ -207,46 +207,34 @@ def cmd_switch(args):
     return 0
 
 
+# the report sweeps of each suite, in the order ``check --suite all`` runs them;
+# a suite's sweeps run only when it is selected
+_REPORT_SUITES = (
+    ("counts", lambda a: [checks.count_symmetry_sweep(a.max_beta)]),
+    ("realize", lambda a: [checks.realize_sweep(a.max_beta), checks.realize_lr_sweep(a.max_beta)]),
+    ("hom", lambda a: [
+        checks.hom_triple_sweep(corpus_count=a.corpus_count, max_beta_weight=a.max_beta),
+        checks.defect_sweep(corpus_count=a.corpus_count, max_beta_weight=a.max_beta),
+    ]),
+)
+
+
 def cmd_check(args):
-    suites = (
-        ["counts", "realize", "hom", "switching"] if args.suite == "all" else [args.suite]
-    )
-    reports = []
+    def selected(name):
+        return args.suite in ("all", name)
+
+    reps = [rep for name, sweeps in _REPORT_SUITES if selected(name) for rep in sweeps(args)]
+    texts = [rep.render() for rep in reps]
+    result = {"reports": [rep.to_json_dict() for rep in reps]}
     conjecture = None
-    texts = []
-    internal_failure = False
-    if "counts" in suites:
-        rep = checks.count_symmetry_sweep(args.max_beta)
-        reports.append(rep.to_json_dict())
-        texts.append(rep.render())
-        internal_failure |= not rep.ok
-    if "realize" in suites:
-        for rep in (checks.realize_sweep(args.max_beta), checks.realize_lr_sweep(args.max_beta)):
-            reports.append(rep.to_json_dict())
-            texts.append(rep.render())
-            internal_failure |= not rep.ok
-    if "hom" in suites:
-        for rep in (
-            checks.hom_triple_sweep(
-                corpus_count=args.corpus_count, max_beta_weight=args.max_beta
-            ),
-            checks.defect_sweep(
-                corpus_count=args.corpus_count, max_beta_weight=args.max_beta
-            ),
-        ):
-            reports.append(rep.to_json_dict())
-            texts.append(rep.render())
-            internal_failure |= not rep.ok
-    if "switching" in suites:
+    if selected("switching"):
         conjecture = check_conjecture(args.max_beta, seeds=args.seeds, base_seed=args.seed or 0)
         texts.append(conjecture.render())
-    result = {"reports": reports}
-    if conjecture is not None:
         result["conjecture"] = conjecture.to_json_dict()
     _emit(args, "check", result, "\n".join(texts))
     if conjecture is not None and not conjecture.ok:
         return 3
-    if internal_failure:
+    if not all(rep.ok for rep in reps):
         return 2
     return 0
 

@@ -337,6 +337,5 @@ def defect(x: Embedding, ell: int, m: int) -> int:
     top = linalg.nullspace(_picket_constraints(x, ell, m - 1), p)
     v1 = linalg.nullspace(_picket_constraints(x, ell, m), p)
     v2 = linalg.nullspace(_picket_constraints(x, ell - 1, m - 2), p)
-    tv1 = linalg.image(x.ambient.op, v1, p)
-    img = linalg.subspace_sum(tv1, v2, p)
-    return top.shape[0] - img.shape[0]
+    # the precomposed maps are spanned by T v1 and v2
+    return top.shape[0] - linalg.rank(np.vstack([x.ambient.shift(v1, 1), v2]), p)

@@ -35,7 +35,7 @@ from .modules import (
     zero_subspace,
 )
 from .partitions import Shape, partition
-from .tableaux import SkewTableau, _chain_tableau, _is_int
+from .tableaux import SkewTableau, _chain_tableau, _is_int, _is_json_int
 
 
 class PrimeMismatch(ValueError):
@@ -92,11 +92,10 @@ class Embedding:
 
 def _sub_type(x: Embedding):
     """Type of the subspace as a module under the restricted operator."""
-    p = x.prime
     basis = x.sub.basis
     dim = basis.shape[0]
     return _type_from_kernels(
-        dim, lambda r: dim - linalg.rank((x.ambient.power(r) @ basis.T) % p, p)
+        dim, lambda r: dim - linalg.rank(x.ambient.shift(basis, r), x.prime)
     )
 
 
@@ -183,8 +182,9 @@ def hom_dim(x: Embedding, y: Embedding) -> int:
         return 0
     ix = np.eye(nx, dtype=np.int64)
     iy = np.eye(ny, dtype=np.int64)
-    # vec is column-major: vec(F Tx) = (Tx^T kron I) vec F, vec(Ty F) = (I kron Ty) vec F
-    blocks = [np.kron(x.ambient.op.T, iy) - np.kron(ix, y.ambient.op)]
+    # vec is column-major: vec(F Tx) = (Tx^T kron I) vec F, vec(Ty F) = (I kron Ty) vec F;
+    # shift(I, 1) is T^T and shift(I, -1) is T
+    blocks = [np.kron(x.ambient.shift(ix, 1), iy) - np.kron(ix, y.ambient.shift(iy, -1))]
     ann = y.sub.annihilator_basis
     if ann.shape[0] > 0:
         for a in x.sub.basis:
@@ -199,6 +199,8 @@ class HomMatrix:
     __slots__ = ("L", "M", "rows")
 
     def __init__(self, L, M, rows):
+        if not (_is_json_int(L) and _is_json_int(M) and L >= 0 and M >= 0):
+            raise ValueError(f"L and M must be nonnegative integers, got {L!r} and {M!r}")
         self.L = L
         self.M = M
         self.rows = [list(r) for r in rows]
@@ -210,7 +212,7 @@ class HomMatrix:
             for m, v in enumerate(row):
                 if m < ell and v is not None:
                     raise ValueError(f"cell ({ell},{m}) must be absent")
-                if m >= ell and (not isinstance(v, int) or v < 0):
+                if m >= ell and (not _is_json_int(v) or v < 0):
                     raise ValueError(f"cell ({ell},{m}) must be a nonnegative integer")
 
     def value(self, ell, m):
@@ -245,8 +247,6 @@ class HomMatrix:
         if not isinstance(data, dict) or not {"L", "M", "h"} <= data.keys():
             raise ValueError("Hom-matrix JSON must be an object with keys L, M and h")
         L, M, rows = data["L"], data["M"], data["h"]
-        if not (isinstance(L, int) and isinstance(M, int) and L >= 0 and M >= 0):
-            raise ValueError(f"L and M must be nonnegative integers, got {L!r} and {M!r}")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("h must be a list of rows, each a list")
         return cls(L, M, rows)
@@ -258,11 +258,9 @@ def _picket_constraints(x: Embedding, ell, m):
     That space holds the images of the generator under the maps from the
     (ell, m) picket into x, so its dimension is hom_dim(picket, x).
     """
-    blocks = [x.ambient.power(m)]
-    ann = x.sub.annihilator_basis
-    if ann.shape[0] > 0:
-        blocks.append((ann @ x.ambient.power(m - ell)) % x.prime)
-    return np.vstack(blocks)
+    mod = x.ambient
+    ident = np.eye(mod.dim, dtype=np.int64)
+    return np.vstack([mod.shift(ident, -m), mod.shift(x.sub.annihilator_basis, ell - m)])
 
 
 def hom_matrix(x: Embedding) -> HomMatrix:

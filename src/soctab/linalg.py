@@ -15,8 +15,9 @@ tried and ran the realization sweep slower at these sizes, so one row form
 serves every prime.  ``nullspace`` costs one elimination: the reduced
 echelon basis of the kernel is read off the reduced rows directly.
 
-The matrix products that remain in numpy (in ``image``, ``preimage`` and
-the callers of this module) are exact while
+This module knows nothing of the operator: ``FpModule.shift`` applies it,
+and the callers hand the resulting arrays in.  The matrix products that
+remain in numpy, all outside this module, are exact while
 ncols * (p - 1)**2 < 2**63; ``FpModule`` rejects moduli beyond that.
 """
 
@@ -143,32 +144,8 @@ def is_subspace(small, big, p):
     return len(_eliminate(basis + _to_rows(small, p), ncols, p)[0]) == len(basis)
 
 
-def subspace_sum(a, b, p):
-    if a.shape[0] == 0:
-        return row_space(b, p)
-    if b.shape[0] == 0:
-        return row_space(a, p)
-    return row_space(np.vstack([a, b]), p)
-
-
 def intersection(a, b, p):
     """Canonical basis of span(a) & span(b)."""
     n = a.shape[1]
     ann = _null_rows(_to_rows(a, p), n, p) + _null_rows(_to_rows(b, p), n, p)
     return _to_array(_null_rows(ann, n, p), n)
-
-
-def preimage(op, basis, p):
-    """Canonical basis of {v : op @ v in span(basis)}; op is n x n, vectors are rows."""
-    n = op.shape[1]
-    ann = left_annihilator(basis, op.shape[0], p)
-    if ann.shape[0] == 0:
-        return np.eye(n, dtype=np.int64)
-    return nullspace((ann @ op) % p, p)
-
-
-def image(op, basis, p):
-    """Canonical basis of op(span(basis)); rows act through op on the left."""
-    if basis.shape[0] == 0:
-        return basis.copy()
-    return row_space((basis @ op.T) % p, p)

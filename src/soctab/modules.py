@@ -6,10 +6,10 @@ the operator, multiplication by the uniformizer, shifts it to the next
 one in the block.  Subspaces carry their ambient module and a reduced row-echelon
 basis, so equal subspaces have equal basis arrays.
 
-A module's operator and its powers are read-only block shifts, and
-``standard_module`` returns one shared module per (prime, partition), so
-a write to a module's arrays raises instead of changing every embedding
-built on it.
+The operator acts only through ``FpModule.shift``: on rows read as
+vectors it returns T^r v, and on rows read as functionals (r < 0) it
+returns f T^|r|.  How T is stored is known to this module alone, and
+``standard_module`` returns one shared module per (prime, partition).
 
 Each Jordan block is self-dual: reversing the basis inside every block
 turns the transposed operator back into the shift.  So the annihilator of
@@ -55,18 +55,10 @@ def _check_prime(p, dim):
         raise BadPrime(f"modulus {p} is not a prime")
 
 
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
 class FpModule:
-    """Direct sum of Jordan blocks of the sizes ``parts`` over F_p.
+    """Direct sum of Jordan blocks of the sizes ``parts`` over F_p."""
 
-    ``op`` and the arrays ``power`` returns are read-only.
-    """
-
-    __slots__ = ("prime", "parts", "dim", "op", "_powers")
+    __slots__ = ("prime", "parts", "dim", "_powers")
 
     def __init__(self, prime, parts):
         self.prime = int(prime)
@@ -74,12 +66,17 @@ class FpModule:
         self.dim = sum(self.parts)
         _check_prime(self.prime, self.dim)
         # T^0 .. T^N for N = parts[0]; T^N and every higher power are zero
-        self._powers = [_shift(self.parts, r) for r in range(self.nilpotency_index + 1)]
-        self.op = self.power(1)
+        self._powers = [_shift_matrix(self.parts, r) for r in range(self.nilpotency_index + 1)]
 
-    def power(self, r):
-        """T^r as a matrix; saturates at zero beyond the nilpotency index."""
-        return self._powers[min(r, self.nilpotency_index)]
+    def shift(self, rows, r):
+        """T^r applied to each row, a fresh array reduced mod p.
+
+        For r >= 0 the rows are vectors and the result holds T^r v; for
+        r < 0 they are functionals and the result holds f T^|r|.  Powers
+        saturate at zero beyond the nilpotency index.
+        """
+        mat = self._powers[min(abs(r), self.nilpotency_index)]
+        return (rows @ (mat.T if r >= 0 else mat)) % self.prime
 
     @property
     def nilpotency_index(self):
@@ -94,13 +91,13 @@ class FpModule:
         return f"FpModule(p={self.prime}, parts={self.parts})"
 
 
-def _shift(parts, r):
-    """T^r on the blocks ``parts``: p^i -> p^(i+r) inside each block, read-only."""
+def _shift_matrix(parts, r):
+    """T^r on the blocks ``parts``: p^i -> p^(i+r) inside each block."""
     n = sum(parts)
     a = np.zeros((n, n), dtype=np.int64)
     for off, size in zip(block_offsets(parts), parts):
         a[off : off + size, off : off + size] = np.eye(size, k=-r, dtype=np.int64)
-    return _read_only(a)
+    return a
 
 
 class Subspace:
@@ -118,8 +115,7 @@ class Subspace:
     @classmethod
     def _canonical(cls, module, basis):
         """Subspace on a basis that is already reduced row-echelon, as
-        ``linalg.nullspace``, ``row_space``, ``image`` and ``preimage``
-        return it; skips the second rref."""
+        ``linalg.nullspace`` and ``row_space`` return it; skips the second rref."""
         sub = cls.__new__(cls)
         sub.module = module
         sub.basis = basis
@@ -145,8 +141,8 @@ class Subspace:
 
     def is_invariant(self):
         """True iff the operator maps this subspace into itself."""
-        img = linalg.image(self.module.op, self.basis, self.module.prime)
-        return linalg.is_subspace(img, self.basis, self.module.prime)
+        m = self.module
+        return linalg.is_subspace(m.shift(self.basis, 1), self.basis, m.prime)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -171,7 +167,7 @@ def full_subspace(module):
 def standard_module(prime, parts):
     """Direct sum of Jordan blocks of the given sizes.
 
-    Equal (prime, partition) give the same shared, read-only module.
+    Equal (prime, partition) give the same shared module.
     """
     return _standard_module(int(prime), partition(parts))
 
@@ -217,12 +213,11 @@ def module_type(module):
 
 def submodule_span(module, generators):
     """Smallest invariant subspace containing the generators."""
-    p = module.prime
-    gens = linalg.asmat(generators, module.dim, p)
+    gens = linalg.asmat(generators, module.dim, module.prime)
     rows = [gens]
     cur = gens
     for _ in range(module.nilpotency_index):
-        cur = (cur @ module.op.T) % p
+        cur = module.shift(cur, 1)
         if not cur.any():
             break
         rows.append(cur)
@@ -237,12 +232,11 @@ def _require_invariant(sub):
 def quotient_type(module, sub):
     """Type of module/sub under the induced operator."""
     _require_invariant(sub)
-    p = module.prime
     ann = sub.annihilator_basis
 
     def ker_dim(r):
         # dim ker of the induced T^r equals dim {v : T^r v in sub} - dim sub
-        return module.dim - linalg.rank((ann @ module.power(r)) % p, p) - sub.dim
+        return module.dim - linalg.rank(module.shift(ann, -r), module.prime) - sub.dim
 
     return _type_from_kernels(module.dim - sub.dim, ker_dim)
 
@@ -253,20 +247,22 @@ def soc_layer(module, sub, ell):
     if ell <= 0 or sub.dim == 0:
         return zero_subspace(module)
     # coefficients x with T^ell (x . basis) = 0
-    mat = (module.power(ell) @ sub.basis.T) % p
-    coeffs = linalg.nullspace(mat, p)
+    coeffs = linalg.nullspace(module.shift(sub.basis, ell).T, p)
     return Subspace(module, (coeffs @ sub.basis) % p)
 
 
 def rad_layer(module, sub, m):
     """T^m applied to sub."""
-    return Subspace._canonical(module, linalg.image(module.power(m), sub.basis, module.prime))
+    return Subspace._canonical(module, linalg.row_space(module.shift(sub.basis, m), module.prime))
 
 
 def preimage(module, sub, r):
-    """{b in module : T^r b in sub}."""
+    """{b in module : T^r b in sub}: where f T^r vanishes for every f vanishing on sub.
+
+    When no functional vanishes on sub (sub is the whole module), that is everything.
+    """
     return Subspace._canonical(
-        module, linalg.preimage(module.power(r), sub.basis, module.prime)
+        module, linalg.nullspace(module.shift(sub.annihilator_basis, -r), module.prime)
     )
 
 

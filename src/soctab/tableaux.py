@@ -54,6 +54,11 @@ def _is_int(v):
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
+def _is_json_int(v):
+    """An int that ``json`` writes as a number: no bool, no numpy integer."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_int_list(v):
     return isinstance(v, list) and all(map(_is_int, v))
 
@@ -74,7 +79,7 @@ class SkewTableau:
             raise InvalidTableau("entries must cover exactly the skew boxes")
         counts = {}
         for v in self.entries.values():
-            if not isinstance(v, int) or v < 1:
+            if not _is_json_int(v) or v < 1:
                 raise InvalidTableau(f"entries must be positive integers, got {v!r}")
             counts[v] = counts.get(v, 0) + 1
         cols = transpose(self.alpha)

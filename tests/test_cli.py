@@ -283,6 +283,17 @@ def test_convert_hom_rejects_non_object(tmp_path, capsys):
             assert rc == 1 and "invalid input" in err and "Traceback" not in err
 
 
+def test_convert_hom_rejects_bools(tmp_path, capsys):
+    h = [[0, 1, 2, 2, 2], [None, 1, 2, 2, 2], [None, None, 1, 2, 2]]
+    cell = [[0, True, *h[0][2:]], *h[1:]]
+    hfile = tmp_path / "h.json"
+    for data in ({"L": 2, "M": 4, "h": cell}, {"L": 2, "M": True, "h": h}):
+        hfile.write_text(json.dumps(data))
+        rc, out, err = run_cli(capsys, "convert", "--from", "hom", "--to", "socle", str(hfile))
+        assert (rc, out) == (1, ""), data
+        assert err.startswith("invalid input") and "Traceback" not in err, data
+
+
 def test_exit_code_3_on_counterexample(capsys, monkeypatch):
     import soctab.cli as cli
 

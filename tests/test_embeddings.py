@@ -195,8 +195,10 @@ def test_hom_dim_examples():
     assert hom_dim(picket(2, 2, 3), picket(2, 4, 5)) == 3
     assert hom_dim(picket(2, 4, 5), zero_embedding(2)) == 0
     m2 = load_fixture("m2")
+    ident = np.eye(m2.ambient.dim, dtype=np.int64)
     for m in range(1, 4):
-        expect = m2.ambient.dim - linalg.rank(m2.ambient.power(m), 2)
+        # shift(I, -m) is T^m
+        expect = m2.ambient.dim - linalg.rank(m2.ambient.shift(ident, -m), 2)
         assert hom_dim(picket(2, 0, m), m2) == expect
     with pytest.raises(PrimeMismatch):
         hom_dim(picket(2, 1, 2), picket(3, 1, 2))
@@ -258,7 +260,8 @@ def test_hom_isomorphism_invariance():
     for spec in random_corpus(24, 10, 8):
         x = embedding_from_spec(spec, 2)
         n = x.ambient.dim
-        comm = solve_commutant(x.ambient.op, x.ambient.op, 2)
+        t = x.ambient.shift(np.eye(n, dtype=np.int64), -1)
+        comm = solve_commutant(t, t, 2)
         u = None
         for _ in range(100):
             cand = np.zeros((n, n), dtype=np.int64)
@@ -317,3 +320,12 @@ def test_hom_matrix_json():
     h = hom_matrix(load_fixture("m2"))
     blob = json.dumps(h.to_json_dict())
     assert HomMatrix.from_json_dict(json.loads(blob)) == h
+
+
+def test_hom_matrix_rejects_bools():
+    with pytest.raises(ValueError):
+        HomMatrix(1, 1, [[0, True], [None, 1]])
+    for L, M in ((True, 1), (1, True)):
+        with pytest.raises(ValueError):
+            HomMatrix.from_json_dict({"L": L, "M": M, "h": [[0, 1], [None, 1]]})
+    assert HomMatrix(1, 1, [[0, 1], [None, 1]]).to_json_dict()["h"] == [[0, 1], [None, 1]]

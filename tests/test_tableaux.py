@@ -404,3 +404,10 @@ def test_st12_fillings_are_every_monotone_filling():
         assert set(got) == brute_tableaux(alpha, beta, gamma, st12), (alpha, beta, gamma)
         total += len(got)
     assert total > 900
+
+
+def test_bool_entries_are_rejected():
+    # True == 1, but json writes it as true: a tableau entry must be a plain int
+    with pytest.raises(InvalidTableau):
+        SkewTableau((1,), (1,), (), {(1, 1): True})
+    assert SkewTableau((1,), (1,), (), {(1, 1): 1}).to_json_dict()["grid"] == [[1]]
