@@ -68,8 +68,6 @@ from .embeddings import (
     embedding_from_json,
     embedding_from_spec,
     embedding_to_json,
-    entries_below,
-    hom_dim,
     hom_matrix,
     load_fixture,
     lr_tableau,
@@ -84,11 +82,11 @@ from .realize import (
     build_chain,
     realize_lr,
     realize_socle,
-    verify_epi_chain,
 )
 from .convert import (
     InconsistentMatrix,
     defect,
+    defect_table,
     duallr_to_hom,
     duallr_to_socle,
     entry_multiplicities,

@@ -9,7 +9,7 @@ is a reportable result rather than a bug.
 from itertools import groupby
 
 from .convert import (
-    defect,
+    defect_table,
     duallr_to_hom,
     entry_multiplicities,
     hom_to_duallr,
@@ -194,24 +194,19 @@ def defect_sweep(
         for p, x in per_prime.items():
             mu = entry_multiplicities(socle_tableau(x))
             h = hom_matrix(x)
-            a1 = x.alpha[0] if x.alpha else 0
-            b1 = x.beta[0] if x.beta else 0
-            table = {}
-            for ell in range(1, a1 + 1):
-                for m in range(ell + 1, a1 + b1 + 1):
-                    d = defect(x, ell, m)
-                    table[(ell, m)] = d
-                    expected_mu = mu.get((ell, m - ell), 0)
-                    expected_h = (
-                        h.value(ell, m - 1)
-                        - h.value(ell, m)
-                        - h.value(ell - 1, m - 2)
-                        + h.value(ell - 1, m - 1)
+            table = defect_table(x)
+            for (ell, m), d in table.items():
+                expected_mu = mu.get((ell, m - ell), 0)
+                expected_h = (
+                    h.value(ell, m - 1)
+                    - h.value(ell, m)
+                    - h.value(ell - 1, m - 2)
+                    + h.value(ell - 1, m - 1)
+                )
+                if not (d == expected_mu == expected_h):
+                    rep.fail(
+                        f"{name} p={p} ({ell},{m}): defect={d} mu={expected_mu} hom={expected_h}"
                     )
-                    if not (d == expected_mu == expected_h):
-                        rep.fail(
-                            f"{name} p={p} ({ell},{m}): defect={d} mu={expected_mu} hom={expected_h}"
-                        )
             tables[p] = table
         first = tables[primes[0]]
         for p in primes[1:]:

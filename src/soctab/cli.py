@@ -15,7 +15,7 @@ import sys
 
 from . import checks
 from .convert import (
-    defect,
+    defect_table,
     duallr_to_hom,
     duallr_to_socle,
     hom_to_duallr,
@@ -106,13 +106,7 @@ def _analyze(x: Embedding):
     dual_sigma = socle_tableau(dual)
     dual_gamma = lr_tableau(dual)
     h = hom_matrix(x)
-    a1 = x.alpha[0] if x.alpha else 0
-    b1 = x.beta[0] if x.beta else 0
-    defects = [
-        [ell, m, defect(x, ell, m)]
-        for ell in range(1, a1 + 1)
-        for m in range(ell + 1, a1 + b1 + 1)
-    ]
+    defects = [[ell, m, d] for (ell, m), d in defect_table(x).items()]
     return sigma, gamma_t, dual_sigma, dual_gamma, h, defects
 
 

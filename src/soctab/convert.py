@@ -1,18 +1,16 @@
 """Closed-form conversions between the socle tableau, the dual LR tableau,
-and the Hom-matrix, plus the cokernel defect of a fixed picket map.
+and the Hom-matrix, plus the cokernel defect of the canonical picket map,
+computed from the picket Hom spaces of the embedding alone.
 
 Entry multiplicities are plain dicts mu[(entry, row)] -> count; a tableau
 of known kind and ambient is reconstructible from its multiplicity map,
 whose cumulative row sums are the row lengths of its partition chain.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import linalg
-from .embeddings import BadIndex, Embedding, HomMatrix, _picket_constraints, picket, direct_sum
-from .modules import Subspace, quotient_type
+from .embeddings import BadIndex, Embedding, HomMatrix, _picket_constraints
 from .partitions import partition, transpose
 from .tableaux import (
     InvalidTableau,
@@ -292,50 +290,46 @@ def duallr_to_socle(t: SkewTableau) -> SkewTableau:
 # the defect of the canonical picket map
 
 
-@lru_cache(maxsize=None)
-def _verify_defect_sequence(prime: int, ell: int, m: int) -> bool:
-    """Structural check of the short exact sequence behind the defect.
-
-    The map from the length-(m-1) picket into the direct sum of the
-    length-m and length-(m-2) pickets is injective, compatible with the
-    subspaces, and has cokernel of type (m-1).
-    """
-    top = picket(prime, ell, m - 1)
-    mid = direct_sum(picket(prime, ell, m), picket(prime, ell - 1, m - 2))
-    f = np.zeros((mid.ambient.dim, m - 1), dtype=np.int64)
-    for i in range(m - 1):
-        f[i + 1, i] = 1  # multiplication by the uniformizer into the first block
-    for i in range(m - 2):
-        f[m + i, i] = (-1) % prime  # negated canonical surjection into the second
-    if linalg.rank(f, prime) != m - 1:
-        raise AssertionError("picket map is not injective")
-    img_sub = linalg.row_space((top.sub.basis @ f.T) % prime, prime)
-    if not linalg.is_subspace(img_sub, mid.sub.basis, prime):
-        raise AssertionError("picket map does not respect the subspaces")
-    img = Subspace(mid.ambient, (np.eye(m - 1, dtype=np.int64) @ f.T) % prime)
-    if quotient_type(mid.ambient, img) != (m - 1,):
-        raise AssertionError("cokernel of the picket map has the wrong type")
-    # sub-level exactness: the middle subspace meets the image exactly in the
-    # image of the top subspace, so the quotient carries a length-(ell-1) sub
-    met = linalg.intersection(mid.sub.basis, img.basis, prime)
-    if met.shape[0] != ell:
-        raise AssertionError("picket map subs are not exact in the middle")
-    return True
-
-
 def defect(x: Embedding, ell: int, m: int) -> int:
     """Cokernel length of precomposition with the canonical picket map.
 
-    Equals the multiplicity of entry ell in row m - ell of the socle
-    tableau of x.
+    The map goes from the (ell, m-1) picket into the direct sum of the
+    (ell, m) and (ell-1, m-2) pickets.  The defect equals the multiplicity
+    of entry ell in row m - ell of the socle tableau of x.
     """
     if ell < 1 or m <= ell:
         raise BadIndex(f"defect requires 1 <= ell < m, got ({ell},{m})")
-    _verify_defect_sequence(x.prime, ell, m)
-    p = x.prime
-    # the maps from the (a, b) picket, as the solutions v of T^b v = 0, T^(b-a) v in sub
-    top = linalg.nullspace(_picket_constraints(x, ell, m - 1), p)
-    v1 = linalg.nullspace(_picket_constraints(x, ell, m), p)
-    v2 = linalg.nullspace(_picket_constraints(x, ell - 1, m - 2), p)
+    return _defect(x, ell, m, {})
+
+
+def defect_table(x: Embedding) -> dict:
+    """{(ell, m): defect(x, ell, m)} over every cell the socle tableau can fill.
+
+    That is 1 <= ell <= alpha_1 and ell < m <= alpha_1 + beta_1, with ell
+    then m increasing; every other defect is 0.  Neighbouring cells share
+    picket Hom spaces, so the call solves each of them once.
+    """
+    a1 = x.alpha[0] if x.alpha else 0
+    b1 = x.beta[0] if x.beta else 0
+    memo = {}
+    return {
+        (ell, m): _defect(x, ell, m, memo)
+        for ell in range(1, a1 + 1)
+        for m in range(ell + 1, a1 + b1 + 1)
+    }
+
+
+def _defect(x, ell, m, memo):
+    top = _picket_maps(x, ell, m - 1, memo)
+    v1 = _picket_maps(x, ell, m, memo)
+    v2 = _picket_maps(x, ell - 1, m - 2, memo)
     # the precomposed maps are spanned by T v1 and v2
-    return top.shape[0] - linalg.rank(np.vstack([x.ambient.shift(v1, 1), v2]), p)
+    return top.shape[0] - linalg.rank(np.vstack([x.ambient.shift(v1, 1), v2]), x.prime)
+
+
+def _picket_maps(x, ell, m, memo):
+    """The maps from the (ell, m) picket into x, as the solutions v of
+    T^m v = 0, T^(m-ell) v in sub; solved once per ``memo``."""
+    if (ell, m) not in memo:
+        memo[ell, m] = linalg.nullspace(_picket_constraints(x, ell, m), x.prime)
+    return memo[ell, m]

@@ -25,7 +25,6 @@ from .modules import (
     _type_from_kernels,
     annihilator,
     block_offsets,
-    full_subspace,
     module_type,
     quotient_type,
     rad_layer,
@@ -172,27 +171,6 @@ def dual_embedding(x: Embedding) -> Embedding:
     return Embedding(x.ambient, annihilator(x.ambient, x.sub))
 
 
-def hom_dim(x: Embedding, y: Embedding) -> int:
-    """Dimension of {f : ambient_x -> ambient_y, f T = T f, f(sub_x) <= sub_y}."""
-    if x.prime != y.prime:
-        raise PrimeMismatch(f"primes differ: {x.prime} vs {y.prime}")
-    p = x.prime
-    nx, ny = x.ambient.dim, y.ambient.dim
-    if nx == 0 or ny == 0:
-        return 0
-    ix = np.eye(nx, dtype=np.int64)
-    iy = np.eye(ny, dtype=np.int64)
-    # vec is column-major: vec(F Tx) = (Tx^T kron I) vec F, vec(Ty F) = (I kron Ty) vec F;
-    # shift(I, 1) is T^T and shift(I, -1) is T
-    blocks = [np.kron(x.ambient.shift(ix, 1), iy) - np.kron(ix, y.ambient.shift(iy, -1))]
-    ann = y.sub.annihilator_basis
-    if ann.shape[0] > 0:
-        for a in x.sub.basis:
-            blocks.append(np.kron(a.reshape(1, nx), ann))
-    mat = np.vstack(blocks) % p
-    return nx * ny - linalg.rank(mat, p)
-
-
 class HomMatrix:
     """Triangular integer matrix h[ell][m], 0 <= ell <= L, ell <= m <= M."""
 
@@ -256,7 +234,7 @@ def _picket_constraints(x: Embedding, ell, m):
     """Matrix whose nullspace is {b : T^m b = 0 and T^(m-ell) b in sub}.
 
     That space holds the images of the generator under the maps from the
-    (ell, m) picket into x, so its dimension is hom_dim(picket, x).
+    (ell, m) picket into x, so its dimension is that of the Hom space.
     """
     mod = x.ambient
     ident = np.eye(mod.dim, dtype=np.int64)
@@ -276,17 +254,6 @@ def hom_matrix(x: Embedding) -> HomMatrix:
             row[m] = n - linalg.rank(_picket_constraints(x, ell, m), p)
         rows.append(row)
     return HomMatrix(L, M, rows)
-
-
-def entries_below(x: Embedding, ell, r) -> int:
-    """dim of (soc^ell sub & rad^(r-1) ambient) over (soc^(ell-1) sub & rad^(r-1) ambient)."""
-    if ell < 1 or r < 1:
-        raise BadIndex("entries_below requires ell, r >= 1")
-    p = x.prime
-    radb = rad_layer(x.ambient, full_subspace(x.ambient), r - 1)
-    hi = linalg.intersection(soc_layer(x.ambient, x.sub, ell).basis, radb.basis, p)
-    lo = linalg.intersection(soc_layer(x.ambient, x.sub, ell - 1).basis, radb.basis, p)
-    return hi.shape[0] - lo.shape[0]
 
 
 # ---------------------------------------------------------------------------

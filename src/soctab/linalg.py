@@ -143,9 +143,3 @@ def is_subspace(small, big, p):
     basis = _eliminate(_to_rows(big, p), ncols, p)[0]
     return len(_eliminate(basis + _to_rows(small, p), ncols, p)[0]) == len(basis)
 
-
-def intersection(a, b, p):
-    """Canonical basis of span(a) & span(b)."""
-    n = a.shape[1]
-    ann = _null_rows(_to_rows(a, p), n, p) + _null_rows(_to_rows(b, p), n, p)
-    return _to_array(_null_rows(ann, n, p), n)

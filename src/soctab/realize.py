@@ -4,9 +4,10 @@ The construction builds a chain of surjections with semisimple kernels
 between the standard modules of the chain layers.  Column pairs found by
 the level matching receive a unipotent correction so that the kernel of
 each two-step composite has socle equal to the kernel of the first step;
-the kernel of the full composite is then the subspace sought.  LR
-tableaux are realized as the duals of the realizations of their mirrored
-socle tableaux, which lie in the same standard module of beta.
+the kernel of the full composite is then the subspace sought, and each
+map is checked as it is built.  LR tableaux are realized as the duals of
+the realizations of their mirrored socle tableaux, which lie in the same
+standard module of beta.
 """
 
 import numpy as np
@@ -14,16 +15,8 @@ import numpy as np
 from . import linalg
 from .convert import duallr_to_socle
 from .embeddings import Embedding, dual_embedding
-from .modules import (
-    Subspace,
-    block_offsets,
-    module_type,
-    quotient_type,
-    soc_layer,
-    standard_module,
-    zero_subspace,
-)
-from .partitions import partition, transpose
+from .modules import Subspace, block_offsets, soc_layer, standard_module, zero_subspace
+from .partitions import transpose
 from .tableaux import (
     InvalidTableau,
     SkewTableau,
@@ -62,11 +55,12 @@ class EpiChain:
         return f"EpiChain(p={self.prime}, dims={dims})"
 
 
-def build_chain(t: SkewTableau, prime: int, with_corrections: bool = True) -> EpiChain:
+def build_chain(t: SkewTableau, prime: int) -> EpiChain:
     """Epimorphism chain realizing the socle tableau ``t``.
 
-    ``with_corrections=False`` drops the unipotent column corrections and
-    generally breaks the kernel condition; it exists for diagnostics.
+    Each map must be onto, with the kernel length that ``t`` prescribes,
+    and meet the socle condition with the next map; a failure is a bug
+    and raises ``ConditionStarViolated``.
     """
     if not check_socle(t):
         raise InvalidTableau("socle tableau expected")
@@ -86,7 +80,7 @@ def build_chain(t: SkewTableau, prime: int, with_corrections: bool = True) -> Ep
             # canonical surjection of blocks, p^i -> p^i for i < dst[j]
             blk = np.eye(dst[j], src[j], dtype=np.int64)
             g[doffs[j] : doffs[j] + dst[j], soffs[j] : soffs[j] + src[j]] = blk
-        if with_corrections and ell < s:
+        if ell < s:
             h = _correction(t, layers[ell], doffs, ell, prime)
             g = (h @ g) % prime
         maps.append(g)
@@ -98,8 +92,11 @@ def build_chain(t: SkewTableau, prime: int, with_corrections: bool = True) -> Ep
         if kdim != acols[ell - 1]:
             raise ConditionStarViolated(f"stage {ell} kernel has the wrong length")
     epi = EpiChain(prime, stages, maps)
-    if with_corrections:
-        for idx in _socle_condition_failures(epi, kernels):
+    # condition star: soc(Ker f2 f1) = Ker f1 for consecutive maps f1, f2
+    for idx in range(s - 1):
+        f1, f2 = maps[idx], maps[idx + 1]
+        ker12 = Subspace._canonical(stages[idx], linalg.nullspace((f2 @ f1) % prime, prime))
+        if not np.array_equal(soc_layer(stages[idx], ker12, 1).basis, kernels[idx]):
             raise ConditionStarViolated(f"socle condition fails between stages {idx+1},{idx+2}")
     return epi
 
@@ -124,58 +121,6 @@ def _correction(t, layer, offs, ell, prime):
         # inclusion of the length-v block into the length-u one: p^i -> p^(u-v+i)
         h[offs[i] : offs[i] + u, offs[j] : offs[j] + v] = np.eye(u, v, k=v - u, dtype=np.int64)
     return h
-
-
-def _socle_condition_failures(epi: EpiChain, kernels):
-    """Indices idx where soc(Ker f_(idx+2) f_(idx+1)) != Ker f_(idx+1) (condition star).
-
-    ``kernels[i]`` is ``linalg.nullspace(epi.maps[i], p)``.
-    """
-    p = epi.prime
-    for idx in range(len(epi.maps) - 1):
-        f1, f2 = epi.maps[idx], epi.maps[idx + 1]
-        src = epi.stages[idx]
-        ker12 = Subspace._canonical(src, linalg.nullspace((f2 @ f1) % p, p))
-        if not np.array_equal(soc_layer(src, ker12, 1).basis, kernels[idx]):
-            yield idx
-
-
-def verify_epi_chain(epi: EpiChain, expected_alpha=None) -> list:
-    """Diagnostic report: list of violation descriptions, empty when clean."""
-    p = epi.prime
-    problems = []
-    kernels = [linalg.nullspace(f, p) for f in epi.maps]
-    for i, (f, ker) in enumerate(zip(epi.maps, kernels), 1):
-        src, dst = epi.stages[i - 1], epi.stages[i]
-        if f.shape != (dst.dim, src.dim):
-            problems.append(f"map {i} has shape {f.shape}, expected {(dst.dim, src.dim)}")
-            continue
-        if src.dim - ker.shape[0] != dst.dim:
-            problems.append(f"map {i} is not surjective")
-        if src.shift(ker, 1).any():
-            problems.append(f"kernel of map {i} is not semisimple")
-    for idx in _socle_condition_failures(epi, kernels):
-        problems.append(f"socle condition fails between maps {idx+1} and {idx+2}")
-    if expected_alpha is not None:
-        acols = transpose(partition(expected_alpha))
-        for i, (f, ker) in enumerate(zip(epi.maps, kernels), 1):
-            # rank(f) = f.shape[1] - dim ker f
-            kdim = epi.stages[i - 1].dim - (f.shape[1] - ker.shape[0])
-            want = acols[i - 1] if i <= len(acols) else 0
-            if kdim != want:
-                problems.append(f"kernel of map {i} has length {kdim}, expected {want}")
-    # quotients along the socle filtration of the composite kernel
-    if not problems and epi.maps:
-        amb = epi.stages[0]
-        sub = Subspace._canonical(amb, linalg.nullspace(epi.composite(), p))
-        for ell in range(len(epi.stages)):
-            got = quotient_type(amb, soc_layer(amb, sub, ell))
-            want = module_type(epi.stages[ell])
-            if got != want:
-                problems.append(
-                    f"quotient by socle layer {ell} has type {got}, expected {want}"
-                )
-    return problems
 
 
 def realize_socle(t: SkewTableau, prime: int = 2) -> Embedding:

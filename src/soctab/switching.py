@@ -12,6 +12,7 @@ conjecturally always.
 """
 
 import random
+from functools import lru_cache
 
 from .convert import socle_to_duallr
 from .partitions import partition, transpose, weight
@@ -63,6 +64,12 @@ class _Geometry:
         }
 
 
+@lru_cache(maxsize=None)
+def _geometry(beta):
+    # keyed by the validated partition, so one entry per diagram a caller visits
+    return _Geometry(beta)
+
+
 class SwitchState:
     """Mutable grid over the diagram of beta; every box is owned by S or T.
 
@@ -76,16 +83,12 @@ class SwitchState:
 
     __slots__ = ("beta", "owner", "entry", "history", "_geo")
 
-    def __init__(self, beta, owner, entry, geometry=None):
+    def __init__(self, beta, owner, entry):
         self.beta = partition(beta)
         self.owner = dict(owner)
         self.entry = dict(entry)
         self.history = []
-        if geometry is None:
-            geometry = _Geometry(self.beta)
-        elif geometry.beta != self.beta:
-            raise ValueError(f"geometry of {geometry.beta} given for a state over {self.beta}")
-        self._geo = geometry
+        self._geo = _geometry(self.beta)
 
     def copy(self):
         st = SwitchState.__new__(SwitchState)
@@ -189,12 +192,8 @@ class SwitchState:
         return {"beta": list(self.beta), "grid": grid}
 
 
-def init_switch(t: SkewTableau, geometry=None) -> SwitchState:
-    """Superstandard inner filling of gamma plus the inverted socle tableau outside.
-
-    ``geometry`` is the box lists of another state over the same beta
-    (``state._geo``), to share rather than recompute.
-    """
+def init_switch(t: SkewTableau) -> SwitchState:
+    """Superstandard inner filling of gamma plus the inverted socle tableau outside."""
     if not check_socle(t):
         raise InvalidTableau("socle tableau expected")
     s = t.max_entry()
@@ -208,7 +207,7 @@ def init_switch(t: SkewTableau, geometry=None) -> SwitchState:
     for box, v in t.entries.items():
         owner[box] = "T"
         entry[box] = s + 1 - v
-    return SwitchState(t.beta, owner, entry, geometry)
+    return SwitchState(t.beta, owner, entry)
 
 
 def run_switch(state: SwitchState, order: str = "deterministic", rng=None) -> SwitchState:
@@ -343,15 +342,12 @@ def check_conjecture(max_beta_weight: int, seeds: int = 5, base_seed: int = 0) -
     from .tableaux import iter_tableaux
 
     report = ConjectureReport(max_beta_weight, seeds)
-    geometry = None
     for alpha, beta, gamma in shape_triples(max_beta_weight):
         report.shapes += 1
-        if geometry is None or geometry.beta != beta:
-            geometry = _Geometry(beta)
         for t in iter_tableaux(alpha, beta, gamma, kind="socle"):
             report.tableaux += 1
             expected = socle_to_duallr(t)
-            initial = init_switch(t, geometry)
+            initial = init_switch(t)
             baseline = run_switch(initial)
             runs = [("deterministic", baseline)]
             for k in range(seeds):

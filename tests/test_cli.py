@@ -112,6 +112,19 @@ def test_analyze_reads_the_prime_of_the_file(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["result"]["prime"] == 2
 
 
+def test_analyze_at_a_large_prime(tmp_path, capsys):
+    # the 3-dimensional module admits p = 1000000007, and so does its analysis
+    path = tmp_path / "block3.json"
+    path.write_text(json.dumps({"prime": 2, "beta": [3], "generators": [[[1, 0, 0]]]}))
+    rc, out, err = run_cli(capsys, "analyze", str(path), "--prime", "1000000007", "--format", "json")
+    assert (rc, err) == (0, "")
+    big = json.loads(out)["result"]
+    rc, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
+    small = json.loads(out)["result"]
+    assert rc == 0 and (big.pop("prime"), small.pop("prime")) == (1000000007, 2)
+    assert big == small
+
+
 def test_realize_and_round_trip(tmp_path, capsys):
     tfile = tmp_path / "sigma2.json"
     tfile.write_text(json.dumps(SOCLE_M2.to_json_dict()))

@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
 
 from fixtures import DUAL_LR_M2, SOCLE_M2
+from oracles import intersection
+from soctab import convert, linalg
 from soctab.convert import (
     InconsistentMatrix,
     defect,
+    defect_table,
     duallr_to_hom,
     duallr_to_socle,
     entry_multiplicities,
@@ -16,14 +20,18 @@ from soctab.convert import (
 from soctab.embeddings import (
     BadIndex,
     HomMatrix,
+    direct_sum,
     dual_embedding,
+    embedding_from_spec,
     hom_matrix,
     load_fixture,
     lr_tableau,
     picket,
+    random_corpus,
     socle_tableau,
     zero_embedding,
 )
+from soctab.modules import Subspace, quotient_type
 from soctab.partitions import partitions_of, subdiagrams, transpose, weight
 from soctab.tableaux import InvalidTableau, SkewTableau, iter_tableaux
 
@@ -159,6 +167,89 @@ def test_defect():
         defect(m2, 2, 2)
     with pytest.raises(BadIndex):
         defect(m2, 0, 3)
+
+
+def test_defect_table_matches_defect():
+    xs = [load_fixture(name, prime=p) for name in ("m1", "m2", "m3") for p in (2, 3)]
+    xs += [embedding_from_spec(spec, 2) for spec in random_corpus(32, 20, 8)]
+    for x in xs + [zero_embedding(2)]:
+        a1 = x.alpha[0] if x.alpha else 0
+        b1 = x.beta[0] if x.beta else 0
+        cells = [(ell, m) for ell in range(1, a1 + 1) for m in range(ell + 1, a1 + b1 + 1)]
+        table = defect_table(x)
+        assert list(table) == cells
+        assert table == {(ell, m): defect(x, ell, m) for ell, m in cells}
+
+
+def test_defect_table_solves_each_picket_space_once(monkeypatch):
+    calls = []
+    solve = convert._picket_constraints
+    monkeypatch.setattr(
+        convert, "_picket_constraints", lambda x, ell, m: calls.append((ell, m)) or solve(x, ell, m)
+    )
+    m2 = load_fixture("m2")
+    assert len(defect_table(m2)) == 26
+    # the 26 defects of m2 need 38 distinct picket spaces, each solved once
+    assert len(calls) == len(set(calls)) == 38
+
+
+def test_defect_at_a_large_prime():
+    # a 3-dimensional module admits p = 1000000007; the defect builds no
+    # larger module, so the int64 bound of a bigger one cannot refuse it
+    spec = {"beta": [3], "generators": [[[1, 0, 0]]]}
+    x2, xbig = embedding_from_spec(spec, 2), embedding_from_spec(spec, 1000000007)
+    assert hom_matrix(xbig) == hom_matrix(x2)
+    assert defect_table(xbig) == defect_table(x2)
+    assert defect_table(x2)[(1, 4)] == 1
+    for ell in range(1, 4):
+        for m in range(ell + 1, 8):
+            assert defect(xbig, ell, m) == defect(x2, ell, m)
+
+
+# The defect sequence depends only on (p, ell, m).  The analysis of an
+# embedding reaches m <= alpha_1 + beta_1 <= 2 beta_1, which is at most 10
+# on the bundled fixtures and at most 20 on the weight-10 corpus of the
+# acceptance sweeps.
+DEFECT_SEQUENCE_MAX_M = 20
+
+
+def test_defect_sequence_bound_covers_the_sweeps():
+    specs = random_corpus(20260810, 200, 10)
+    b1s = [load_fixture(name).beta[0] for name in ("m1", "m2", "m3")]
+    b1s += [spec["beta"][0] for spec in specs]
+    assert 2 * max(b1s) <= DEFECT_SEQUENCE_MAX_M
+
+
+def check_defect_sequence(prime, ell, m):
+    """Structural check of the short exact sequence behind the defect.
+
+    The map from the length-(m-1) picket into the direct sum of the
+    length-m and length-(m-2) pickets is injective, compatible with the
+    subspaces, and has cokernel of type (m-1).
+    """
+    top = picket(prime, ell, m - 1)
+    mid = direct_sum(picket(prime, ell, m), picket(prime, ell - 1, m - 2))
+    f = np.zeros((mid.ambient.dim, m - 1), dtype=np.int64)
+    for i in range(m - 1):
+        f[i + 1, i] = 1  # multiplication by the uniformizer into the first block
+    for i in range(m - 2):
+        f[m + i, i] = (-1) % prime  # negated canonical surjection into the second
+    assert linalg.rank(f, prime) == m - 1, "picket map is not injective"
+    img_sub = linalg.row_space((top.sub.basis @ f.T) % prime, prime)
+    assert linalg.is_subspace(img_sub, mid.sub.basis, prime), "picket map does not respect the subspaces"
+    img = Subspace(mid.ambient, (np.eye(m - 1, dtype=np.int64) @ f.T) % prime)
+    assert quotient_type(mid.ambient, img) == (m - 1,), "cokernel of the picket map has the wrong type"
+    # sub-level exactness: the middle subspace meets the image exactly in the
+    # image of the top subspace, so the quotient carries a length-(ell-1) sub
+    met = intersection(mid.sub.basis, img.basis, prime)
+    assert met.shape[0] == ell, "picket map subs are not exact in the middle"
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 7])
+def test_defect_sequence_is_exact(prime):
+    for m in range(2, DEFECT_SEQUENCE_MAX_M + 1):
+        for ell in range(1, m):
+            check_defect_sequence(prime, ell, m)
 
 
 def test_tampered_matrices_never_crash():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
+from oracles import intersection
 from soctab import linalg
 from soctab.embeddings import (
     BadIndex,
@@ -16,8 +17,6 @@ from soctab.embeddings import (
     embedding_from_json,
     embedding_from_spec,
     embedding_to_json,
-    entries_below,
-    hom_dim,
     hom_matrix,
     load_fixture,
     lr_tableau,
@@ -28,6 +27,7 @@ from soctab.embeddings import (
 )
 from soctab.modules import (
     Subspace,
+    full_subspace,
     quotient_type,
     rad_layer,
     soc_layer,
@@ -191,6 +191,31 @@ def test_random_corpus_tableaux_valid():
         assert check_lr(lr_tableau(x))
 
 
+def hom_dim(x, y):
+    """Dimension of {f : ambient_x -> ambient_y, f T = T f, f(sub_x) <= sub_y}.
+
+    The reference for ``hom_matrix``: it solves for f itself, as a vector
+    of nx * ny unknowns, instead of for the image of a picket generator.
+    """
+    if x.prime != y.prime:
+        raise PrimeMismatch(f"primes differ: {x.prime} vs {y.prime}")
+    p = x.prime
+    nx, ny = x.ambient.dim, y.ambient.dim
+    if nx == 0 or ny == 0:
+        return 0
+    ix = np.eye(nx, dtype=np.int64)
+    iy = np.eye(ny, dtype=np.int64)
+    # vec is column-major: vec(F Tx) = (Tx^T kron I) vec F, vec(Ty F) = (I kron Ty) vec F;
+    # shift(I, 1) is T^T and shift(I, -1) is T
+    blocks = [np.kron(x.ambient.shift(ix, 1), iy) - np.kron(ix, y.ambient.shift(iy, -1))]
+    ann = y.sub.annihilator_basis
+    if ann.shape[0] > 0:
+        for a in x.sub.basis:
+            blocks.append(np.kron(a.reshape(1, nx), ann))
+    mat = np.vstack(blocks) % p
+    return nx * ny - linalg.rank(mat, p)
+
+
 def test_hom_dim_examples():
     assert hom_dim(picket(2, 2, 3), picket(2, 4, 5)) == 3
     assert hom_dim(picket(2, 4, 5), zero_embedding(2)) == 0
@@ -275,6 +300,15 @@ def test_hom_isomorphism_invariance():
         moved = Subspace(x.ambient, (x.sub.basis @ u.T) % 2)
         y = Embedding(x.ambient, moved)
         assert hom_matrix(y) == hom_matrix(x)
+
+
+def entries_below(x, ell, r):
+    """dim of (soc^ell sub & rad^(r-1) ambient) over (soc^(ell-1) sub & rad^(r-1) ambient)."""
+    p = x.prime
+    radb = rad_layer(x.ambient, full_subspace(x.ambient), r - 1)
+    hi = intersection(soc_layer(x.ambient, x.sub, ell).basis, radb.basis, p)
+    lo = intersection(soc_layer(x.ambient, x.sub, ell - 1).basis, radb.basis, p)
+    return hi.shape[0] - lo.shape[0]
 
 
 def test_entries_below():

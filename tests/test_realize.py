@@ -12,17 +12,71 @@ from soctab.embeddings import (
     picket,
     socle_tableau,
 )
-from soctab.modules import module_type, standard_module
-from soctab.partitions import partitions_of, shape_triples, subdiagrams, transpose, weight
+from soctab.modules import Subspace, module_type, quotient_type, soc_layer, standard_module
+from soctab.partitions import (
+    partition,
+    partitions_of,
+    shape_triples,
+    subdiagrams,
+    transpose,
+    weight,
+)
 from soctab.realize import (
     ConditionStarViolated,
     EpiChain,
     build_chain,
     realize_lr,
     realize_socle,
-    verify_epi_chain,
 )
 from soctab.tableaux import InvalidTableau, SkewTableau, iter_tableaux
+
+
+def verify_epi_chain(epi, expected_alpha=None):
+    """Every violation of the properties of a realizing chain, as messages.
+
+    Each map is onto with a semisimple kernel, consecutive maps satisfy
+    the socle condition soc(Ker f2 f1) = Ker f1, the kernel lengths are
+    the columns of ``expected_alpha``, and the quotients along the socle
+    filtration of the composite kernel are the stages.  Empty when clean.
+    """
+    p = epi.prime
+    problems = []
+    kernels = [linalg.nullspace(f, p) for f in epi.maps]
+    for i, (f, ker) in enumerate(zip(epi.maps, kernels), 1):
+        src, dst = epi.stages[i - 1], epi.stages[i]
+        if f.shape != (dst.dim, src.dim):
+            problems.append(f"map {i} has shape {f.shape}, expected {(dst.dim, src.dim)}")
+            continue
+        if src.dim - ker.shape[0] != dst.dim:
+            problems.append(f"map {i} is not surjective")
+        if src.shift(ker, 1).any():
+            problems.append(f"kernel of map {i} is not semisimple")
+    for i in range(1, len(epi.maps)):
+        f1, f2 = epi.maps[i - 1], epi.maps[i]
+        src = epi.stages[i - 1]
+        ker12 = Subspace(src, linalg.nullspace((f2 @ f1) % p, p))
+        if soc_layer(src, ker12, 1) != Subspace(src, kernels[i - 1]):
+            problems.append(f"socle condition fails between maps {i} and {i + 1}")
+    if expected_alpha is not None:
+        acols = transpose(partition(expected_alpha))
+        for i, (f, ker) in enumerate(zip(epi.maps, kernels), 1):
+            # rank(f) = f.shape[1] - dim ker f
+            kdim = epi.stages[i - 1].dim - (f.shape[1] - ker.shape[0])
+            want = acols[i - 1] if i <= len(acols) else 0
+            if kdim != want:
+                problems.append(f"kernel of map {i} has length {kdim}, expected {want}")
+    # quotients along the socle filtration of the composite kernel
+    if not problems and epi.maps:
+        amb = epi.stages[0]
+        sub = Subspace(amb, linalg.nullspace(epi.composite(), p))
+        for ell in range(len(epi.stages)):
+            got = quotient_type(amb, soc_layer(amb, sub, ell))
+            want = module_type(epi.stages[ell])
+            if got != want:
+                problems.append(
+                    f"quotient by socle layer {ell} has type {got}, expected {want}"
+                )
+    return problems
 
 
 def test_build_chain_shape():
@@ -58,9 +112,19 @@ def test_empty_chain():
     assert x.shape == ((), (3, 1), (3, 1))
 
 
-def test_uncorrected_chain_reports_violations():
-    epi = build_chain(SOCLE_M2, 2, with_corrections=False)
-    problems = verify_epi_chain(epi, (4, 2))
+def test_uncorrected_chain_reports_violations(monkeypatch):
+    from soctab import realize
+
+    # identity corrections leave the canonical surjections; keep the chain
+    # that build_chain refuses, to read every violation off it
+    monkeypatch.setattr(
+        realize, "_correction", lambda t, layer, offs, ell, prime: np.eye(sum(layer), dtype=np.int64)
+    )
+    built = []
+    monkeypatch.setattr(realize, "EpiChain", lambda *args: built.append(EpiChain(*args)) or built[-1])
+    with pytest.raises(ConditionStarViolated, match=r"^socle condition fails between stages 1,2$"):
+        build_chain(SOCLE_M2, 2)
+    problems = verify_epi_chain(built[0], (4, 2))
     assert problems == [
         "socle condition fails between maps 1 and 2",
         "socle condition fails between maps 2 and 3",

@@ -38,6 +38,16 @@ def test_init_switch_rejects_non_socle():
         init_switch(SkewTableau((4, 2), (5, 3, 2), (3, 1), bad))
 
 
+def test_states_over_one_diagram_share_their_geometry():
+    a, b = iter_tableaux((4, 2), (5, 3, 2), (3, 1), kind="socle")
+    geo = init_switch(a)._geo
+    assert init_switch(b)._geo is geo
+    assert run_switch(init_switch(b))._geo is geo
+    # keyed by the partition, so padding zeros give the same geometry
+    assert switching.SwitchState([5, 3, 2, 0], {}, {})._geo is geo
+    assert init_switch(socle_tableau(picket(2, 4, 5)))._geo is not geo
+
+
 def test_run_switch_example():
     st = run_switch(init_switch(SOCLE_M2))
     assert len(st.history) == 8
