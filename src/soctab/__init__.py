@@ -41,7 +41,6 @@ from .tableaux import (
     from_chain,
     iter_tableaux,
     lr_coefficient,
-    lr_counts,
     to_chain,
 )
 from .modules import (

@@ -9,12 +9,12 @@ is a reportable result rather than a bug.
 from itertools import groupby
 
 from .convert import (
+    _socle_chain_to_duallr,
     defect_table,
     duallr_to_hom,
     entry_multiplicities,
     hom_to_duallr,
     hom_to_socle,
-    socle_to_duallr,
     socle_to_hom,
 )
 from .embeddings import (
@@ -30,13 +30,14 @@ from .partitions import shape_triples
 from .realize import realize_lr, realize_socle
 from .tableaux import (
     MatchingFailed,
+    _beta_chains,
+    _lr_chain_shape,
     build_matching,
     check_lr,
     check_socle,
     check_st3_prime,
     iter_st12_fillings,
     iter_tableaux,
-    lr_counts,
 )
 
 
@@ -74,25 +75,26 @@ def count_symmetry_sweep(max_beta_weight: int) -> SweepReport:
     swapped LR set."""
     rep = SweepReport("count-symmetry", max_beta=max_beta_weight)
     for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
-        triples = list(group)
-        # one count memo per beta serves each triple and its swapped triple
-        counts = lr_counts(beta, [(a, g) for a, _, g in triples] + [(g, a) for a, _, g in triples])
-        for (alpha, _, gamma), n_lr, n_lr_swapped in zip(triples, counts, counts[len(triples):]):
+        # one search per kind finds every tableau on beta; absent means none
+        socle, lr = _beta_chains(beta, "socle"), _beta_chains(beta, "lr")
+        for alpha, _, gamma in group:
             rep.cases += 1
-            socle = list(iter_tableaux(alpha, beta, gamma, kind="socle"))
-            if not (len(socle) == n_lr == n_lr_swapped):
+            chains = socle.get((alpha, gamma), ())
+            n_lr = len(lr.get((alpha, gamma), ()))
+            n_lr_swapped = len(lr.get((gamma, alpha), ()))
+            if not (len(chains) == n_lr == n_lr_swapped):
                 rep.fail(
-                    f"{(alpha, beta, gamma)}: socle={len(socle)} lr={n_lr} swapped={n_lr_swapped}"
+                    f"{(alpha, beta, gamma)}: socle={len(chains)} lr={n_lr} swapped={n_lr_swapped}"
                 )
                 continue
             images = set()
-            for t in socle:
-                img = socle_to_duallr(t)
-                if img.shape != (gamma, beta, alpha) or not check_lr(img):
+            for chain in chains:
+                img = _socle_chain_to_duallr(chain)
+                if _lr_chain_shape(img) != (gamma, beta, alpha):
                     rep.fail(f"{(alpha, beta, gamma)}: conversion left the target set")
                     break
                 images.add(img)
-            if len(images) != len(socle):
+            if len(images) != len(chains):
                 rep.fail(f"{(alpha, beta, gamma)}: conversion is not injective")
     return rep
 

@@ -7,11 +7,14 @@ of known kind and ambient is reconstructible from its multiplicity map,
 whose cumulative row sums are the row lengths of its partition chain.
 """
 
+from itertools import zip_longest
+from operator import lt
+
 import numpy as np
 
 from . import linalg
 from .embeddings import BadIndex, Embedding, HomMatrix, _picket_constraints
-from .partitions import partition, transpose
+from .partitions import part, partition, transpose
 from .tableaux import (
     InvalidTableau,
     SkewTableau,
@@ -225,33 +228,46 @@ def socle_to_duallr(t: SkewTableau) -> SkewTableau:
     """Dual LR tableau with the same Hom-matrix, built without the matrix."""
     if not check_socle(t):
         raise InvalidTableau("socle tableau expected")
-    mu = entry_multiplicities(t)
-    beta_rows = transpose(t.beta)
-    b1 = t.beta[0] if t.beta else 0
-    nrows = len(beta_rows)
-    tmax = t.gamma[0] if t.gamma else 0
-    chain = []
-    for ell in range(tmax + 1):
-        lam_rows = []
-        for m in range(1, b1 + 1):
-            if m <= ell:
-                v = beta_rows[m - 1]
-            else:
-                v = sum(_mu(mu, m - ell, j) for j in range(ell + 1, nrows + 1))
-            lam_rows.append(v)
-        while lam_rows and lam_rows[-1] == 0:
-            lam_rows.pop()
-        for a, b in zip(lam_rows, lam_rows[1:]):
-            if b > a:
-                raise InvalidTableau("derived layer is not a partition")
-        chain.append(transpose(tuple(lam_rows)))
-    if chain[-1] != t.beta:
-        raise InvalidTableau("derived chain does not reach the ambient shape")
     # the layers are canonical partitions, so only the chain is validated
-    out = _chain_tableau(chain, "lr")
+    out = _chain_tableau(_socle_chain_to_duallr(_chain_layers(t, "socle")), "lr")
     if out.shape != (t.gamma, t.beta, t.alpha):
         raise InvalidTableau(f"dual LR tableau has shape {tuple(out.shape)}, not the swapped shape")
     return out
+
+
+def _socle_chain_to_duallr(chain) -> tuple:
+    """The closed form of ``socle_to_duallr``, from chain to chain.
+
+    ``chain`` is a socle chain from beta down to gamma (padded partitions
+    allowed); the result is the dual LR chain of canonical partitions.
+    Its layer ell has the row lengths of beta in rows m <= ell, and in row
+    m > ell the number of entries m - ell below row ell.
+    """
+    beta = chain[0]
+    beta_rows = transpose(beta)
+    b1 = len(beta_rows)
+    # below[e-1][r]: boxes of strip e, chain[e-1] \ chain[e], below row r
+    below = []
+    for big, small in zip(chain, chain[1:b1 + 1]):
+        tail = [0] * (b1 + 1)
+        for x, y in zip_longest(big, small, fillvalue=0):
+            if x != y:
+                tail[x - 1] += 1  # a strip box in row x is below rows 0..x-1
+        for r in range(b1 - 1, 0, -1):
+            tail[r - 1] += tail[r]
+        below.append(tail)
+    out = []
+    for ell in range(part(chain[-1], 1) + 1):
+        lam_rows = list(beta_rows[:ell])
+        lam_rows += [tail[ell] for tail in below[:b1 - ell]]
+        while lam_rows and lam_rows[-1] == 0:
+            lam_rows.pop()
+        if any(map(lt, lam_rows, lam_rows[1:])):
+            raise InvalidTableau("derived layer is not a partition")
+        out.append(transpose(tuple(lam_rows)))
+    if out[-1] != beta:
+        raise InvalidTableau("derived chain does not reach the ambient shape")
+    return tuple(out)
 
 
 def duallr_to_socle(t: SkewTableau) -> SkewTableau:

@@ -64,6 +64,11 @@ def build_chain(t: SkewTableau, prime: int) -> EpiChain:
     """
     if not check_socle(t):
         raise InvalidTableau("socle tableau expected")
+    return _build_chain(t, prime)
+
+
+def _build_chain(t, prime):
+    """``build_chain`` for a tableau already known to be a socle tableau."""
     # the axioms make the layers a valid chain; each is padded to the width of beta
     layers = _chain_layers(t, "socle")
     s = len(layers) - 1
@@ -125,11 +130,15 @@ def _correction(t, layer, offs, ell, prime):
 
 def realize_socle(t: SkewTableau, prime: int = 2) -> Embedding:
     """Embedding whose socle tableau is exactly ``t``."""
-    epi = build_chain(t, prime)
+    return _kernel_embedding(build_chain(t, prime))
+
+
+def _kernel_embedding(epi: EpiChain) -> Embedding:
+    """The kernel of the chain's full composite, inside its first stage."""
     amb = epi.stages[0]
     if not epi.maps:
         return Embedding(amb, zero_subspace(amb))
-    sub = Subspace._canonical(amb, linalg.nullspace(epi.composite(), prime))
+    sub = Subspace._canonical(amb, linalg.nullspace(epi.composite(), epi.prime))
     return Embedding(amb, sub)
 
 
@@ -137,6 +146,7 @@ def realize_lr(t: SkewTableau, prime: int = 2) -> Embedding:
     """Embedding in ``standard_module(prime, t.beta)`` whose LR tableau is exactly ``t``.
 
     It is the dual of the realization of the mirrored socle tableau;
-    ``duallr_to_socle`` rejects a tableau that is not LR.
+    ``duallr_to_socle`` rejects a tableau that is not LR, and its result
+    has passed ``check_socle`` already.
     """
-    return dual_embedding(realize_socle(duallr_to_socle(t), prime))
+    return dual_embedding(_kernel_embedding(_build_chain(duallr_to_socle(t), prime)))

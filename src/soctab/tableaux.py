@@ -21,6 +21,7 @@ validates the chain instead: a valid chain fixes the boxes and the content.
 """
 
 from numbers import Integral
+from operator import gt
 from typing import Iterator, NamedTuple
 
 from .partitions import (
@@ -401,6 +402,37 @@ def _chain_tableau(chain, view: str) -> SkewTableau:
     return t
 
 
+def _lr_chain_shape(chain):
+    """Shape of the LR tableau with the chain ``chain``, or None if there is none.
+
+    ``chain`` holds canonical partitions, increasing from gamma to beta.
+    It is read on its own: each step must add a horizontal strip, and the
+    i-th largest column of each strip must be <= the i-th largest of the
+    strip before, which is the lattice condition and keeps the strip
+    sizes weakly decreasing.
+    """
+    sizes = []
+    prev = None
+    for small, big in zip(chain, chain[1:]):
+        n = len(small)
+        if n > len(big):
+            return None
+        cols = []
+        for c, b in enumerate(big):
+            d = b - small[c] if c < n else b
+            if d:
+                if d != 1:
+                    return None
+                cols.append(c)
+        if prev is not None and (
+            len(cols) > len(prev) or any(map(gt, reversed(cols), reversed(prev)))
+        ):
+            return None
+        sizes.append(len(cols))
+        prev = cols
+    return Shape(transpose(tuple(sizes)), chain[-1], chain[0])
+
+
 def from_chain(chain, view: str) -> SkewTableau:
     """Inverse of to_chain; accepts trailing constant repeats and canonicalizes."""
     return _chain_tableau([partition(p) for p in chain], view)
@@ -410,7 +442,7 @@ def from_chain(chain, view: str) -> SkewTableau:
 # enumeration
 
 
-def _strip_columns(part, gap, k, cap, prev, remove):
+def _strip_columns(part, gap, k, cap, bound, remove):
     """Column sets of the size-k horizontal strips of one chain step.
 
     ``part`` is the current partition padded to the width of beta, and
@@ -424,10 +456,9 @@ def _strip_columns(part, gap, k, cap, prev, remove):
     * afterwards every gap is at most ``cap``, the number of strips still
       to come, so the end stays reachable.  A column with gap cap + 1 is
       forced into C, and one with a larger gap leaves no set at all;
-    * when ``prev`` (the previous strip's columns) is given, the lattice
-      step: the i-th smallest column of C is >= the i-th smallest of
-      prev when removing (mirrored lattice), and the i-th largest of C is
-      <= the i-th largest of prev when adding.
+    * when ``bound`` (k columns, the caller's lattice step) is given, the
+      column at position q of C is >= bound[q] when removing and
+      <= bound[q] when adding.
 
     Each condition prunes while the columns are chosen, block by block
     from the left.  The sets come in lexicographic order of their
@@ -462,12 +493,6 @@ def _strip_columns(part, gap, k, cap, prev, remove):
         most[b] = most[b + 1] + blocks[b][3]
     if not least[0] <= k <= most[0]:
         return []
-    if prev is None:
-        bound = None
-    elif remove:
-        bound = prev[:k]  # the column at position q of C must be >= bound[q]
-    else:
-        bound = prev[len(prev) - k:]  # ... must be <= bound[q]
     out = []
 
     def rec(b, acc):
@@ -506,6 +531,18 @@ def _chain_start(alpha, beta, gamma, kind):
     inner = tuple(gamma) + (0,) * (n - len(gamma))
     gap = tuple(b - g for b, g in zip(beta, inner))
     return transpose(alpha), (beta if kind == "socle" else inner), gap
+
+
+def _lattice_bound(prev, k, remove):
+    """Per-position bound on the next k strip columns after a strip ``prev``.
+
+    The i-th smallest of them is >= the i-th smallest of prev when
+    removing (mirrored lattice), and the i-th largest is <= the i-th
+    largest of prev when adding.  None when there is no previous strip.
+    """
+    if prev is None:
+        return None
+    return prev[:k] if remove else prev[len(prev) - k:]
 
 
 def _step(part, gap, cols, remove):
@@ -547,33 +584,80 @@ def _chains(alpha, beta, gamma, kind, lattice=True):
         if level == s:
             yield acc
             return
-        for cols in _strip_columns(part, gap, sizes[level], s - level - 1, prev, remove):
+        k = sizes[level]
+        for cols in _strip_columns(part, gap, k, s - level - 1, _lattice_bound(prev, k, remove), remove):
             nxt, ngap = _step(part, gap, cols, remove)
             yield from rec(level + 1, nxt, ngap, cols if lattice else None, acc + (_unpad(nxt),))
 
     yield from rec(0, part, gap, None, (_unpad(part),))
 
 
+def _beta_chains(beta, kind) -> dict:
+    """{(alpha, gamma): chains} of every tableau of the kind on ambient ``beta``.
+
+    A prefix of a valid chain is a valid chain, so one search from beta
+    finds them all.  It removes horizontal strips with floor 0 and no
+    forced column, and every partition it reaches closes the chain of a
+    tableau of shape (transpose(strip sizes), beta, that partition).
+    Socle chains are read as removed: strip sizes weakly decrease and
+    consecutive strips take the mirrored lattice step.  LR chains are read
+    in reverse: going down, strip sizes weakly increase, and the i-th
+    largest column of a strip is >= the i-th largest of the strip removed
+    before it.  The chains are those of ``_chains``, in another order.
+    """
+    beta = partition(beta)
+    socle = kind == "socle"
+    n = len(beta)
+    cap = beta[0] if beta else 0  # no gap exceeds it, so no column is forced
+    found = {}  # (strip sizes in chain order, gamma) -> chains
+
+    def rec(part, prev, sizes, acc):
+        found.setdefault((sizes, acc[-1] if socle else acc[0]), []).append(acc)
+        if prev is None:
+            ks = range(1, n + 1)
+        else:
+            ks = range(1, len(prev) + 1) if socle else range(len(prev), n + 1)
+        for k in ks:
+            if prev is None:
+                bound = None
+            elif socle:
+                bound = prev[:k]
+            else:
+                bound = (0,) * (k - len(prev)) + prev
+            for cols in _strip_columns(part, part, k, cap, bound, True):
+                nxt = list(part)
+                for c in cols:
+                    nxt[c] -= 1
+                nxt = tuple(nxt)
+                low = _unpad(nxt)
+                if socle:
+                    rec(nxt, tuple(cols), sizes + (k,), acc + (low,))
+                else:
+                    rec(nxt, tuple(cols), (k,) + sizes, (low,) + acc)
+
+    rec(beta, None, (), (beta,))
+    return {(transpose(sizes), gamma): chains for (sizes, gamma), chains in found.items()}
+
+
 def _path_count(part, gap, prev, sizes, remove, memo) -> int:
     """Number of chains from ``part`` with the given remaining strip sizes.
 
-    ``memo`` is keyed by (part, the part of prev the next lattice step
-    reads, sizes), so it may be shared by every start on the same end
-    (the floor when removing, the ceiling when adding).
+    ``memo`` is keyed by (part, the lattice bound on the next strip,
+    sizes), so it may be shared by every start on the same end (the floor
+    when removing, the ceiling when adding).  ``prev`` is a tuple.
     """
     if not sizes:
         return 1
     k = sizes[0]
-    if prev is not None:
-        prev = tuple(prev[:k] if remove else prev[len(prev) - k:])
-    key = (part, prev, sizes)
+    bound = _lattice_bound(prev, k, remove)
+    key = (part, bound, sizes)
     got = memo.get(key)
     if got is None:
         got = 0
         rest = sizes[1:]
-        for cols in _strip_columns(part, gap, k, len(rest), prev, remove):
+        for cols in _strip_columns(part, gap, k, len(rest), bound, remove):
             nxt, ngap = _step(part, gap, cols, remove)
-            got += _path_count(nxt, ngap, cols, rest, remove, memo)
+            got += _path_count(nxt, ngap, tuple(cols), rest, remove, memo)
         memo[key] = got
     return got
 
@@ -625,17 +709,6 @@ def _count(alpha, beta, gamma, kind, memo) -> int:
 def count_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> int:
     """Number of tableaux of the kind, counted as chain paths without building them."""
     return _count(*_shape_args(shape_or_alpha, beta, gamma, kind), kind, {})
-
-
-def lr_counts(beta, pairs) -> list:
-    """LR coefficients of (alpha, beta, gamma) for every (alpha, gamma) in ``pairs``.
-
-    All pairs share one memo of partial path counts, because an LR chain
-    ends at beta whatever its start; the memo lives for this call only.
-    """
-    beta = partition(beta)
-    memo = {}
-    return [_count(partition(a), beta, partition(g), "lr", memo) for a, g in pairs]
 
 
 def lr_coefficient(alpha, beta, gamma) -> int:

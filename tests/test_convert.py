@@ -33,7 +33,7 @@ from soctab.embeddings import (
 )
 from soctab.modules import Subspace, quotient_type
 from soctab.partitions import partitions_of, subdiagrams, transpose, weight
-from soctab.tableaux import InvalidTableau, SkewTableau, iter_tableaux
+from soctab.tableaux import InvalidTableau, SkewTableau, iter_tableaux, to_chain
 
 
 def test_socle_to_hom_examples():
@@ -140,6 +140,71 @@ def test_bijection_small():
                     images = {socle_to_duallr(t) for t in socle}
                     assert len(images) == len(socle)
                     assert images == lr_swapped
+
+
+# a triple with two tableaux of each kind, the only alpha of its
+# (beta, gamma) whose chains have three members
+TWO = ((2, 1), (3, 2, 1), (2, 1))
+
+
+def _in_two(chain):
+    return (chain[0], chain[-1], len(chain)) == (TWO[1], TWO[2], 3)
+
+
+def test_count_sweep_reports_an_image_outside_the_target_set(monkeypatch):
+    from soctab import checks
+
+    real = checks._socle_chain_to_duallr
+    monkeypatch.setattr(
+        checks, "_socle_chain_to_duallr", lambda c: real(c)[::-1] if _in_two(c) else real(c)
+    )
+    assert checks.count_symmetry_sweep(6).failures == [
+        f"{TWO}: conversion left the target set",
+        f"{TWO}: conversion is not injective",
+    ]
+
+
+def test_count_sweep_reports_a_non_injective_conversion(monkeypatch):
+    from soctab import checks
+
+    real = checks._socle_chain_to_duallr
+    first = []
+
+    def merged(chain):
+        if _in_two(chain):
+            first.append(chain)
+            chain = first[0]
+        return real(chain)
+
+    monkeypatch.setattr(checks, "_socle_chain_to_duallr", merged)
+    assert checks.count_symmetry_sweep(6).failures == [f"{TWO}: conversion is not injective"]
+    assert len(first) == 2
+
+
+def test_count_sweep_reports_a_lost_socle_tableau(monkeypatch):
+    from soctab import checks
+
+    real = checks._beta_chains
+
+    def dropping(beta, kind):
+        got = real(beta, kind)
+        if kind == "socle" and beta == TWO[1]:
+            got[TWO[0], TWO[2]] = got[TWO[0], TWO[2]][1:]
+        return got
+
+    monkeypatch.setattr(checks, "_beta_chains", dropping)
+    assert checks.count_symmetry_sweep(6).failures == [f"{TWO}: socle=1 lr=2 swapped=2"]
+
+
+def test_socle_chain_conversion_is_socle_to_duallr():
+    # the chain core on canonical chains gives the tableau conversion's chain
+    for wgt in range(0, 8):
+        for beta in partitions_of(wgt):
+            for gamma in subdiagrams(beta):
+                for alpha in partitions_of(wgt - weight(gamma)):
+                    for t in iter_tableaux(alpha, beta, gamma, kind="socle"):
+                        chain = convert._socle_chain_to_duallr(to_chain(t, "socle"))
+                        assert chain == to_chain(socle_to_duallr(t), "lr")
 
 
 def test_defect():

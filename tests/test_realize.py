@@ -213,6 +213,32 @@ def test_realize_lr_sweep():
     assert rep.cases == 295
 
 
+def test_realize_lr_checks_the_mirrored_socle_tableau_once(monkeypatch):
+    import sys
+
+    from soctab import tableaux
+
+    check_socle = tableaux.check_socle
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return check_socle(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "soctab" and getattr(module, "check_socle", None) is check_socle:
+            monkeypatch.setattr(module, "check_socle", counting)
+    ts = [t for sh in shape_triples(6) for t in iter_tableaux(*sh, kind="lr")]
+    for t in ts:
+        before = len(calls)
+        realize_lr(t, 2)
+        assert len(calls) == before + 1
+    assert len(ts) == 295
+    # the public socle entry point keeps its own check
+    realize_socle(SOCLE_M2, 2)
+    assert len(calls) == 296
+
+
 def test_realize_lr_lands_in_the_standard_module():
     # no change of basis is needed to serialize an LR realization
     for sh in shape_triples(6):

@@ -1,6 +1,7 @@
 import json
 import random
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import combinations, groupby, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,12 @@ from soctab.tableaux import (
     MatchingFailed,
     NotHorizontalStrip,
     SkewTableau,
+    _beta_chains,
     _chain_start,
+    _chain_tableau,
+    _chains,
+    _lattice_bound,
+    _lr_chain_shape,
     _step,
     _strip_columns,
     build_matching,
@@ -34,7 +40,6 @@ from soctab.tableaux import (
     iter_st12_fillings,
     iter_tableaux,
     lr_coefficient,
-    lr_counts,
     to_chain,
 )
 
@@ -305,12 +310,13 @@ def test_render():
 # the strip generator and the path counts
 
 
-def brute_strips(part, gap, k, cap, prev, remove):
+def brute_strips(part, gap, k, cap, bound, remove):
     """Oracle for _strip_columns: filter every k-subset of the columns.
 
     Keeps the sets C for which part -/+ 1_C is a partition, no column
-    passes its end, every gap left is at most cap, and (with prev) the
-    lattice step holds; sorts them by their per-block counts.
+    passes its end, every gap left is at most cap, and (with a bound)
+    each column of C is >= (removing) or <= (adding) its bound; sorts
+    them by their per-block counts.
     """
     n = len(part)
     d = -1 if remove else 1
@@ -320,11 +326,11 @@ def brute_strips(part, gap, k, cap, prev, remove):
         left = [g - (c in cols) for c, g in enumerate(gap)]
         if any(a < b for a, b in zip(nxt, nxt[1:])) or not all(0 <= g <= cap for g in left):
             continue
-        if prev is not None:
-            if remove and any(c < p for c, p in zip(cols, prev)):
-                continue  # i-th smallest of C below the i-th smallest of prev
-            if not remove and any(c > p for c, p in zip(cols[::-1], prev[::-1])):
-                continue  # i-th largest of C above the i-th largest of prev
+        if bound is not None:
+            if remove and any(c < b for c, b in zip(cols, bound)):
+                continue
+            if not remove and any(c > b for c, b in zip(cols, bound)):
+                continue
         out.append(list(cols))
     starts = [c for c in range(n) if c == 0 or part[c] != part[c - 1]] + [n]
 
@@ -346,7 +352,9 @@ def test_strip_columns_match_brute_force_on_every_reached_state():
                     part_, gap_, prev, level = todo.pop()
                     if level == len(sizes):
                         continue
-                    state = (part_, gap_, sizes[level], len(sizes) - level - 1, prev, remove)
+                    k = sizes[level]
+                    bound = _lattice_bound(prev, k, remove)
+                    state = (part_, gap_, k, len(sizes) - level - 1, bound, remove)
                     if state in seen:
                         continue
                     seen.add(state)
@@ -372,20 +380,49 @@ def test_count_is_the_number_of_tableaux(shape, kind):
     assert count_tableaux(*shape, kind=kind) == len(list(iter_tableaux(*shape, kind=kind)))
 
 
-def test_lr_counts_match_count_tableaux():
-    for wgt in range(0, 8):
-        for beta in partitions_of(wgt):
-            pairs = [
-                (alpha, gamma)
-                for gamma in subdiagrams(beta)
-                for alpha in partitions_of(wgt - weight(gamma))
-            ]
-            # swapped pairs include shapes with no tableau, like gamma outside beta
-            pairs += [(gamma, alpha) for alpha, gamma in pairs]
-            expect = [count_tableaux(a, beta, g, kind="lr") for a, g in pairs]
-            assert lr_counts(beta, pairs) == expect
-            assert lr_counts(beta, pairs[::-1]) == expect[::-1]
-    assert lr_counts((5, 3, 2), [((4, 2), (3, 1)), ((4, 2), (3, 2))]) == [2, 0]
+def test_beta_chains_are_the_chains_of_each_triple():
+    # one search per beta finds exactly the per-triple chains, as multisets
+    for beta, group in groupby(shape_triples(9), key=lambda s: s.beta):
+        pairs = [(alpha, gamma) for alpha, _, gamma in group]
+        for kind in ("socle", "lr"):
+            got = _beta_chains(beta, kind)
+            assert set(got) <= set(pairs), (beta, kind)
+            for alpha, gamma in pairs:
+                assert Counter(got.get((alpha, gamma), [])) == Counter(
+                    _chains(alpha, beta, gamma, kind)
+                ), (alpha, beta, gamma, kind)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(10, 12).flatmap(lambda w: st.sampled_from(sorted(partitions_of(w)))),
+    st.sampled_from(["socle", "lr"]),
+)
+def test_beta_chain_counts_are_the_path_counts(beta, kind):
+    got = _beta_chains(beta, kind)
+    for gamma in subdiagrams(beta):
+        for alpha in partitions_of(weight(beta) - weight(gamma)):
+            n = len(got.get((alpha, gamma), ()))
+            assert n == count_tableaux(alpha, beta, gamma, kind=kind), (alpha, beta, gamma)
+
+
+def test_lr_chain_shape_is_check_lr_on_chains():
+    # every semistandard LR-kind chain, with and without the lattice condition
+    total = valid = 0
+    for alpha, beta, gamma in shape_triples(7):
+        for chain in _chains(alpha, beta, gamma, "lr", lattice=False):
+            t = _chain_tableau(chain, "lr")
+            got = _lr_chain_shape(chain)
+            assert (got is not None) == check_lr(t), chain
+            assert got is None or got == t.shape
+            total += 1
+            valid += got is not None
+    assert total > valid > 0
+    # not nested; a step that is no horizontal strip; a strip larger than the one before
+    assert _lr_chain_shape(((1,), (2,), (1, 1))) is None
+    assert _lr_chain_shape(((), (2,))) is None
+    assert _lr_chain_shape(((), (1,), (1, 1, 1))) is None
+    assert _lr_chain_shape(((), (1, 1), (2, 1))) == ((2, 1), (2, 1), ())
 
 
 def st12(t):
