@@ -12,6 +12,7 @@ from .convert import (
     _socle_chain_to_duallr,
     defect_table,
     duallr_to_hom,
+    duallr_to_socle,
     entry_multiplicities,
     hom_to_duallr,
     hom_to_socle,
@@ -27,17 +28,17 @@ from .embeddings import (
     socle_tableau,
 )
 from .partitions import shape_triples
-from .realize import realize_lr, realize_socle
+from .realize import _build_chain, _kernel_embedding
 from .tableaux import (
     MatchingFailed,
     _beta_chains,
+    _chain_tableau,
     _lr_chain_shape,
     build_matching,
     check_lr,
     check_socle,
     check_st3_prime,
     iter_st12_fillings,
-    iter_tableaux,
 )
 
 
@@ -102,30 +103,38 @@ def count_symmetry_sweep(max_beta_weight: int) -> SweepReport:
 def realize_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
     """Every socle tableau is realized exactly by its constructed embedding."""
     rep = SweepReport("realize-roundtrip", max_beta=max_beta_weight, primes=list(primes))
-    for alpha, beta, gamma in shape_triples(max_beta_weight):
-        for t in iter_tableaux(alpha, beta, gamma, kind="socle"):
-            rep.cases += 1
-            for p in primes:
-                x = realize_socle(t, p)
-                if x.shape != (alpha, beta, gamma):
-                    rep.fail(f"{(alpha, beta, gamma)} p={p}: wrong shape {tuple(x.shape)}")
-                    continue
-                got = socle_tableau(x)
-                if got != t:
-                    rep.fail(f"{(alpha, beta, gamma)} p={p}: socle tableau differs")
+    for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
+        chains = _beta_chains(beta, "socle")
+        for alpha, _, gamma in group:
+            for chain in chains.get((alpha, gamma), ()):
+                # the enumerator's chains are valid, so nothing is checked again
+                t = _chain_tableau(chain, "socle")
+                rep.cases += 1
+                for p in primes:
+                    x = _kernel_embedding(_build_chain(t, p))
+                    if x.shape != (alpha, beta, gamma):
+                        rep.fail(f"{(alpha, beta, gamma)} p={p}: wrong shape {tuple(x.shape)}")
+                        continue
+                    if socle_tableau(x) != t:
+                        rep.fail(f"{(alpha, beta, gamma)} p={p}: socle tableau differs")
     return rep
 
 
 def realize_lr_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
     """Dual counterpart of realize_sweep for LR tableaux."""
     rep = SweepReport("realize-lr-roundtrip", max_beta=max_beta_weight, primes=list(primes))
-    for alpha, beta, gamma in shape_triples(max_beta_weight):
-        for t in iter_tableaux(alpha, beta, gamma, kind="lr"):
-            rep.cases += 1
-            for p in primes:
-                x = realize_lr(t, p)
-                if lr_tableau(x) != t:
-                    rep.fail(f"{(alpha, beta, gamma)} p={p}: lr tableau differs")
+    for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
+        chains = _beta_chains(beta, "lr")
+        for alpha, _, gamma in group:
+            for chain in chains.get((alpha, gamma), ()):
+                t = _chain_tableau(chain, "lr")
+                # realize_lr at each prime, with the mirror computed once
+                mirror = duallr_to_socle(t)
+                rep.cases += 1
+                for p in primes:
+                    x = dual_embedding(_kernel_embedding(_build_chain(mirror, p)))
+                    if lr_tableau(x) != t:
+                        rep.fail(f"{(alpha, beta, gamma)} p={p}: lr tableau differs")
     return rep
 
 

@@ -214,6 +214,14 @@ _REPORT_SUITES = (
 
 
 def cmd_check(args):
+    for flag, value in (
+        ("--max-beta", args.max_beta),
+        ("--seeds", args.seeds),
+        ("--corpus-count", args.corpus_count),
+    ):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
+
     def selected(name):
         return args.suite in ("all", name)
 

@@ -11,6 +11,19 @@ vectors it returns T^r v, and on rows read as functionals (r < 0) it
 returns f T^|r|.  How T is stored is known to this module alone, and
 ``standard_module`` returns one shared module per (prime, partition).
 
+Module types are read off column slices of the standard basis.  T^r
+moves coordinate off+i of a block to off+i+r, so T^r M is spanned by the
+coordinates with i >= r, and T^r kills the rest.  With low(r) the
+coordinates i < r and high(r) those with i < size - r, for a subspace U:
+
+* rank(T^r U) = rank(U[:, high(r)]), which gives the type of U;
+* dim ker T^r on M/U = dim M - dim(T^r M + U) = #low(r) - rank(U[:, low(r)])
+  when U is invariant, which gives the type of M/U;
+* {a in U : T^r a = 0} is the nullspace of U[:, high(r)]^T applied to U.
+
+No annihilator and no shift product is needed; each module keeps its
+column lists.
+
 Each Jordan block is self-dual: reversing the basis inside every block
 turns the transposed operator back into the shift.  So the annihilator of
 a subspace, with its coordinates reversed per block, is a subspace of the
@@ -58,7 +71,7 @@ def _check_prime(p, dim):
 class FpModule:
     """Direct sum of Jordan blocks of the sizes ``parts`` over F_p."""
 
-    __slots__ = ("prime", "parts", "dim", "_powers")
+    __slots__ = ("prime", "parts", "dim", "_powers", "_low", "_high")
 
     def __init__(self, prime, parts):
         self.prime = int(prime)
@@ -67,6 +80,12 @@ class FpModule:
         _check_prime(self.prime, self.dim)
         # T^0 .. T^N for N = parts[0]; T^N and every higher power are zero
         self._powers = [_shift_matrix(self.parts, r) for r in range(self.nilpotency_index + 1)]
+        # low(r) and high(r) for r = 0..N, as lists of coordinates off+i;
+        # both saturate at N, where low is everything and high is empty
+        blocks = list(zip(block_offsets(self.parts), self.parts))
+        levels = range(self.nilpotency_index + 1)
+        self._low = [[o + i for o, n in blocks for i in range(min(r, n))] for r in levels]
+        self._high = [[o + i for o, n in blocks for i in range(n - r)] for r in levels]
 
     def shift(self, rows, r):
         """T^r applied to each row, a fresh array reduced mod p.
@@ -77,6 +96,15 @@ class FpModule:
         """
         mat = self._powers[min(abs(r), self.nilpotency_index)]
         return (rows @ (mat.T if r >= 0 else mat)) % self.prime
+
+    def _low_cols(self, r):
+        """Coordinates off+i with i < r (r >= 0): T^r M is spanned by the others."""
+        return self._low[min(r, self.nilpotency_index)]
+
+    def _high_cols(self, r):
+        """Coordinates off+i with i < size - r (r >= 0): T^r moves them to
+        off+i+r and kills the others."""
+        return self._high[min(r, self.nilpotency_index)]
 
     @property
     def nilpotency_index(self):
@@ -232,13 +260,32 @@ def _require_invariant(sub):
 def quotient_type(module, sub):
     """Type of module/sub under the induced operator."""
     _require_invariant(sub)
-    ann = sub.annihilator_basis
+    return _quotient_type(module, sub)
+
+
+def _quotient_type(module, sub):
+    """``quotient_type`` of a subspace known to be invariant.
+
+    dim ker T^r on module/sub is #low(r) - rank(sub[:, low(r)]).
+    """
+    basis, p = sub.basis, module.prime
 
     def ker_dim(r):
-        # dim ker of the induced T^r equals dim {v : T^r v in sub} - dim sub
-        return module.dim - linalg.rank(module.shift(ann, -r), module.prime) - sub.dim
+        low = module._low_cols(r)
+        return len(low) - linalg.rank(basis[:, low], p)
 
     return _type_from_kernels(module.dim - sub.dim, ker_dim)
+
+
+def _sub_type(module, sub):
+    """Type of sub as a module under the restricted operator.
+
+    dim ker T^r on sub is dim sub - rank(sub[:, high(r)]).
+    """
+    basis, p, dim = sub.basis, module.prime, sub.dim
+    return _type_from_kernels(
+        dim, lambda r: dim - linalg.rank(basis[:, module._high_cols(r)], p)
+    )
 
 
 def soc_layer(module, sub, ell):
@@ -246,8 +293,8 @@ def soc_layer(module, sub, ell):
     p = module.prime
     if ell <= 0 or sub.dim == 0:
         return zero_subspace(module)
-    # coefficients x with T^ell (x . basis) = 0
-    coeffs = linalg.nullspace(module.shift(sub.basis, ell).T, p)
+    # coefficients x with T^ell (x . basis) = 0, that is x . basis[:, high(ell)] = 0
+    coeffs = linalg.nullspace(sub.basis[:, module._high_cols(ell)].T, p)
     return Subspace(module, (coeffs @ sub.basis) % p)
 
 

@@ -166,8 +166,10 @@ def subdiagrams(beta: tuple) -> Iterator[tuple]:
 
 def shape_triples(max_beta_weight: int) -> Iterator[Shape]:
     """Every shape triple with |beta| <= the bound: by |beta|, then beta, gamma, alpha sorted."""
+    by_weight = []  # by_weight[k]: the partitions of k, sorted once per call
     for wgt in range(0, max_beta_weight + 1):
-        for beta in sorted(partitions_of(wgt)):
+        by_weight.append(sorted(partitions_of(wgt)))
+        for beta in by_weight[wgt]:
             for gamma in sorted(subdiagrams(beta)):
-                for alpha in sorted(partitions_of(wgt - weight(gamma))):
+                for alpha in by_weight[wgt - weight(gamma)]:
                     yield Shape(alpha, beta, gamma)

@@ -13,10 +13,11 @@ conjecturally always.
 
 import random
 from functools import lru_cache
+from itertools import groupby
 
-from .convert import socle_to_duallr
-from .partitions import partition, transpose, weight
-from .tableaux import InvalidTableau, SkewTableau, check_socle
+from .convert import _socle_chain_to_duallr
+from .partitions import partition, shape_triples, transpose, weight
+from .tableaux import InvalidTableau, SkewTableau, _beta_chains, _chain_tableau, check_socle
 
 RELABELING_NOTE = (
     "outer entries are inverted as i -> s+1-i with s the largest inner value; "
@@ -196,6 +197,11 @@ def init_switch(t: SkewTableau) -> SwitchState:
     """Superstandard inner filling of gamma plus the inverted socle tableau outside."""
     if not check_socle(t):
         raise InvalidTableau("socle tableau expected")
+    return _init_switch(t)
+
+
+def _init_switch(t):
+    """``init_switch`` for a tableau already known to be a socle tableau."""
     s = t.max_entry()
     owner = {}
     entry = {}
@@ -338,40 +344,47 @@ def check_conjecture(max_beta_weight: int, seeds: int = 5, base_seed: int = 0) -
     A mismatch is recorded with full replay data; it is a result, not an
     error.
     """
-    from .partitions import shape_triples
-    from .tableaux import iter_tableaux
-
     report = ConjectureReport(max_beta_weight, seeds)
-    for alpha, beta, gamma in shape_triples(max_beta_weight):
-        report.shapes += 1
-        for t in iter_tableaux(alpha, beta, gamma, kind="socle"):
-            report.tableaux += 1
-            expected = socle_to_duallr(t)
-            initial = init_switch(t)
-            baseline = run_switch(initial)
-            runs = [("deterministic", baseline)]
-            for k in range(seeds):
-                rng = random.Random(base_seed + k)
-                runs.append((f"seed {base_seed + k}", run_switch(initial, "seeded-random", rng)))
-            report.runs += len(runs)
-            base_got = _read_off(baseline, t.alpha)
-            base_bad = base_got != expected
-            for label, st in runs:
-                if st.owner == baseline.owner and st.entry == baseline.entry:
-                    got, bad = base_got, base_bad
-                else:  # terminal grids must agree across orders
-                    got, bad = _read_off(st, t.alpha), True
-                if bad:
-                    report.mismatches.append(
-                        {
-                            "shape": [list(t.alpha), list(t.beta), list(t.gamma)],
-                            "tableau": t.to_json_dict(),
-                            "order": label,
-                            "expected": expected.to_json_dict(),
-                            "got": got.to_json_dict() if got else None,
-                            "trace": [
-                                [se, te, list(sb), list(tb)] for se, te, sb, tb in st.history
-                            ],
-                        }
-                    )
+    for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
+        # one search finds every socle chain on beta; the enumerator's chains
+        # are valid, so neither the tableau nor its conversion is checked again
+        chains = _beta_chains(beta, "socle")
+        for alpha, _, gamma in group:
+            report.shapes += 1
+            for chain in chains.get((alpha, gamma), ()):
+                _switch_one(report, chain, seeds, base_seed)
     return report
+
+
+def _switch_one(report, chain, seeds, base_seed):
+    """Switch the tableau of one socle chain in every order and record mismatches."""
+    t = _chain_tableau(chain, "socle")
+    report.tableaux += 1
+    expected = _chain_tableau(_socle_chain_to_duallr(chain), "lr")
+    initial = _init_switch(t)
+    baseline = run_switch(initial)
+    runs = [("deterministic", baseline)]
+    for k in range(seeds):
+        rng = random.Random(base_seed + k)
+        runs.append((f"seed {base_seed + k}", run_switch(initial, "seeded-random", rng)))
+    report.runs += len(runs)
+    base_got = _read_off(baseline, t.alpha)
+    base_bad = base_got != expected
+    for label, st in runs:
+        if st.owner == baseline.owner and st.entry == baseline.entry:
+            got, bad = base_got, base_bad
+        else:  # terminal grids must agree across orders
+            got, bad = _read_off(st, t.alpha), True
+        if bad:
+            report.mismatches.append(
+                {
+                    "shape": [list(t.alpha), list(t.beta), list(t.gamma)],
+                    "tableau": t.to_json_dict(),
+                    "order": label,
+                    "expected": expected.to_json_dict(),
+                    "got": got.to_json_dict() if got else None,
+                    "trace": [
+                        [se, te, list(sb), list(tb)] for se, te, sb, tb in st.history
+                    ],
+                }
+            )

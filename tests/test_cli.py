@@ -199,6 +199,23 @@ def test_check_exit_codes(capsys):
     assert reports["realize-lr-roundtrip"]["failures"] == []
 
 
+@pytest.mark.parametrize("flag", ["--max-beta", "--seeds", "--corpus-count"])
+def test_check_rejects_negative_counts(capsys, flag):
+    # whichever suite the flag feeds, or none of them
+    for suite in ("counts", "switching", "all"):
+        rc, out, err = run_cli(capsys, "check", "--suite", suite, flag, "-1")
+        assert (rc, out) == (1, ""), suite
+        assert err == f"invalid input: {flag} must be nonnegative, got -1\n"
+
+
+def test_check_accepts_zero_counts(capsys):
+    argv = ("check", "--max-beta", "0", "--seeds", "0", "--corpus-count", "0", "--format", "json")
+    rc, out, _ = run_cli(capsys, *argv)
+    result = json.loads(out)["result"]
+    assert rc == 0 and result["conjecture"]["runs"] == 1
+    assert [r["cases"] for r in result["reports"]] == [1, 1, 1, 3, 3]
+
+
 def test_usage_errors_exit_1(capsys):
     # --prime belongs to analyze and realize only
     for argv in (("enum", "--shape", "42/532/31", "--prime", "3"), ("check", "--prime", "3")):

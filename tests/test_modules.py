@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import intersection
 from soctab.embeddings import Embedding, embedding_from_spec, load_fixture, random_corpus
 from soctab.modules import (
@@ -256,3 +259,26 @@ def test_prime_independence_of_types():
         x3 = embedding_from_spec(spec, 3)
         assert x2.shape == x3.shape
         assert x2.sub.dim == x3.sub.dim
+
+
+@st.composite
+def invariant_subspaces(draw):
+    """The span of up to three random generators in a random standard module, |beta| <= 8."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 1000003]))
+    beta = draw(st.sampled_from([b for w in range(9) for b in partitions_of(w)]))
+    m = standard_module(p, beta)
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
+    gens = draw(st.lists(st.lists(entry, min_size=m.dim, max_size=m.dim), max_size=3))
+    return m, submodule_span(m, np.array(gens, dtype=np.int64).reshape(len(gens), m.dim))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(invariant_subspaces())
+def test_column_slice_read_offs_match_the_annihilator_and_shift_formulas(case):
+    m, sub = case
+    x = Embedding(m, sub)
+    assert quotient_type(m, sub) == x.gamma == oracles.quotient_type(m, sub)
+    assert x.alpha == oracles.sub_type(m, sub)
+    for ell in range(m.nilpotency_index + 2):
+        # equal Subspaces have equal canonical bases
+        assert soc_layer(m, sub, ell) == oracles.soc_layer(m, sub, ell)

@@ -5,6 +5,7 @@ import pytest
 from soctab.partitions import (
     InvalidShape,
     NotContained,
+    Shape,
     contains,
     format_partition,
     format_shape,
@@ -192,3 +193,16 @@ def test_shape_triples():
     )
     keys = [(weight(t.beta), t.beta, t.gamma, t.alpha) for t in triples]
     assert keys == sorted(keys)
+
+
+def test_shape_triples_sorts_once_per_weight_with_the_same_order():
+    def nested(bound):
+        # the generator that re-sorted the partitions of |beta| - |gamma| for each gamma
+        for wgt in range(0, bound + 1):
+            for beta in sorted(partitions_of(wgt)):
+                for gamma in sorted(subdiagrams(beta)):
+                    for alpha in sorted(partitions_of(wgt - weight(gamma))):
+                        yield Shape(alpha, beta, gamma)
+
+    for bound in range(-1, 13):
+        assert list(shape_triples(bound)) == list(nested(bound)), bound

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
-from soctab import checks, linalg
+from soctab import checks, linalg, switching
 from soctab.embeddings import (
     embedding_from_json,
     embedding_to_json,
@@ -213,7 +213,8 @@ def test_realize_lr_sweep():
     assert rep.cases == 295
 
 
-def test_realize_lr_checks_the_mirrored_socle_tableau_once(monkeypatch):
+def _count_check_socle(monkeypatch):
+    """Calls of check_socle, wherever the package binds it, from now on."""
     import sys
 
     from soctab import tableaux
@@ -228,6 +229,21 @@ def test_realize_lr_checks_the_mirrored_socle_tableau_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "soctab" and getattr(module, "check_socle", None) is check_socle:
             monkeypatch.setattr(module, "check_socle", counting)
+    return calls
+
+
+def test_sweeps_do_not_revalidate_enumerated_tableaux(monkeypatch):
+    # the enumerator builds socle tableaux from valid chains
+    calls = _count_check_socle(monkeypatch)
+    rep = checks.realize_sweep(5)
+    assert rep.ok and rep.cases > 0
+    assert calls == []
+    assert switching.check_conjecture(5).tableaux > 0
+    assert calls == []
+
+
+def test_realize_lr_checks_the_mirrored_socle_tableau_once(monkeypatch):
+    calls = _count_check_socle(monkeypatch)
     ts = [t for sh in shape_triples(6) for t in iter_tableaux(*sh, kind="lr")]
     for t in ts:
         before = len(calls)

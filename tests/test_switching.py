@@ -17,7 +17,7 @@ from soctab.switching import (
     run_switch,
     switch_to_duallr,
 )
-from soctab.tableaux import InvalidTableau, SkewTableau, iter_tableaux
+from soctab.tableaux import InvalidTableau, SkewTableau, iter_tableaux, to_chain
 
 
 def test_init_switch_grid():
@@ -151,14 +151,18 @@ def test_check_conjecture_records_each_mismatching_run(monkeypatch):
     # tableau mismatches, and each record carries its own run
     target = ((2, 1), (4, 1, 1), (2, 1))
     wrong = SkewTableau((), (4, 1, 1), (4, 1, 1), {})
-    real = switching.socle_to_duallr
+    (t,) = iter_tableaux(*target, kind="socle")
+    # the sweep converts chains, so the wrong closed form is planted on t's chain
+    t_chain, wrong_chain = to_chain(t, "socle"), to_chain(wrong, "lr")
+    real = switching._socle_chain_to_duallr
     monkeypatch.setattr(
-        switching, "socle_to_duallr", lambda t: wrong if t.shape == target else real(t)
+        switching,
+        "_socle_chain_to_duallr",
+        lambda chain: wrong_chain if tuple(chain) == t_chain else real(chain),
     )
     seeds, base = 3, 10
     rep = check_conjecture(6, seeds=seeds, base_seed=base)
     assert len(rep.mismatches) == 1 + seeds
-    (t,) = iter_tableaux(*target, kind="socle")
     initial = init_switch(t)
     finals = [run_switch(initial)] + [
         run_switch(initial, "seeded-random", random.Random(base + k)) for k in range(seeds)
