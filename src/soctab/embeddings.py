@@ -23,13 +23,13 @@ from . import linalg
 from .modules import (
     Subspace,
     _quotient_type,
+    _radical_quotient_type,
+    _socle_quotient_type,
     _sub_type,
     annihilator,
     block_offsets,
     module_type,
     quotient_type,  # unused here; perfbench/tests checks the tracer rebinds this import
-    rad_layer,
-    soc_layer,
     standard_module,
     submodule_span,
     zero_subspace,
@@ -128,8 +128,8 @@ def direct_sum(x: Embedding, y: Embedding) -> Embedding:
     return Embedding(mod, Subspace(mod, rows[:, cols]))
 
 
-def _filtration_chain(x: Embedding, layer, first, last):
-    """Quotient types of ambient / layer(sub, i) for i = 0..s, s = alpha[0].
+def _filtration_chain(x: Embedding, read_off, first, last):
+    """Quotient types read_off(ambient, sub, i) for i = 0..s, s = alpha[0].
 
     The end layers are read from the shape: layer 0 has quotient type
     ``first`` and layer s has ``last``; only the interior is computed.
@@ -137,9 +137,8 @@ def _filtration_chain(x: Embedding, layer, first, last):
     s = x.alpha[0] if x.alpha else 0
     if s == 0:
         return [first]  # sub = 0, so first == last
-    # socle and radical layers of an invariant subspace are invariant
-    inner = [_quotient_type(x.ambient, layer(x.ambient, x.sub, i)) for i in range(1, s)]
-    return [first, *inner, last]
+    # __init__ checked that sub is invariant
+    return [first, *(read_off(x.ambient, x.sub, i) for i in range(1, s)), last]
 
 
 def socle_tableau(x: Embedding) -> SkewTableau:
@@ -147,16 +146,17 @@ def socle_tableau(x: Embedding) -> SkewTableau:
 
     soc^0(sub) = 0 and soc^s(sub) = sub, so the end layers are beta and gamma.
     """
-    chain = _filtration_chain(x, soc_layer, x.beta, x.gamma)
+    chain = _filtration_chain(x, _socle_quotient_type, x.beta, x.gamma)
     return _chain_tableau(chain, "socle")
 
 
 def lr_tableau(x: Embedding) -> SkewTableau:
     """Tableau of the radical filtration: layer i is the type of ambient / rad^i(sub).
 
-    rad^0(sub) = sub and rad^s(sub) = 0, so the end layers are gamma and beta.
+    rad^i(sub) = T^i sub, rad^0(sub) = sub and rad^s(sub) = 0, so the end
+    layers are gamma and beta.
     """
-    chain = _filtration_chain(x, rad_layer, x.gamma, x.beta)
+    chain = _filtration_chain(x, _radical_quotient_type, x.gamma, x.beta)
     return _chain_tableau(chain, "lr")
 
 

@@ -119,6 +119,15 @@ def rank(mat, p):
     return len(_eliminate(_to_rows(mat, p), mat.shape[1], p)[0])
 
 
+def pivot_columns(mat, p):
+    """Pivot columns of the reduced row-echelon form, in increasing order.
+
+    The number of pivots before column k is the rank of mat[:, :k], so one
+    elimination gives the rank of every column prefix.
+    """
+    return _eliminate(_to_rows(mat, p), mat.shape[1], p)[1]
+
+
 def row_space(mat, p):
     """Canonical (rref) basis of the row space."""
     return rref(mat, p)[0]

@@ -11,18 +11,25 @@ vectors it returns T^r v, and on rows read as functionals (r < 0) it
 returns f T^|r|.  How T is stored is known to this module alone, and
 ``standard_module`` returns one shared module per (prime, partition).
 
-Module types are read off column slices of the standard basis.  T^r
-moves coordinate off+i of a block to off+i+r, so T^r M is spanned by the
-coordinates with i >= r, and T^r kills the rest.  With low(r) the
-coordinates i < r and high(r) those with i < size - r, for a subspace U:
+Module types are read off pivots.  T^r moves coordinate off+i of a block
+of size n to off+i+r, so coordinate off+i has level i (T^i M is spanned by
+the levels >= i) and depth n - i (T^depth kills it).  With low(r) the
+coordinates of level < r and high(r) those of depth > r, for a subspace U:
 
 * rank(T^r U) = rank(U[:, high(r)]), which gives the type of U;
-* dim ker T^r on M/U = dim M - dim(T^r M + U) = #low(r) - rank(U[:, low(r)])
-  when U is invariant, which gives the type of M/U;
-* {a in U : T^r a = 0} is the nullspace of U[:, high(r)]^T applied to U.
+* dim ker T^r on M/U = #low(r) - rank(U[:, low(r)]) when U is invariant,
+  which gives the type of M/U;
+* soc^l U = {a in U : a vanishes on high(l)}, and since the rows of U are
+  independent, rank(soc^l U [:, low(r)]) = rank(U[:, H + low(r)]) -
+  rank(U[:, H]) with H = high(l);
+* T^i U has, in low(r), the columns of U in high(i) of level < r - i.
 
-No annihilator and no shift product is needed; each module keeps its
-column lists.
+The rank of every column prefix of a matrix is the number of its pivots
+inside that prefix, so each type takes one elimination of U's basis, with
+the columns in an order that makes every rank needed a prefix: by depth,
+deepest first, for U; H first and the rest by level for M/soc^l U (H is
+empty from l = N on, which gives M/U); high(i) by level and the rest last
+for M/T^i U.  No layer is built, and each module keeps its column orders.
 
 Each Jordan block is self-dual: reversing the basis inside every block
 turns the transposed operator back into the shift.  So the annihilator of
@@ -71,21 +78,35 @@ def _check_prime(p, dim):
 class FpModule:
     """Direct sum of Jordan blocks of the sizes ``parts`` over F_p."""
 
-    __slots__ = ("prime", "parts", "dim", "_powers", "_low", "_high")
+    __slots__ = (
+        "prime", "parts", "dim", "_powers", "_high", "_by_depth", "_socle_orders", "_radical_orders",
+    )
 
     def __init__(self, prime, parts):
         self.prime = int(prime)
         self.parts = partition(parts)
         self.dim = sum(self.parts)
         _check_prime(self.prime, self.dim)
-        # T^0 .. T^N for N = parts[0]; T^N and every higher power are zero
-        self._powers = [_shift_matrix(self.parts, r) for r in range(self.nilpotency_index + 1)]
-        # low(r) and high(r) for r = 0..N, as lists of coordinates off+i;
-        # both saturate at N, where low is everything and high is empty
-        blocks = list(zip(block_offsets(self.parts), self.parts))
         levels = range(self.nilpotency_index + 1)
-        self._low = [[o + i for o, n in blocks for i in range(min(r, n))] for r in levels]
-        self._high = [[o + i for o, n in blocks for i in range(n - r)] for r in levels]
+        # T^0 .. T^N for N = parts[0]; T^N and every higher power are zero
+        self._powers = [_shift_matrix(self.parts, r) for r in levels]
+        # coordinate off+i of a block of size n has level i and depth n - i
+        coords = [(o + i, i, n - i) for o, n in zip(block_offsets(self.parts), self.parts) for i in range(n)]
+        by_level = sorted(coords, key=lambda c: c[1])
+        # high(r) for r = 0..N, the coordinates of depth > r; empty at N
+        self._high = [[c for c, _, d in coords if d > r] for r in levels]
+        # the column orders of the pivot read-offs, with the key of every
+        # position (a row of the conjugate type, or None): by depth for the
+        # type of U, and for r = 0..N those of M / soc^r U and M / T^r U
+        self._by_depth = _order([(c, d - 1) for c, _, d in sorted(coords, key=lambda c: -c[2])])
+        self._socle_orders = [
+            _order([(c, None) for c in self._high[r]] + [(c, i) for c, i, d in by_level if d <= r])
+            for r in levels
+        ]
+        self._radical_orders = [
+            _order([(c, i + r) for c, i, d in by_level if d > r] + [(c, None) for c, _, d in coords if d <= r])
+            for r in levels
+        ]
 
     def shift(self, rows, r):
         """T^r applied to each row, a fresh array reduced mod p.
@@ -96,10 +117,6 @@ class FpModule:
         """
         mat = self._powers[min(abs(r), self.nilpotency_index)]
         return (rows @ (mat.T if r >= 0 else mat)) % self.prime
-
-    def _low_cols(self, r):
-        """Coordinates off+i with i < r (r >= 0): T^r M is spanned by the others."""
-        return self._low[min(r, self.nilpotency_index)]
 
     def _high_cols(self, r):
         """Coordinates off+i with i < size - r (r >= 0): T^r moves them to
@@ -117,6 +134,11 @@ class FpModule:
 
     def __repr__(self):
         return f"FpModule(p={self.prime}, parts={self.parts})"
+
+
+def _order(pairs):
+    """The columns and the keys of (column, key) pairs, as two lists."""
+    return [c for c, _ in pairs], [k for _, k in pairs]
 
 
 def _shift_matrix(parts, r):
@@ -168,9 +190,17 @@ class Subspace:
         return self._annihilator
 
     def is_invariant(self):
-        """True iff the operator maps this subspace into itself."""
-        m = self.module
-        return linalg.is_subspace(m.shift(self.basis, 1), self.basis, m.prime)
+        """True iff the operator maps this subspace into itself.
+
+        The basis B is reduced row-echelon with pivot columns piv, so a row
+        v lies in its span iff v = v[:, piv] @ B: one product, no elimination.
+        """
+        if self.dim == 0:
+            return True
+        b, m = self.basis, self.module
+        tb = m.shift(b, 1)
+        piv = [row.index(1) for row in b.tolist()]  # each row leads with a 1
+        return np.array_equal(tb[:, piv] @ b % m.prime, tb)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -217,23 +247,6 @@ def block_offsets(parts):
     return offs
 
 
-def _type_from_kernels(dim, ker_dim):
-    """Type of a dim-dimensional module from r -> dim ker T^r.
-
-    The r-th row of the type has dim ker T^r - dim ker T^(r-1) boxes; rows
-    are added until the kernels fill the module.
-    """
-    rows = []
-    prev = 0
-    r = 1
-    while prev < dim:
-        cur = ker_dim(r)
-        rows.append(cur - prev)
-        prev = cur
-        r += 1
-    return transpose(tuple(rows))
-
-
 def module_type(module):
     """Type partition of the module: its block sizes."""
     return module.parts
@@ -264,28 +277,51 @@ def quotient_type(module, sub):
 
 
 def _quotient_type(module, sub):
-    """``quotient_type`` of a subspace known to be invariant.
+    """``quotient_type`` of a subspace known to be invariant: M / soc^N(sub)."""
+    return _socle_quotient_type(module, sub, module.nilpotency_index)
 
-    dim ker T^r on module/sub is #low(r) - rank(sub[:, low(r)]).
+
+def _socle_quotient_type(module, sub, ell):
+    """Type of module / soc^ell(sub), for an invariant sub."""
+    order = module._socle_orders[min(ell, module.nilpotency_index)]
+    return _quotient_off(module, _pivot_keys(sub, *order))
+
+
+def _radical_quotient_type(module, sub, i):
+    """Type of module / T^i sub, for an invariant sub."""
+    order = module._radical_orders[min(i, module.nilpotency_index)]
+    return _quotient_off(module, _pivot_keys(sub, *order))
+
+
+def _pivot_keys(sub, order, keys):
+    """keys[k] of each pivot k of sub's basis with its columns in ``order``,
+    leaving out the pivots keyed None."""
+    pivots = linalg.pivot_columns(sub.basis[:, order], sub.module.prime)
+    return [keys[k] for k in pivots if keys[k] is not None]
+
+
+def _quotient_off(module, levels):
+    """Type of module / W from the levels of W's pivots in a read-off order.
+
+    Row j + 1 of the conjugate type of module / W has as many boxes as
+    module has coordinates of level j, less the pivots of level j.
     """
-    basis, p = sub.basis, module.prime
-
-    def ker_dim(r):
-        low = module._low_cols(r)
-        return len(low) - linalg.rank(basis[:, low], p)
-
-    return _type_from_kernels(module.dim - sub.dim, ker_dim)
+    rows = list(transpose(module.parts))  # the coordinates of each level
+    for j in levels:
+        rows[j] -= 1
+    return transpose(tuple(r for r in rows if r))
 
 
 def _sub_type(module, sub):
     """Type of sub as a module under the restricted operator.
 
-    dim ker T^r on sub is dim sub - rank(sub[:, high(r)]).
+    Row d of its conjugate type is dim ker T^d - dim ker T^(d-1) on sub,
+    the number of pivots of depth d when the deepest columns come first.
     """
-    basis, p, dim = sub.basis, module.prime, sub.dim
-    return _type_from_kernels(
-        dim, lambda r: dim - linalg.rank(basis[:, module._high_cols(r)], p)
-    )
+    rows = [0] * module.nilpotency_index
+    for d in _pivot_keys(sub, *module._by_depth):
+        rows[d] += 1
+    return transpose(tuple(r for r in rows if r))
 
 
 def soc_layer(module, sub, ell):
@@ -293,9 +329,10 @@ def soc_layer(module, sub, ell):
     p = module.prime
     if ell <= 0 or sub.dim == 0:
         return zero_subspace(module)
-    # coefficients x with T^ell (x . basis) = 0, that is x . basis[:, high(ell)] = 0
+    # coefficients x with T^ell (x . basis) = 0, that is x . basis[:, high(ell)] = 0;
+    # the product of two reduced row-echelon matrices in this order is one
     coeffs = linalg.nullspace(sub.basis[:, module._high_cols(ell)].T, p)
-    return Subspace(module, (coeffs @ sub.basis) % p)
+    return Subspace._canonical(module, (coeffs @ sub.basis) % p)
 
 
 def rad_layer(module, sub, m):

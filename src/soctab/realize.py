@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 from .convert import duallr_to_socle
 from .embeddings import Embedding, dual_embedding
-from .modules import Subspace, block_offsets, soc_layer, standard_module, zero_subspace
+from .modules import Subspace, block_offsets, standard_module, zero_subspace
 from .partitions import transpose
 from .tableaux import (
     InvalidTableau,
@@ -80,11 +80,11 @@ def _build_chain(t, prime):
     for ell in range(1, s + 1):
         src, dst = layers[ell - 1], layers[ell]
         soffs, doffs = block_offsets(src), block_offsets(dst)
+        # canonical surjection of blocks, p^i -> p^i for i < dst[j]: the
+        # coordinates of dst, in order, come from these coordinates of src
+        cols = [soffs[j] + i for j in range(width) for i in range(dst[j])]
         g = np.zeros((sum(dst), sum(src)), dtype=np.int64)
-        for j in range(width):
-            # canonical surjection of blocks, p^i -> p^i for i < dst[j]
-            blk = np.eye(dst[j], src[j], dtype=np.int64)
-            g[doffs[j] : doffs[j] + dst[j], soffs[j] : soffs[j] + src[j]] = blk
+        g[range(len(cols)), cols] = 1
         if ell < s:
             h = _correction(t, layers[ell], doffs, ell, prime)
             g = (h @ g) % prime
@@ -99,17 +99,28 @@ def _build_chain(t, prime):
     epi = EpiChain(prime, stages, maps)
     # condition star: soc(Ker f2 f1) = Ker f1 for consecutive maps f1, f2
     for idx in range(s - 1):
-        f1, f2 = maps[idx], maps[idx + 1]
-        ker12 = Subspace._canonical(stages[idx], linalg.nullspace((f2 @ f1) % prime, prime))
-        if not np.array_equal(soc_layer(stages[idx], ker12, 1).basis, kernels[idx]):
+        if not _socle_condition(stages[idx], maps[idx], maps[idx + 1], kernels[idx]):
             raise ConditionStarViolated(f"socle condition fails between stages {idx+1},{idx+2}")
     return epi
+
+
+def _socle_condition(stage, f1, f2, ker1):
+    """True iff soc(Ker f2 f1) = Ker f1, given the basis ker1 of Ker f1.
+
+    Ker f1 lies in Ker f2 f1, so this holds iff Ker f1 lies in the socle
+    of ``stage``, spanned by the coordinates S = {off + size - 1}, and
+    Ker f2 f1 meets that span in dim Ker f1 = |S| - rank((f2 f1)[:, S]).
+    """
+    socle = [o + n - 1 for o, n in zip(block_offsets(stage.parts), stage.parts)]
+    meet = len(socle) - linalg.rank((f2 @ f1[:, socle]) % stage.prime, stage.prime)
+    # high(1) holds every coordinate outside S
+    return not ker1[:, stage._high_cols(1)].any() and meet == ker1.shape[0]
 
 
 def _correction(t, layer, offs, ell, prime):
     """Unipotent automorphism pairing columns along the cross matches at level ell."""
     n = sum(layer)
-    h = np.eye(n, dtype=np.int64)
+    rows, cols = list(range(n)), list(range(n))  # the identity, then the inclusions
     matching = build_matching(t, ell)
     used = set()
     for hi_box, lo_box in matching.pairs.items():
@@ -123,8 +134,11 @@ def _correction(t, layer, offs, ell, prime):
         # u == v is possible and harmless: the inclusion degenerates to the identity
         if not (i < j and u >= v >= 1):
             raise ConditionStarViolated(f"bad column pair ({i+1},{j+1}) at level {ell}")
-        # inclusion of the length-v block into the length-u one: p^i -> p^(u-v+i)
-        h[offs[i] : offs[i] + u, offs[j] : offs[j] + v] = np.eye(u, v, k=v - u, dtype=np.int64)
+        # inclusion of the length-v block into the length-u one: p^k -> p^(u-v+k)
+        rows += range(offs[i] + u - v, offs[i] + u)
+        cols += range(offs[j], offs[j] + v)
+    h = np.zeros((n, n), dtype=np.int64)
+    h[rows, cols] = 1
     return h
 
 

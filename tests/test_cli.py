@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,13 +7,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fixtures import DUAL_LR_M2, SOCLE_M2
+from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
 from soctab.cli import main
+from soctab.convert import socle_to_hom
 from soctab.embeddings import embedding_from_json, socle_tableau
 from soctab.tableaux import SkewTableau
 
-M2_PATH = "src/soctab/fixtures/m2.json"
+M = "src/soctab/fixtures/{}.json"
+M2_PATH = M.format("m2")
 
 
 def run_cli(capsys, *argv):
@@ -365,3 +371,73 @@ def test_byte_identical_runs(capsys):
     rc2, out2, _ = run_cli(capsys, "analyze", M2_PATH, "--format", "json")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any JSON document is answered with exit 0 or 1, never a traceback
+
+# small integers only: a block size or a shape part of 10**9 is valid input
+# that asks for a module or a diagram of that size
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 6), st.floats(-3, 7), st.text(max_size=3)),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=2), kids, max_size=4),
+    max_leaves=12,
+)
+# valid documents of each reader, which the fuzzer mutates
+_SEEDS = {
+    "embedding": [json.loads(Path(M.format(n)).read_text()) for n in ("m1", "m2", "m3")],
+    "socle": [SOCLE_M2.to_json_dict(), SOCLE_M1.to_json_dict()],
+    "duallr": [DUAL_LR_M2.to_json_dict()],
+    "hom": [socle_to_hom(SOCLE_M2).to_json_dict()],
+}
+_COMMANDS = [
+    (("analyze",), "embedding"),
+    (("switch",), "socle"),
+    *((("convert", "--from", src, "--to", dst), src)
+      for src in ("socle", "duallr", "hom") for dst in ("socle", "duallr", "hom") if src != dst),
+]
+
+
+def _mutate(draw, node):
+    """node with one subtree replaced, nudged by one, shortened or grown."""
+    keys = (sorted(node) if isinstance(node, dict) else list(range(len(node)))) if isinstance(node, (dict, list)) else []
+    key = draw(st.sampled_from(keys + [None]))  # None: mutate node itself
+    if key is not None:
+        node[key] = _mutate(draw, node[key])
+        return node
+    action = draw(st.sampled_from(["nudge", "replace", "drop", "grow"]))
+    if action == "nudge" and type(node) is int:
+        return node + draw(st.sampled_from([-1, 1]))
+    if action == "drop" and keys:
+        del node[draw(st.sampled_from(keys))]
+        return node
+    if action == "grow" and isinstance(node, list):
+        return node + [draw(_JSON)]
+    return draw(_JSON)
+
+
+@st.composite
+def _fuzz_cases(draw):
+    command, kind = draw(st.sampled_from(_COMMANDS))
+    # mostly the command's own kind of document, sometimes another kind or any JSON
+    source = draw(st.sampled_from([kind] * 3 + list(_SEEDS) + [None]))
+    if source is None:
+        return command, draw(_JSON)
+    doc = json.loads(json.dumps(draw(st.sampled_from(_SEEDS[source]))))
+    for _ in range(draw(st.integers(0, 3))):
+        doc = _mutate(draw, doc)
+    return command, doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_fuzz_cases())
+def test_any_json_document_exits_0_or_1_without_a_traceback(tmp_path_factory, case):
+    command, document = case
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(document))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([*command, str(path)])
+    assert rc in (0, 1), (rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (rc == 0) == (err.getvalue() == "")

@@ -51,3 +51,13 @@ def test_nullspace_is_annihilated_and_has_the_right_dimension(mp):
             assert sum(a * b for a, b in zip(v, x)) % p == 0
     # the basis is canonical: Subspace equality compares these arrays
     assert linalg.rref(ns, p)[0].tolist() == ns.tolist()
+
+
+@PROPS
+@given(matrices())
+def test_pivot_columns_count_the_rank_of_every_column_prefix(mp):
+    m, p = mp
+    pivots = linalg.pivot_columns(m, p)
+    assert pivots == linalg.rref(m, p)[1]
+    for k in range(m.shape[1] + 1):
+        assert sum(c < k for c in pivots) == linalg.rank(m[:, :k], p)

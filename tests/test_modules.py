@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import intersection
+from soctab import linalg
 from soctab.embeddings import Embedding, embedding_from_spec, load_fixture, random_corpus
 from soctab.modules import (
     BadPrime,
     FpModule,
     NotInvariant,
     Subspace,
+    _quotient_type,
+    _radical_quotient_type,
+    _socle_quotient_type,
+    _sub_type,
     annihilator,
     full_subspace,
     module_type,
@@ -262,14 +267,27 @@ def test_prime_independence_of_types():
 
 
 @st.composite
-def invariant_subspaces(draw):
-    """The span of up to three random generators in a random standard module, |beta| <= 8."""
+def random_vectors(draw):
+    """A random standard module, |beta| <= 8, and up to three random vectors in it."""
     p = draw(st.sampled_from([2, 3, 5, 7, 1000003]))
     beta = draw(st.sampled_from([b for w in range(9) for b in partitions_of(w)]))
     m = standard_module(p, beta)
     entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
     gens = draw(st.lists(st.lists(entry, min_size=m.dim, max_size=m.dim), max_size=3))
-    return m, submodule_span(m, np.array(gens, dtype=np.int64).reshape(len(gens), m.dim))
+    return m, np.array(gens, dtype=np.int64).reshape(len(gens), m.dim)
+
+
+def invariant_subspaces():
+    """The span of up to three random generators in a random standard module, |beta| <= 8."""
+    return random_vectors().map(lambda mg: (mg[0], submodule_span(*mg)))
+
+
+def random_subspaces():
+    """The span of random vectors, invariant or not, or of their submodule span."""
+    return st.one_of(
+        random_vectors().map(lambda mg: (mg[0], Subspace(*mg))),
+        invariant_subspaces(),
+    )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -277,8 +295,30 @@ def invariant_subspaces(draw):
 def test_column_slice_read_offs_match_the_annihilator_and_shift_formulas(case):
     m, sub = case
     x = Embedding(m, sub)
-    assert quotient_type(m, sub) == x.gamma == oracles.quotient_type(m, sub)
-    assert x.alpha == oracles.sub_type(m, sub)
-    for ell in range(m.nilpotency_index + 2):
+    assert quotient_type(m, sub) == x.gamma == _quotient_type(m, sub) == oracles.quotient_type(m, sub)
+    assert x.alpha == _sub_type(m, sub) == oracles.sub_type(m, sub)
+    for r in range(m.nilpotency_index + 2):
         # equal Subspaces have equal canonical bases
-        assert soc_layer(m, sub, ell) == oracles.soc_layer(m, sub, ell)
+        soc, rad = soc_layer(m, sub, r), rad_layer(m, sub, r)
+        assert soc == oracles.soc_layer(m, sub, r)
+        # one pivot read-off per layer, against the layer built and the
+        # type of its quotient read off the annihilator
+        assert _socle_quotient_type(m, sub, r) == oracles.quotient_type(m, soc), r
+        assert _radical_quotient_type(m, sub, r) == oracles.quotient_type(m, rad), r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(random_subspaces())
+def test_is_invariant_agrees_with_an_elimination(case):
+    m, sub = case
+    b = sub.basis
+    assert sub.is_invariant() == linalg.is_subspace(m.shift(b, 1), b, m.prime)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(random_subspaces(), st.integers(0, 9))
+def test_soc_layer_basis_is_already_reduced(case, ell):
+    m, sub = case
+    layer = soc_layer(m, sub, ell)
+    # reducing the basis again changes nothing
+    assert layer == Subspace(m, layer.basis) == oracles.soc_layer(m, sub, ell)

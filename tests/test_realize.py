@@ -24,6 +24,7 @@ from soctab.partitions import (
 from soctab.realize import (
     ConditionStarViolated,
     EpiChain,
+    _socle_condition,
     build_chain,
     realize_lr,
     realize_socle,
@@ -147,6 +148,66 @@ def test_build_chain_checks_every_map(monkeypatch):
     )
     with pytest.raises(ConditionStarViolated, match=r"^stage 1 map is not surjective$"):
         build_chain(SOCLE_M2, 2)
+
+
+def test_condition_star_fails_where_the_layer_check_fails(monkeypatch):
+    from soctab import realize
+
+    # identity corrections break condition star on some chains and not on others
+    monkeypatch.setattr(
+        realize, "_correction", lambda t, layer, offs, ell, prime: np.eye(sum(layer), dtype=np.int64)
+    )
+    built = []
+    monkeypatch.setattr(realize, "EpiChain", lambda *args: built.append(EpiChain(*args)) or built[-1])
+    builds = violated = 0
+    for sh in shape_triples(7):
+        for t in iter_tableaux(*sh, kind="socle"):
+            for p in (2, 3):
+                try:
+                    build_chain(t, p)
+                    got = None
+                except ConditionStarViolated as exc:
+                    got = str(exc)
+                # the first pair that the nullspace and socle-layer check rejects
+                layer_check = [
+                    msg.split()[-3:] for msg in verify_epi_chain(built[-1])
+                    if msg.startswith("socle condition fails")
+                ]
+                want = None
+                if layer_check:
+                    i, _, j = layer_check[0]
+                    want = f"socle condition fails between stages {i},{j}"
+                assert got == want, (t.to_json_dict(), p)
+                builds += 1
+                violated += got is not None
+    assert (builds, violated) == (1274, 376)
+
+
+@st.composite
+def map_pairs(draw):
+    """Matrices f1: C -> F_p^k and f2: F_p^k -> F_p^m on a random stage C, |C| <= 7."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    stage = standard_module(p, draw(st.sampled_from([b for w in range(8) for b in partitions_of(w)])))
+    k, m = draw(st.integers(0, stage.dim)), draw(st.integers(0, stage.dim))
+    entry = st.sampled_from([0, 0, 1, p - 1])
+
+    def matrix(rows, cols):
+        cells = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+    return stage, matrix(k, stage.dim), matrix(m, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(map_pairs())
+def test_socle_condition_agrees_with_the_socle_layer_check(case):
+    stage, f1, f2 = case
+    p = stage.prime
+    ker1 = linalg.nullspace(f1, p)
+    ker12 = Subspace(stage, linalg.nullspace((f2 @ f1) % p, p))
+    # Ker f1 need not lie in the socle here, nor Ker f2 f1 be invariant
+    expected = soc_layer(stage, ker12, 1) == Subspace(stage, ker1)
+    assert _socle_condition(stage, f1, f2, ker1) == expected
 
 
 def test_realize_fixtures():
