@@ -25,6 +25,7 @@ from operator import gt
 from typing import Iterator, NamedTuple
 
 from .partitions import (
+    NotContained,
     Shape,
     contains,
     part,
@@ -83,6 +84,12 @@ class SkewTableau:
             if not _is_json_int(v) or v < 1:
                 raise InvalidTableau(f"entries must be positive integers, got {v!r}")
             counts[v] = counts.get(v, 0) + 1
+        if weight(self.alpha) != len(self.entries):
+            # refused before transpose(alpha), which costs alpha[0]
+            raise InvalidTableau(
+                f"content {counts} does not match transpose(alpha): "
+                f"|alpha| = {weight(self.alpha)}, not {len(self.entries)}"
+            )
         cols = transpose(self.alpha)
         expected = {l + 1: cols[l] for l in range(len(cols))}
         if counts != expected:
@@ -169,10 +176,13 @@ class SkewTableau:
             raise InvalidTableau("alpha, beta, gamma and each grid row must be lists of integers")
         beta = partition(beta)
         gamma = partition(gamma)
+        # refused before any transpose, which costs the largest part
+        if len(grid) != part(beta, 1):
+            raise InvalidTableau("grid has the wrong number of rows")
+        if not contains(beta, gamma):
+            raise NotContained(f"{gamma} is not contained in {beta}")
         rows = transpose(beta)
         grows = transpose(gamma)
-        if len(grid) != len(rows):
-            raise InvalidTableau("grid has the wrong number of rows")
         entries = {}
         for r in range(1, len(rows) + 1):
             row = grid[r - 1]

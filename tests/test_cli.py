@@ -310,6 +310,43 @@ def test_malformed_tableau_json_is_invalid_input(tmp_path, capsys):
             assert err.startswith("invalid input") and "Traceback" not in err, (cmd, data)
 
 
+def test_tableau_json_with_huge_parts_is_refused_before_any_transpose(tmp_path, capsys, monkeypatch):
+    """A file whose shape parts are 10**9 is refused at the cost of its own size:
+    every transpose is counted by the cells it builds, one per row of its result."""
+    import soctab.partitions as partitions
+    import soctab.tableaux as tableaux
+
+    cells = []
+    real = partitions.transpose
+
+    def counting(p):
+        cells.append(p[0] if p else 0)
+        if cells[-1] > 10:
+            pytest.fail(f"transpose of a part {cells[-1]}")
+        return real(p)
+
+    monkeypatch.setattr(partitions, "transpose", counting)
+    monkeypatch.setattr(tableaux, "transpose", counting)
+    big = 10**9
+    cases = [
+        # the grid has 2 rows, beta 10**9
+        ({"alpha": [1], "beta": [big], "gamma": [big - 1], "grid": [[0], [0]]}, "wrong number of rows"),
+        # gamma is not inside beta
+        ({"alpha": [1], "beta": [1], "gamma": [big], "grid": [[0]]}, f"({big},) is not contained in (1,)"),
+        # one skew box, and alpha of weight 10**9
+        ({"alpha": [big], "beta": [1], "gamma": [], "grid": [[1]]}, "does not match transpose(alpha)"),
+    ]
+    tfile = tmp_path / "t.json"
+    for data, message in cases:
+        tfile.write_text(json.dumps(data))
+        for cmd in (("switch",), ("realize",), ("convert", "--from", "socle", "--to", "hom")):
+            cells.clear()
+            rc, out, err = run_cli(capsys, *cmd, str(tfile))
+            assert (rc, out) == (1, ""), (cmd, data)
+            assert err.startswith("invalid input") and message in err, (cmd, err)
+            assert sum(cells) <= 2, (cmd, data, cells)
+
+
 def test_convert_hom_rejects_non_object(tmp_path, capsys):
     for text in ("[1, 2, 3]", '"h"', '{"L": 1, "M": 1, "h": [5, 6]}', '{"L": "a", "M": 1, "h": []}'):
         hfile = tmp_path / "h.json"

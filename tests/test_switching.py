@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import oracles
 import soctab.switching as switching
 from fixtures import DUAL_LR_M2, SOCLE_M2
 from soctab.convert import socle_to_duallr
@@ -197,3 +198,63 @@ def test_random_order_terminal_grid_and_input_untouched(t, seed):
     assert rand.owner == base.owner and rand.entry == base.entry
     assert state.owner == owner and state.entry == entry and state.history == []
     assert rand.is_terminal() and base.is_terminal()
+
+
+def test_slot_engine_matches_the_dict_engine():
+    """The slot-list engine makes the same swaps as the dict-based oracle."""
+    orders = [("deterministic", None)] + [("seeded-random", k) for k in (0, 1, 2)]
+    for t in SMALL_SOCLE:
+        state, ref = init_switch(t), oracles.init_switch(t)
+        assert state.owner == ref.owner and state.entry == ref.entry
+        assert state.admissible_swaps() == ref.admissible_swaps()
+        for order, seed in orders:
+            rng = None if seed is None else random.Random(seed)
+            ref_rng = None if seed is None else random.Random(seed)
+            got, want = run_switch(state, order, rng), oracles.run_switch(ref, order, ref_rng)
+            assert got.history == want.history, (t.to_json_dict(), order, seed)
+            assert got.owner == want.owner and got.entry == want.entry
+
+
+def test_check_conjecture_records_a_divergent_seeded_run(monkeypatch):
+    # one seeded run of one tableau stops a swap short of its terminal grid:
+    # that run alone differs from the deterministic grid and is recorded
+    target = ((2, 1), (4, 1, 1), (2, 1))
+    (t,) = iter_tableaux(*target, kind="socle")
+    initial = init_switch(t)
+    seeds, base, planted = 3, 10, 11
+    full = run_switch(initial, "seeded-random", random.Random(planted))
+    assert full.history
+    real_run, real_swaps = switching.run_switch, switching.SwitchState._slot_swaps
+    cut = {"on": False}
+
+    def run(state, order="deterministic", rng=None):
+        cut["on"] = (
+            order == "seeded-random"
+            and (state.owner, state.entry) == (initial.owner, initial.entry)
+            and rng.getstate() == random.Random(planted).getstate()
+        )
+        return real_run(state, order, rng)
+
+    def swaps(state):
+        if cut["on"] and len(state.history) == len(full.history) - 1:
+            return []
+        return real_swaps(state)
+
+    monkeypatch.setattr(switching, "run_switch", run)
+    monkeypatch.setattr(switching.SwitchState, "_slot_swaps", swaps)
+    rep = check_conjecture(6, seeds=seeds, base_seed=base)
+    assert rep.tableaux == 295 and rep.runs == 295 * (1 + seeds)
+    short = initial.copy()
+    for _, _, sbox, tbox in full.history[:-1]:
+        short.apply(sbox, tbox)
+    try:
+        got = extract_duallr(short, t.alpha).to_json_dict()
+    except switching.ShapeMismatch:
+        got = None
+    (m,) = rep.mismatches
+    assert m["order"] == f"seed {planted}"
+    assert m["shape"] == [list(p) for p in target]
+    assert m["tableau"] == t.to_json_dict()
+    assert m["expected"] == socle_to_duallr(t).to_json_dict()
+    assert m["got"] == got
+    assert m["trace"] == [[se, te, list(sb), list(tb)] for se, te, sb, tb in full.history[:-1]]
