@@ -95,7 +95,6 @@ from .convert import (
     socle_to_hom,
 )
 from .switching import (
-    NonTerminating,
     ShapeMismatch,
     SwitchState,
     check_conjecture,

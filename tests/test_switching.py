@@ -196,6 +196,7 @@ def test_random_order_terminal_grid_and_input_untouched(t, seed):
     base = run_switch(state)
     rand = run_switch(state, "seeded-random", random.Random(seed))
     assert rand.owner == base.owner and rand.entry == base.entry
+    assert switching._search(state._geo, state._grid)[0] == tuple(base._grid)
     assert state.owner == owner and state.entry == entry and state.history == []
     assert rand.is_terminal() and base.is_terminal()
 
@@ -216,36 +217,36 @@ def test_slot_engine_matches_the_dict_engine():
 
 
 def test_check_conjecture_records_a_divergent_seeded_run(monkeypatch):
-    # one seeded run of one tableau stops a swap short of its terminal grid:
-    # that run alone differs from the deterministic grid and is recorded
+    # the swap graph of one tableau gains a dead end on the path of one
+    # seeded run and of no other run: the search finds a second terminal,
+    # so the seeded orders run, and the planted run alone stops there
     target = ((2, 1), (4, 1, 1), (2, 1))
     (t,) = iter_tableaux(*target, kind="socle")
     initial = init_switch(t)
     seeds, base, planted = 3, 10, 11
+
+    def path(final):
+        st, grids = initial.copy(), []
+        for _, _, sbox, tbox in final.history:
+            st.apply(sbox, tbox)
+            grids.append(tuple(st._grid))
+        return grids
+
     full = run_switch(initial, "seeded-random", random.Random(planted))
     assert full.history
-    real_run, real_swaps = switching.run_switch, switching.SwitchState._slot_swaps
-    cut = {"on": False}
-
-    def run(state, order="deterministic", rng=None):
-        cut["on"] = (
-            order == "seeded-random"
-            and (state.owner, state.entry) == (initial.owner, initial.entry)
-            and rng.getstate() == random.Random(planted).getstate()
-        )
-        return real_run(state, order, rng)
-
-    def swaps(state):
-        if cut["on"] and len(state.history) == len(full.history) - 1:
-            return []
-        return real_swaps(state)
-
-    monkeypatch.setattr(switching, "run_switch", run)
-    monkeypatch.setattr(switching.SwitchState, "_slot_swaps", swaps)
+    others = [run_switch(initial)] + [
+        run_switch(initial, "seeded-random", random.Random(base + k)) for k in range(seeds) if base + k != planted
+    ]
+    elsewhere = {g for final in others for g in path(final)}
+    cut = next(i for i, g in enumerate(path(full)) if g not in elsewhere)
+    dead_end, real_swaps = path(full)[cut], switching._slot_swaps
+    monkeypatch.setattr(
+        switching, "_slot_swaps", lambda geo, g: [] if tuple(g) == dead_end else real_swaps(geo, g)
+    )
     rep = check_conjecture(6, seeds=seeds, base_seed=base)
     assert rep.tableaux == 295 and rep.runs == 295 * (1 + seeds)
     short = initial.copy()
-    for _, _, sbox, tbox in full.history[:-1]:
+    for _, _, sbox, tbox in full.history[: cut + 1]:
         short.apply(sbox, tbox)
     try:
         got = extract_duallr(short, t.alpha).to_json_dict()
@@ -257,4 +258,62 @@ def test_check_conjecture_records_a_divergent_seeded_run(monkeypatch):
     assert m["tableau"] == t.to_json_dict()
     assert m["expected"] == socle_to_duallr(t).to_json_dict()
     assert m["got"] == got
-    assert m["trace"] == [[se, te, list(sb), list(tb)] for se, te, sb, tb in full.history[:-1]]
+    assert m["trace"] == [[se, te, list(sb), list(tb)] for se, te, sb, tb in full.history[: cut + 1]]
+
+
+def test_search_visits_every_reachable_grid():
+    rep = check_conjecture(8)
+    assert rep.ok and rep.tableaux == 1351 and rep.states == 13626
+    # the count is a diagnostic, kept out of the report's outputs
+    assert "states" not in rep.to_json_dict() and "13626" not in rep.render()
+    assert check_conjecture(9).states == 41866
+    # no seeded orders, nothing to imply, no search
+    assert check_conjecture(8, seeds=0).states == 0
+
+
+def test_slot_swaps_match_the_dict_engine_on_every_reached_grid(monkeypatch):
+    real, reached = switching._slot_swaps, []
+
+    def checked(geo, g):
+        swaps = real(geo, g)
+        st = switching.SwitchState._of_grid(geo, list(g), [])
+        ref = oracles.SwitchState(geo.beta, st.owner, st.entry)
+        assert [(geo.boxes[s], geo.boxes[t]) for s, t in swaps] == ref.admissible_swaps()
+        reached.append(g)
+        return swaps
+
+    monkeypatch.setattr(switching, "_slot_swaps", checked)
+    rep = check_conjecture(6, seeds=1)
+    assert rep.ok and len(reached) == rep.states == 1377
+
+
+def _hand_grid(rows):
+    """A 2 x 2 state from rows of (owner, entry) pairs."""
+    cells = {(r, c): x for r, row in enumerate(rows, 1) for c, x in enumerate(row, 1)}
+    return switching.SwitchState((2, 2), {b: o for b, (o, _) in cells.items()}, {b: v for b, (_, v) in cells.items()})
+
+
+@pytest.mark.parametrize(
+    "rows, swaps",
+    [
+        # moving the S 1 at (1, 1) right would put it above the S 1 at
+        # (2, 2): the check of the S boxes after t in its column decides
+        ([[("S", 1), ("T", 1)], [("T", 2), ("S", 1)]], []),
+        ([[("S", 1), ("T", 1)], [("T", 2), ("S", 2)]], [((1, 1), (1, 2))]),
+        # moving the T 1 at (2, 2) left would put it below the T 1 at
+        # (1, 1): the strict check of the T boxes before s decides
+        ([[("T", 1), ("S", 1)], [("S", 2), ("T", 1)]], []),
+        ([[("T", 0), ("S", 1)], [("S", 2), ("T", 1)]], [((2, 1), (2, 2))]),
+    ],
+)
+def test_each_horizontal_swap_clause_decides_a_swap(rows, swaps):
+    """Both fillings are semistandard on their own boxes, and one clause of
+    the horizontal swap test alone tells the two grids of a pair apart."""
+    st = _hand_grid(rows)
+    assert st.admissible_swaps() == swaps
+    assert oracles.SwitchState(st.beta, st.owner, st.entry).admissible_swaps() == swaps
+
+
+def test_switch_state_rejects_negative_entries():
+    with pytest.raises(ValueError):
+        switching.SwitchState((1,), {(1, 1): "T"}, {(1, 1): -1})
