@@ -9,16 +9,17 @@ is a reportable result rather than a bug.
 from itertools import groupby
 
 from .convert import (
+    _duallr_chain_to_socle,
     _socle_chain_to_duallr,
     defect_table,
     duallr_to_hom,
-    duallr_to_socle,
     entry_multiplicities,
     hom_to_duallr,
     hom_to_socle,
     socle_to_hom,
 )
 from .embeddings import (
+    _filtration_chain,
     dual_embedding,
     embedding_from_spec,
     hom_matrix,
@@ -27,8 +28,9 @@ from .embeddings import (
     random_corpus,
     socle_tableau,
 )
+from .modules import _radical_quotient_type, _socle_quotient_type
 from .partitions import shape_triples
-from .realize import _build_chain, _kernel_embedding
+from .realize import _IntChain
 from .tableaux import (
     MatchingFailed,
     _beta_chains,
@@ -108,42 +110,42 @@ def realize_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
         for alpha, _, gamma in group:
             for chain in chains.get((alpha, gamma), ()):
                 # the enumerator's chains are valid, so nothing is checked again
-                t = _chain_tableau(chain, "socle")
+                built = _IntChain(_chain_tableau(chain, "socle"))
                 rep.cases += 1
                 for p in primes:
-                    x = _kernel_embedding(_build_chain(t, p))
+                    x = built.embedding(p)
                     if x.shape != (alpha, beta, gamma):
                         rep.fail(f"{(alpha, beta, gamma)} p={p}: wrong shape {tuple(x.shape)}")
                         continue
-                    if socle_tableau(x) != t:
+                    # canonical chains: equal iff the tableaux are
+                    if tuple(_filtration_chain(x, _socle_quotient_type, beta, gamma)) != chain:
                         rep.fail(f"{(alpha, beta, gamma)} p={p}: socle tableau differs")
     return rep
 
 
 def realize_lr_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
-    """Dual counterpart of realize_sweep for LR tableaux."""
+    """Dual counterpart of realize_sweep for LR tableaux; each mirrored socle
+    chain must be one of those enumerated, which replaces its axiom check."""
     rep = SweepReport("realize-lr-roundtrip", max_beta=max_beta_weight, primes=list(primes))
     for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
-        chains = _beta_chains(beta, "lr")
+        chains, mirrors = _beta_chains(beta, "lr"), _beta_chains(beta, "socle")
         for alpha, _, gamma in group:
             for chain in chains.get((alpha, gamma), ()):
-                t = _chain_tableau(chain, "lr")
-                # realize_lr at each prime, with the mirror computed once
-                mirror = duallr_to_socle(t)
                 rep.cases += 1
+                mirror = _duallr_chain_to_socle(chain)
+                if mirror not in mirrors.get((gamma, alpha), ()):
+                    rep.fail(f"{(alpha, beta, gamma)}: mirror is not an enumerated socle chain")
+                    continue
+                built = _IntChain(_chain_tableau(mirror, "socle"))
                 for p in primes:
-                    x = dual_embedding(_kernel_embedding(_build_chain(mirror, p)))
-                    if lr_tableau(x) != t:
+                    x = dual_embedding(built.embedding(p))
+                    if tuple(_filtration_chain(x, _radical_quotient_type, x.gamma, x.beta)) != chain:
                         rep.fail(f"{(alpha, beta, gamma)} p={p}: lr tableau differs")
     return rep
 
 
 def _corpus_embeddings(corpus_seed, corpus_count, max_beta_weight, primes):
-    specs = [fx for fx in ("m1", "m2", "m3")]
-    out = []
-    for name in specs:
-        per_prime = {p: load_fixture(name, prime=p) for p in primes}
-        out.append((name, per_prime))
+    out = [(name, {p: load_fixture(name, prime=p) for p in primes}) for name in ("m1", "m2", "m3")]
     for i, spec in enumerate(random_corpus(corpus_seed, corpus_count, max_beta_weight)):
         out.append((f"corpus[{i}]", {p: embedding_from_spec(spec, p) for p in primes}))
     return out

@@ -270,33 +270,27 @@ def _socle_chain_to_duallr(chain) -> tuple:
     return tuple(out)
 
 
+def _duallr_chain_to_socle(chain) -> tuple:
+    """The inverse of ``_socle_chain_to_duallr``, from chain to chain: with
+    L(j, m) row m of layer j, which for m > j counts the entries m - j below
+    row j, row r of the socle tableau holds L(r-1, r-1+e) - L(r, r+e) entries e."""
+    rows = [transpose(lam) for lam in chain]
+    rows += rows[-1:] * len(rows[-1])  # L(j, m) reads the last layer for every j past it
+    layer = rows[-1]  # the rows of beta
+    out = [transpose(layer)]
+    for e in range(1, part(chain[0], 1) + 1):
+        layer = tuple(x - part(rows[r - 1], r - 1 + e) + part(rows[r], r + e) for r, x in enumerate(layer, 1))
+        out.append(transpose(layer))  # raises unless a partition
+    return tuple(out)
+
+
 def duallr_to_socle(t: SkewTableau) -> SkewTableau:
     """Socle tableau with the same Hom-matrix, built without the matrix."""
     if not check_lr(t):
         raise InvalidTableau("LR tableau expected")
-    chain = _chain_layers(t, "lr")
-    tmax = len(chain) - 1
-    layers = [transpose(lam) for lam in chain]
-
-    def lam_row(j, m):
-        if m < 1:
-            return 0
-        lam = layers[min(j, tmax)]
-        return lam[m - 1] if m <= len(lam) else 0
-
-    alpha = t.gamma  # inner shape of the dual LR tableau is the subspace type
-    s = alpha[0] if alpha else 0
-    b1 = t.beta[0] if t.beta else 0
-    mu = {}
-    for ell in range(1, s + 1):
-        for r in range(1, b1 + 1):
-            m = ell + r
-            v = lam_row(r - 1, m - 1) - lam_row(r, m)
-            if v < 0:
-                raise InvalidTableau(f"negative multiplicity for entry {ell} row {r}")
-            if v:
-                mu[(ell, r)] = v
-    out = tableau_from_mu("socle", t.beta, mu)
+    out = _chain_tableau(_duallr_chain_to_socle(_chain_layers(t, "lr")), "socle")
+    if not check_socle(out):
+        raise InvalidTableau("mirrored filling violates the socle axioms")
     if out.shape != (t.gamma, t.beta, t.alpha):
         raise InvalidTableau(f"socle tableau has shape {tuple(out.shape)}, not the swapped shape")
     return out

@@ -9,15 +9,15 @@ Inside, every elimination runs in one routine, ``_eliminate``, on rows
 held as lists of Python ints in [0, p), at every prime.  A public function
 converts its arrays to rows once on entry and back once on exit, so the
 matrices the library produces (mostly smaller than 20 x 20) pay no
-per-entry numpy call, and arithmetic is exact at any prime.  Rows
-bit-packed into one int and eliminated by XOR at p = 2 (as in M4RI) were
-tried and ran the realization sweep slower at these sizes, so one row form
-serves every prime.  ``nullspace`` costs one elimination: the reduced
-echelon basis of the kernel is read off the reduced rows directly.
+per-entry numpy call, and arithmetic is exact at any prime (the
+realization builds its rows itself).  Rows bit-packed into one int and
+eliminated by XOR at p = 2 (as in M4RI) ran the realization sweep slower,
+so one row form serves every prime.  ``nullspace`` costs one elimination:
+the reduced echelon basis of the kernel is read off the reduced rows.
 
 This module knows nothing of the operator: ``FpModule.shift`` applies it,
 and the callers hand the resulting arrays in.  The matrix products that
-remain in numpy, all outside this module, are exact while
+remain in numpy, in modules and embeddings, are exact while
 ncols * (p - 1)**2 < 2**63; ``FpModule`` rejects moduli beyond that.
 """
 

@@ -4,26 +4,20 @@ The construction builds a chain of surjections with semisimple kernels
 between the standard modules of the chain layers.  Column pairs found by
 the level matching receive a unipotent correction so that the kernel of
 each two-step composite has socle equal to the kernel of the first step;
-the kernel of the full composite is then the subspace sought, and each
-map is checked as it is built.  LR tableaux are realized as the duals of
-the realizations of their mirrored socle tableaux, which lie in the same
-standard module of beta.
+the kernel of the full composite is then the subspace sought.  The maps
+have entries 0 and 1 at every prime (the construction of Ringel and
+Schmidmeier is prime-free), so they are built once per tableau on rows of
+Python ints, and each prime runs only the eliminations and their checks.
+LR tableaux are realized as the duals of the realizations of their
+mirrored socle tableaux, which lie in the same standard module of beta.
 """
-
-import numpy as np
 
 from . import linalg
 from .convert import duallr_to_socle
 from .embeddings import Embedding, dual_embedding
 from .modules import Subspace, block_offsets, standard_module, zero_subspace
 from .partitions import transpose
-from .tableaux import (
-    InvalidTableau,
-    SkewTableau,
-    _chain_layers,
-    build_matching,
-    check_socle,
-)
+from .tableaux import InvalidTableau, SkewTableau, _chain_layers, build_matching, check_socle
 
 
 class ConditionStarViolated(RuntimeError):
@@ -42,88 +36,91 @@ class EpiChain:
         if len(self.maps) != len(self.stages) - 1:
             raise ValueError("need exactly one map per consecutive stage pair")
 
-    def composite(self):
-        """Matrix of the full composition C0 -> Cs."""
-        p = self.prime
-        out = np.eye(self.stages[0].dim, dtype=np.int64)
-        for f in self.maps:
-            out = (f @ out) % p
-        return out
-
     def __repr__(self):
-        dims = [c.dim for c in self.stages]
-        return f"EpiChain(p={self.prime}, dims={dims})"
+        return f"EpiChain(p={self.prime}, dims={[c.dim for c in self.stages]})"
 
 
-def build_chain(t: SkewTableau, prime: int) -> EpiChain:
-    """Epimorphism chain realizing the socle tableau ``t``.
+class _IntChain:
+    """The construction of a socle tableau on integer rows, valid mod every prime:
+    the rows of each map and of the full composite, and for each consecutive
+    pair f1, f2, |S| for the socle S of f1's source, the coordinates high(1)
+    outside S and the rows of f2 f1[:, S]."""
 
-    Each map must be onto, with the kernel length that ``t`` prescribes,
-    and meet the socle condition with the next map; a failure is a bug
-    and raises ``ConditionStarViolated``.
-    """
-    if not check_socle(t):
-        raise InvalidTableau("socle tableau expected")
-    return _build_chain(t, prime)
+    __slots__ = ("layers", "acols", "maps", "pairs", "composite")
+
+    def __init__(self, t):
+        # the axioms make the layers a valid chain; each is padded to the width of beta
+        self.layers = layers = _chain_layers(t, "socle")
+        self.acols = transpose(t.alpha)
+        s = len(layers) - 1
+        ones = []  # ones[ell - 1][r]: the source coordinates of the 1s in row r of map ell
+        for ell, src, dst in zip(range(1, s + 1), layers, layers[1:]):
+            # canonical surjection of blocks, p^i -> p^i for i < dst[j]: the
+            # coordinates of dst, in order, come from these coordinates of src
+            cols = [o + i for o, n in zip(block_offsets(src), dst) for i in range(n)]
+            h = _correction(t, dst, block_offsets(dst), ell) if ell < s else [[k] for k in range(len(cols))]
+            # row r of h g adds the rows k of g, the unit rows at cols[k], for the 1s of row r of h
+            ones.append([[cols[k] for k in hr] for hr in h])
+        # h lists distinct columns in each row, so the maps are exactly 0/1
+        self.maps = [_rows(f, sum(src)) for f, src in zip(ones, layers)]
+        self.pairs = []
+        for f1, f2, layer in zip(ones, ones[1:], layers):
+            offs = block_offsets(layer)
+            socle = [o + n - 1 for o, n in zip(offs, layer) if n]  # spans the socle of the stage
+            high = [o + i for o, n in zip(offs, layer) for i in range(n - 1)]
+            prod = [[socle.index(c) for k in r for c in f1[k] if c in socle] for r in f2]
+            self.pairs.append((len(socle), high, _rows(prod, len(socle))))
+        comp = ones[0] if s else []  # a column once for each path of 1s to it
+        for f in ones[1:]:
+            comp = [[c for k in r for c in comp[k]] for r in f]
+        self.composite = _rows(comp, sum(layers[0]))
+
+    def check(self, p):
+        """Raise ``ConditionStarViolated`` unless every map is onto, with the
+        kernel length of the tableau, and meets condition star at p."""
+        kernels = []
+        for ell, (f, src, dst) in enumerate(zip(self.maps, self.layers, self.layers[1:]), 1):
+            n, m = sum(src), sum(dst)
+            # one elimination gives the kernel, and rank = source dim - kernel dim
+            kernels.append(linalg._null_rows(f, n, p))
+            if n - len(kernels[-1]) != m:
+                raise ConditionStarViolated(f"stage {ell} map is not surjective")
+            if n - m != self.acols[ell - 1]:
+                raise ConditionStarViolated(f"stage {ell} kernel has the wrong length")
+        # condition star: soc(Ker f2 f1) = Ker f1 for consecutive maps f1, f2
+        for idx, ((size, high, prod), ker1) in enumerate(zip(self.pairs, kernels)):
+            if not _socle_condition(size, high, [[x % p for x in r] for r in prod], ker1, p):
+                raise ConditionStarViolated(f"socle condition fails between stages {idx+1},{idx+2}")
+
+    def embedding(self, p):
+        """The kernel of the full composite at p, in the standard module of beta."""
+        amb = standard_module(p, self.layers[0])
+        if not self.maps:
+            return Embedding(amb, zero_subspace(amb))
+        self.check(p)
+        basis = linalg._null_rows([[x % p for x in r] for r in self.composite], amb.dim, p)
+        return Embedding(amb, Subspace._canonical(amb, linalg._to_array(basis, amb.dim)))
 
 
-def _build_chain(t, prime):
-    """``build_chain`` for a tableau already known to be a socle tableau."""
-    # the axioms make the layers a valid chain; each is padded to the width of beta
-    layers = _chain_layers(t, "socle")
-    s = len(layers) - 1
-    width = len(t.beta)
-    acols = transpose(t.alpha)
-    stages = [standard_module(prime, layer) for layer in layers]
-    maps = []
-    kernels = []
-    for ell in range(1, s + 1):
-        src, dst = layers[ell - 1], layers[ell]
-        soffs, doffs = block_offsets(src), block_offsets(dst)
-        # canonical surjection of blocks, p^i -> p^i for i < dst[j]: the
-        # coordinates of dst, in order, come from these coordinates of src
-        cols = [soffs[j] + i for j in range(width) for i in range(dst[j])]
-        g = np.zeros((sum(dst), sum(src)), dtype=np.int64)
-        g[range(len(cols)), cols] = 1
-        if ell < s:
-            h = _correction(t, layers[ell], doffs, ell, prime)
-            g = (h @ g) % prime
-        maps.append(g)
-        # one elimination gives the kernel, and rank = source dim - kernel dim
-        kernels.append(linalg.nullspace(g, prime))
-        if sum(src) - kernels[-1].shape[0] != sum(dst):
-            raise ConditionStarViolated(f"stage {ell} map is not surjective")
-        kdim = sum(src) - sum(dst)
-        if kdim != acols[ell - 1]:
-            raise ConditionStarViolated(f"stage {ell} kernel has the wrong length")
-    epi = EpiChain(prime, stages, maps)
-    # condition star: soc(Ker f2 f1) = Ker f1 for consecutive maps f1, f2
-    for idx in range(s - 1):
-        if not _socle_condition(stages[idx], maps[idx], maps[idx + 1], kernels[idx]):
-            raise ConditionStarViolated(f"socle condition fails between stages {idx+1},{idx+2}")
-    return epi
+def _rows(ones, n):
+    """Rows of length n from lists of columns, a column listed k times holding k."""
+    return [[r.count(c) for c in range(n)] for r in ones]
 
 
-def _socle_condition(stage, f1, f2, ker1):
-    """True iff soc(Ker f2 f1) = Ker f1, given the basis ker1 of Ker f1.
-
-    Ker f1 lies in Ker f2 f1, so this holds iff Ker f1 lies in the socle
-    of ``stage``, spanned by the coordinates S = {off + size - 1}, and
-    Ker f2 f1 meets that span in dim Ker f1 = |S| - rank((f2 f1)[:, S]).
-    """
-    socle = [o + n - 1 for o, n in zip(block_offsets(stage.parts), stage.parts)]
-    meet = len(socle) - linalg.rank((f2 @ f1[:, socle]) % stage.prime, stage.prime)
-    # high(1) holds every coordinate outside S
-    return not ker1[:, stage._high_cols(1)].any() and meet == ker1.shape[0]
+def _socle_condition(size, high, prod, ker1, p):
+    """True iff soc(Ker f2 f1) = Ker f1, given the kernel rows ker1 of f1: Ker f1
+    lies in Ker f2 f1, so iff Ker f1 vanishes on ``high``, outside the socle S,
+    and dim Ker f1 = |S| - rank((f2 f1)[:, S]), with |S| = size and prod the rows."""
+    meet = size - len(linalg._eliminate(prod, size, p)[0])
+    return not any(r[c] for r in ker1 for c in high) and meet == len(ker1)
 
 
-def _correction(t, layer, offs, ell, prime):
-    """Unipotent automorphism pairing columns along the cross matches at level ell."""
-    n = sum(layer)
-    rows, cols = list(range(n)), list(range(n))  # the identity, then the inclusions
-    matching = build_matching(t, ell)
+def _correction(t, layer, offs, ell):
+    """Unipotent automorphism pairing columns along the cross matches at level ell,
+    as the columns of the 1s in each row: the diagonal, then an inclusion."""
+    h = [[r] for r in range(sum(layer))]  # the identity, then the inclusions
     used = set()
-    for hi_box, lo_box in matching.pairs.items():
+    for hi_box, lo_box in build_matching(t, ell).pairs.items():
         j, i = hi_box[1] - 1, lo_box[1] - 1
         if i == j:
             continue  # same-column match needs no correction
@@ -135,25 +132,32 @@ def _correction(t, layer, offs, ell, prime):
         if not (i < j and u >= v >= 1):
             raise ConditionStarViolated(f"bad column pair ({i+1},{j+1}) at level {ell}")
         # inclusion of the length-v block into the length-u one: p^k -> p^(u-v+k)
-        rows += range(offs[i] + u - v, offs[i] + u)
-        cols += range(offs[j], offs[j] + v)
-    h = np.zeros((n, n), dtype=np.int64)
-    h[rows, cols] = 1
+        for k in range(v):
+            h[offs[i] + u - v + k].append(offs[j] + k)
     return h
+
+
+def build_chain(t: SkewTableau, prime: int) -> EpiChain:
+    """Epimorphism chain realizing the socle tableau ``t``.
+
+    Each map must be onto, with the kernel length that ``t`` prescribes,
+    and meet the socle condition with the next map; a failure is a bug
+    and raises ``ConditionStarViolated``.
+    """
+    if not check_socle(t):
+        raise InvalidTableau("socle tableau expected")
+    chain = _IntChain(t)
+    stages = [standard_module(prime, layer) for layer in chain.layers]
+    epi = EpiChain(prime, stages, [linalg._to_array(f, c.dim) for f, c in zip(chain.maps, stages)])
+    chain.check(prime)
+    return epi
 
 
 def realize_socle(t: SkewTableau, prime: int = 2) -> Embedding:
     """Embedding whose socle tableau is exactly ``t``."""
-    return _kernel_embedding(build_chain(t, prime))
-
-
-def _kernel_embedding(epi: EpiChain) -> Embedding:
-    """The kernel of the chain's full composite, inside its first stage."""
-    amb = epi.stages[0]
-    if not epi.maps:
-        return Embedding(amb, zero_subspace(amb))
-    sub = Subspace._canonical(amb, linalg.nullspace(epi.composite(), epi.prime))
-    return Embedding(amb, sub)
+    if not check_socle(t):
+        raise InvalidTableau("socle tableau expected")
+    return _IntChain(t).embedding(prime)
 
 
 def realize_lr(t: SkewTableau, prime: int = 2) -> Embedding:
@@ -163,4 +167,4 @@ def realize_lr(t: SkewTableau, prime: int = 2) -> Embedding:
     ``duallr_to_socle`` rejects a tableau that is not LR, and its result
     has passed ``check_socle`` already.
     """
-    return dual_embedding(_kernel_embedding(_build_chain(duallr_to_socle(t), prime)))
+    return dual_embedding(_IntChain(duallr_to_socle(t)).embedding(prime))

@@ -3,8 +3,10 @@
 import numpy as np
 
 from soctab import linalg
-from soctab.modules import Subspace, zero_subspace
+from soctab.modules import Subspace, block_offsets, standard_module, zero_subspace
 from soctab.partitions import partition, transpose
+from soctab.realize import ConditionStarViolated, EpiChain
+from soctab.tableaux import _chain_layers, build_matching
 
 
 def intersection(a, b, p):
@@ -171,3 +173,79 @@ def run_switch(state, order="deterministic", rng=None):
                 break
             st.apply(*rng.choice(swaps))
     return st
+
+
+def composite(epi):
+    """Matrix of the full composition C0 -> Cs of an ``EpiChain``."""
+    out = np.eye(epi.stages[0].dim, dtype=np.int64)
+    for f in epi.maps:
+        out = (f @ out) % epi.prime
+    return out
+
+
+def build_chain(t, prime):
+    """The realizing chain of the socle tableau ``t`` on int64 matrices, built
+    again at each prime, with ``soctab.realize``'s checks and messages.
+
+    Each map is the canonical surjection g of blocks, corrected by h @ g, and
+    its kernel is taken by ``linalg.nullspace``; condition star is checked on
+    the product (f2 @ f1)[:, S] for the socle coordinates S of each stage.
+    """
+    layers = _chain_layers(t, "socle")
+    s = len(layers) - 1
+    width = len(t.beta)
+    acols = transpose(t.alpha)
+    stages = [standard_module(prime, layer) for layer in layers]
+    maps = []
+    kernels = []
+    for ell in range(1, s + 1):
+        src, dst = layers[ell - 1], layers[ell]
+        soffs, doffs = block_offsets(src), block_offsets(dst)
+        cols = [soffs[j] + i for j in range(width) for i in range(dst[j])]
+        g = np.zeros((sum(dst), sum(src)), dtype=np.int64)
+        g[range(len(cols)), cols] = 1
+        if ell < s:
+            g = (_correction(t, layers[ell], doffs, ell) @ g) % prime
+        maps.append(g)
+        kernels.append(linalg.nullspace(g, prime))
+        if sum(src) - kernels[-1].shape[0] != sum(dst):
+            raise ConditionStarViolated(f"stage {ell} map is not surjective")
+        if sum(src) - sum(dst) != acols[ell - 1]:
+            raise ConditionStarViolated(f"stage {ell} kernel has the wrong length")
+    for idx in range(s - 1):
+        stage, f1, f2, ker1 = stages[idx], maps[idx], maps[idx + 1], kernels[idx]
+        socle = [o + n - 1 for o, n in zip(block_offsets(stage.parts), stage.parts)]
+        meet = len(socle) - linalg.rank((f2 @ f1[:, socle]) % prime, prime)
+        if ker1[:, stage._high_cols(1)].any() or meet != ker1.shape[0]:
+            raise ConditionStarViolated(f"socle condition fails between stages {idx+1},{idx+2}")
+    return EpiChain(prime, stages, maps)
+
+
+def _correction(t, layer, offs, ell):
+    """Unipotent automorphism pairing columns along the cross matches at level ell."""
+    n = sum(layer)
+    rows, cols = list(range(n)), list(range(n))  # the identity, then the inclusions
+    used = set()
+    for hi_box, lo_box in build_matching(t, ell).pairs.items():
+        j, i = hi_box[1] - 1, lo_box[1] - 1
+        if i == j:
+            continue
+        if i in used or j in used:
+            raise ConditionStarViolated("column pairing is not disjoint")
+        used.update((i, j))
+        u, v = layer[i], layer[j]
+        if not (i < j and u >= v >= 1):
+            raise ConditionStarViolated(f"bad column pair ({i+1},{j+1}) at level {ell}")
+        # inclusion of the length-v block into the length-u one: p^k -> p^(u-v+k)
+        rows += range(offs[i] + u - v, offs[i] + u)
+        cols += range(offs[j], offs[j] + v)
+    h = np.zeros((n, n), dtype=np.int64)
+    h[rows, cols] = 1
+    return h
+
+
+def realized_basis(epi):
+    """Reduced echelon basis of the kernel of the chain's full composite."""
+    if not epi.maps:
+        return zero_subspace(epi.stages[0]).basis
+    return linalg.nullspace(composite(epi), epi.prime)

@@ -110,7 +110,8 @@ def test_direct_conversions_check_the_swapped_shape(monkeypatch):
     monkeypatch.setattr(convert, "_chain_tableau", lambda chain, view: SOCLE_M2)
     with pytest.raises(InvalidTableau, match="swapped shape"):
         socle_to_duallr(SOCLE_M2)
-    monkeypatch.setattr(convert, "tableau_from_mu", lambda kind, beta, mu: DUAL_LR_M2)
+    # a valid socle tableau of another shape
+    monkeypatch.setattr(convert, "_chain_tableau", lambda chain, view: SkewTableau((), (2, 1), (2, 1), {}))
     with pytest.raises(InvalidTableau, match="swapped shape"):
         duallr_to_socle(DUAL_LR_M2)
 

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,14 @@ from soctab.embeddings import (
     picket,
     socle_tableau,
 )
-from soctab.modules import Subspace, module_type, quotient_type, soc_layer, standard_module
+from soctab.modules import (
+    Subspace,
+    block_offsets,
+    module_type,
+    quotient_type,
+    soc_layer,
+    standard_module,
+)
 from soctab.partitions import (
     partition,
     partitions_of,
@@ -24,6 +32,7 @@ from soctab.partitions import (
 from soctab.realize import (
     ConditionStarViolated,
     EpiChain,
+    _IntChain,
     _socle_condition,
     build_chain,
     realize_lr,
@@ -69,7 +78,7 @@ def verify_epi_chain(epi, expected_alpha=None):
     # quotients along the socle filtration of the composite kernel
     if not problems and epi.maps:
         amb = epi.stages[0]
-        sub = Subspace(amb, linalg.nullspace(epi.composite(), p))
+        sub = Subspace(amb, linalg.nullspace(oracles.composite(epi), p))
         for ell in range(len(epi.stages)):
             got = quotient_type(amb, soc_layer(amb, sub, ell))
             want = module_type(epi.stages[ell])
@@ -118,9 +127,7 @@ def test_uncorrected_chain_reports_violations(monkeypatch):
 
     # identity corrections leave the canonical surjections; keep the chain
     # that build_chain refuses, to read every violation off it
-    monkeypatch.setattr(
-        realize, "_correction", lambda t, layer, offs, ell, prime: np.eye(sum(layer), dtype=np.int64)
-    )
+    monkeypatch.setattr(realize, "_correction", lambda t, layer, offs, ell: [[r] for r in range(sum(layer))])
     built = []
     monkeypatch.setattr(realize, "EpiChain", lambda *args: built.append(EpiChain(*args)) or built[-1])
     with pytest.raises(ConditionStarViolated, match=r"^socle condition fails between stages 1,2$"):
@@ -137,15 +144,11 @@ def test_build_chain_checks_every_map(monkeypatch):
     from soctab import realize
 
     # identity corrections: every map stays surjective, condition star fails first at 1,2
-    monkeypatch.setattr(
-        realize, "_correction", lambda t, layer, offs, ell, prime: np.eye(sum(layer), dtype=np.int64)
-    )
+    monkeypatch.setattr(realize, "_correction", lambda t, layer, offs, ell: [[r] for r in range(sum(layer))])
     with pytest.raises(ConditionStarViolated, match=r"^socle condition fails between stages 1,2$"):
         build_chain(SOCLE_M2, 2)
     # zero corrections: the first corrected map is not onto
-    monkeypatch.setattr(
-        realize, "_correction", lambda t, layer, offs, ell, prime: np.zeros((sum(layer),) * 2, dtype=np.int64)
-    )
+    monkeypatch.setattr(realize, "_correction", lambda t, layer, offs, ell: [[] for _ in range(sum(layer))])
     with pytest.raises(ConditionStarViolated, match=r"^stage 1 map is not surjective$"):
         build_chain(SOCLE_M2, 2)
 
@@ -154,9 +157,7 @@ def test_condition_star_fails_where_the_layer_check_fails(monkeypatch):
     from soctab import realize
 
     # identity corrections break condition star on some chains and not on others
-    monkeypatch.setattr(
-        realize, "_correction", lambda t, layer, offs, ell, prime: np.eye(sum(layer), dtype=np.int64)
-    )
+    monkeypatch.setattr(realize, "_correction", lambda t, layer, offs, ell: [[r] for r in range(sum(layer))])
     built = []
     monkeypatch.setattr(realize, "EpiChain", lambda *args: built.append(EpiChain(*args)) or built[-1])
     builds = violated = 0
@@ -207,7 +208,10 @@ def test_socle_condition_agrees_with_the_socle_layer_check(case):
     ker12 = Subspace(stage, linalg.nullspace((f2 @ f1) % p, p))
     # Ker f1 need not lie in the socle here, nor Ker f2 f1 be invariant
     expected = soc_layer(stage, ker12, 1) == Subspace(stage, ker1)
-    assert _socle_condition(stage, f1, f2, ker1) == expected
+    # the arguments as the construction holds them: |S|, high(1), (f2 f1)[:, S] mod p
+    socle = [o + n - 1 for o, n in zip(block_offsets(stage.parts), stage.parts)]
+    prod = ((f2 @ f1[:, socle]) % p).tolist()
+    assert _socle_condition(len(socle), stage._high_cols(1), prod, ker1.tolist(), p) == expected
 
 
 def test_realize_fixtures():
@@ -314,6 +318,111 @@ def test_realize_lr_checks_the_mirrored_socle_tableau_once(monkeypatch):
     # the public socle entry point keeps its own check
     realize_socle(SOCLE_M2, 2)
     assert len(calls) == 296
+
+
+def test_realize_lr_sweep_validates_no_enumerated_or_mirrored_tableau(monkeypatch):
+    # the mirror of each LR chain is checked by membership among the enumerated
+    # socle chains, so neither check_lr nor check_socle runs
+    from soctab import tableaux
+
+    check_axioms = tableaux._check_axioms
+    calls = []
+    monkeypatch.setattr(
+        tableaux, "_check_axioms", lambda t, increasing: calls.append(increasing) or check_axioms(t, increasing)
+    )
+    rep = checks.realize_lr_sweep(6)
+    assert rep.ok and rep.cases == 295
+    assert calls == []
+    # the public conversion keeps both checks
+    realize_lr(DUAL_LR_M2, 2)
+    assert calls == [True, False]
+
+
+def test_realize_lr_sweep_reports_a_mirror_that_is_not_a_socle_chain(monkeypatch):
+    # a mirror cut short of its last layer (wherever the mirror has two) ends
+    # at the wrong shape: each LR shape with gamma != () is reported, none built
+    mirror = checks._duallr_chain_to_socle
+    monkeypatch.setattr(checks, "_duallr_chain_to_socle", lambda chain: mirror(chain)[:-1] or mirror(chain))
+    rep = checks.realize_lr_sweep(2)
+    assert rep.cases == 9
+    assert rep.failures == [
+        f"{shape}: mirror is not an enumerated socle chain"
+        for shape in [
+            ((), (1,), (1,)),
+            ((1,), (1, 1), (1,)),
+            ((), (1, 1), (1, 1)),
+            ((1,), (2,), (1,)),
+            ((), (2,), (2,)),
+        ]
+    ]
+
+
+def test_realize_sweeps_report_every_wrong_realization(monkeypatch):
+    # at p = 3 only, realize each socle tableau of shape (21, 321, 21) as the
+    # other one, and the one of shape (1, 1, 0) as the empty tableau on (1)
+    a, b = iter_tableaux((2, 1), (3, 2, 1), (2, 1), kind="socle")
+    other = {a: b, b: a, SkewTableau((1,), (1,), (), {(1, 1): 1}): SkewTableau((), (1,), (1,), {})}
+    real = checks._IntChain
+
+    class Faulty:
+        def __init__(self, t):
+            self.built = {2: real(t), 3: real(other.get(t, t))}
+
+        def embedding(self, p):
+            return self.built[p].embedding(p)
+
+    monkeypatch.setattr(checks, "_IntChain", Faulty)
+    shape = ((2, 1), (3, 2, 1), (2, 1))
+    assert checks.realize_sweep(6).failures == [
+        "((1,), (1,), ()) p=3: wrong shape ((), (1,), (1,))",
+        f"{shape} p=3: socle tableau differs",
+        f"{shape} p=3: socle tableau differs",
+    ]
+    # the LR tableaux whose mirrors those are
+    assert checks.realize_lr_sweep(6).failures == [
+        "((), (1,), (1,)) p=3: lr tableau differs",
+        f"{shape} p=3: lr tableau differs",
+        f"{shape} p=3: lr tableau differs",
+    ]
+
+
+def test_construction_matches_the_numpy_oracle():
+    # every socle tableau with |beta| <= 7: the integer-row construction has the
+    # stages and maps of the numpy one, built again at each prime, and its
+    # kernel the identical reduced echelon basis
+    n = 0
+    for sh in shape_triples(7):
+        for t in iter_tableaux(*sh, kind="socle"):
+            for p in (2, 3, 5):
+                want = oracles.build_chain(t, p)
+                got = build_chain(t, p)
+                assert got.stages == want.stages and len(got.maps) == len(want.maps)
+                for f, g in zip(got.maps, want.maps):
+                    assert f.dtype == np.int64 and np.array_equal(f, g)
+                assert np.array_equal(realize_socle(t, p).sub.basis, oracles.realized_basis(want))
+                n += 1
+    assert n == 3 * 637
+    # the first tableau whose integer composite holds an entry 2, which p = 2 reduces to 0
+    t = SkewTableau.from_json_dict(
+        {"alpha": [4, 2], "beta": [4, 3, 2], "gamma": [2, 1], "grid": [[0, 0, 4], [0, 3, 2], [2, 1], [1]]}
+    )
+    assert max(map(max, _IntChain(t).composite)) == 2
+    for p in (2, 3):
+        want = oracles.realized_basis(oracles.build_chain(t, p))
+        assert np.array_equal(realize_socle(t, p).sub.basis, want)
+
+
+def test_round_trip_at_a_prime_near_the_int64_bound():
+    # 999999937 is prime and 5 * (p - 1)**2 < 2**63, so modules of dimension
+    # <= 5 accept it; every entry of every row stays an exact Python int
+    p = 999999937
+    for sh in shape_triples(5):
+        for t in iter_tableaux(*sh, kind="socle"):
+            x = realize_socle(t, p)
+            assert x.prime == p and socle_tableau(x) == t and x.shape == t.shape
+        for t in iter_tableaux(*sh, kind="lr"):
+            x = realize_lr(t, p)
+            assert x.prime == p and lr_tableau(x) == t and x.shape == t.shape
 
 
 def test_realize_lr_lands_in_the_standard_module():
