@@ -35,7 +35,6 @@ from .tableaux import (
     MatchingFailed,
     _beta_chains,
     _chain_tableau,
-    _lr_chain_shape,
     build_matching,
     check_lr,
     check_socle,
@@ -84,16 +83,18 @@ def count_symmetry_sweep(max_beta_weight: int) -> SweepReport:
             rep.cases += 1
             chains = socle.get((alpha, gamma), ())
             n_lr = len(lr.get((alpha, gamma), ()))
-            n_lr_swapped = len(lr.get((gamma, alpha), ()))
-            if not (len(chains) == n_lr == n_lr_swapped):
+            swapped = lr.get((gamma, alpha), ())
+            if not (len(chains) == n_lr == len(swapped)):
                 rep.fail(
-                    f"{(alpha, beta, gamma)}: socle={len(chains)} lr={n_lr} swapped={n_lr_swapped}"
+                    f"{(alpha, beta, gamma)}: socle={len(chains)} lr={n_lr} swapped={len(swapped)}"
                 )
                 continue
+            # the images must be enumerated LR chains of the swapped shape
+            targets = set(swapped)
             images = set()
             for chain in chains:
                 img = _socle_chain_to_duallr(chain)
-                if _lr_chain_shape(img) != (gamma, beta, alpha):
+                if img not in targets:
                     rep.fail(f"{(alpha, beta, gamma)}: conversion left the target set")
                     break
                 images.add(img)

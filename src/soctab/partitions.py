@@ -7,6 +7,7 @@ the diagram of ``p`` iff r <= p[c-1].  Row lengths are obtained through
 ``transpose``.
 """
 
+from functools import lru_cache
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
@@ -41,11 +42,14 @@ def part(p: tuple, i: int) -> int:
     return p[i - 1] if 1 <= i <= len(p) else 0
 
 
+@lru_cache(maxsize=1024)
 def transpose(p: tuple) -> tuple:
     """Row lengths of the diagram: result[r-1] = #{c : p[c-1] >= r}.
 
-    ``p`` must be weakly decreasing and nonnegative; trailing zeros are
-    accepted.  Raises ValueError otherwise.
+    ``p`` must be a weakly decreasing nonnegative tuple; trailing zeros are
+    accepted.  Raises ValueError otherwise.  Results are cached for up to
+    1024 inputs, least recently used dropped first: the sweeps transpose a
+    few hundred partitions over and over.  A ValueError is not cached.
     """
     if not p:
         return ()

@@ -1,12 +1,14 @@
 """Reference computations that several test files check the library against."""
 
+from operator import gt
+
 import numpy as np
 
 from soctab import linalg
 from soctab.modules import Subspace, block_offsets, standard_module, zero_subspace
-from soctab.partitions import partition, transpose
+from soctab.partitions import Shape, partition, transpose
 from soctab.realize import ConditionStarViolated, EpiChain
-from soctab.tableaux import _chain_layers, build_matching
+from soctab.tableaux import _chain_layers, _strip_columns, _unpad, build_matching
 
 
 def intersection(a, b, p):
@@ -249,3 +251,71 @@ def realized_basis(epi):
     if not epi.maps:
         return zero_subspace(epi.stages[0]).basis
     return linalg.nullspace(composite(epi), epi.prime)
+
+
+def lr_chain_shape(chain):
+    """Shape of the LR tableau with the chain ``chain``, or None if there is none.
+
+    ``chain`` holds canonical partitions, increasing from gamma to beta.
+    It is read on its own: each step must add a horizontal strip, and the
+    i-th largest column of each strip must be <= the i-th largest of the
+    strip before, which is the lattice condition and keeps the strip
+    sizes weakly decreasing.
+    """
+    sizes = []
+    prev = None
+    for small, big in zip(chain, chain[1:]):
+        n = len(small)
+        if n > len(big):
+            return None
+        cols = []
+        for c, b in enumerate(big):
+            d = b - small[c] if c < n else b
+            if d:
+                if d != 1:
+                    return None
+                cols.append(c)
+        if prev is not None and (
+            len(cols) > len(prev) or any(map(gt, reversed(cols), reversed(prev)))
+        ):
+            return None
+        sizes.append(len(cols))
+        prev = cols
+    return Shape(transpose(tuple(sizes)), chain[-1], chain[0])
+
+
+def beta_chains(beta, kind):
+    """``soctab.tableaux._beta_chains`` without the shared move cache: every
+    visit searches its strips again, on partitions padded to the width of beta."""
+    beta = partition(beta)
+    socle = kind == "socle"
+    n = len(beta)
+    cap = beta[0] if beta else 0  # no gap exceeds it, so no column is forced
+    found = {}  # (strip sizes in chain order, gamma) -> chains
+
+    def rec(part, prev, sizes, acc):
+        found.setdefault((sizes, acc[-1] if socle else acc[0]), []).append(acc)
+        if prev is None:
+            ks = range(1, n + 1)
+        else:
+            ks = range(1, len(prev) + 1) if socle else range(len(prev), n + 1)
+        for k in ks:
+            if prev is None:
+                bound = None
+            elif socle:
+                bound = prev[:k]
+            else:
+                bound = (0,) * (k - len(prev)) + prev
+            for cols in _strip_columns(part, part, k, cap, bound, True):
+                nxt = list(part)
+                for c in cols:
+                    nxt[c] -= 1
+                nxt = tuple(nxt)
+                low = _unpad(nxt)
+                if socle:
+                    rec(nxt, tuple(cols), sizes + (k,), acc + (low,))
+                else:
+                    rec(nxt, tuple(cols), (k,) + sizes, (low,) + acc)
+
+    rec(beta, None, (), (beta,))
+    return {(transpose(sizes), gamma): chains for (sizes, gamma), chains in found.items()}

@@ -60,8 +60,17 @@ def test_transpose_walk_equals_recount():
 
 @pytest.mark.parametrize("bad", [(2, 0, 1), (1, 2), (3, 3, 4), (2, -1), (-1,)])
 def test_transpose_rejects_non_partitions(bad):
-    with pytest.raises(ValueError):
-        transpose(bad)
+    # and again on a second call: an error is never cached as a result
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            transpose(bad)
+
+
+def test_transpose_cache_is_bounded_and_takes_tuples():
+    assert transpose.cache_info().maxsize == 1024
+    # callers pass tuples; a list is unhashable and is refused
+    with pytest.raises(TypeError):
+        transpose([2, 1])
 
 
 def test_transpose_involution():

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2, SOCLE_642
+from oracles import beta_chains, lr_chain_shape
+from soctab.checks import count_symmetry_sweep
 from soctab.partitions import (
     partitions_of,
     shape_triples,
@@ -27,9 +29,9 @@ from soctab.tableaux import (
     _chain_tableau,
     _chains,
     _lattice_bound,
-    _lr_chain_shape,
     _step,
     _strip_columns,
+    _strip_moves,
     build_matching,
     check_lr,
     check_socle,
@@ -406,23 +408,39 @@ def test_beta_chain_counts_are_the_path_counts(beta, kind):
             assert n == count_tableaux(alpha, beta, gamma, kind=kind), (alpha, beta, gamma)
 
 
+def test_shared_strip_moves_give_the_uncached_search():
+    # the moves cached by a weight-11 sweep serve every smaller beta: the
+    # chains, their order and the key order are those of a search per visit
+    count_symmetry_sweep(11)
+    misses = _strip_moves.cache_info().misses
+    betas = [beta for wgt in range(11) for beta in partitions_of(wgt)]
+    assert betas[:2] == [(), (1,)]  # no part[0]: the start has no column to move
+    for beta in betas:
+        for kind in ("socle", "lr"):
+            got, want = _beta_chains(beta, kind), beta_chains(beta, kind)
+            assert list(got) == list(want), (beta, kind)
+            assert list(got.values()) == list(want.values()), (beta, kind)
+    assert _strip_moves.cache_info().misses == misses  # every state was cached
+    assert _beta_chains((), "socle") == {((), ()): [((),)]}
+
+
 def test_lr_chain_shape_is_check_lr_on_chains():
     # every semistandard LR-kind chain, with and without the lattice condition
     total = valid = 0
     for alpha, beta, gamma in shape_triples(7):
         for chain in _chains(alpha, beta, gamma, "lr", lattice=False):
             t = _chain_tableau(chain, "lr")
-            got = _lr_chain_shape(chain)
+            got = lr_chain_shape(chain)
             assert (got is not None) == check_lr(t), chain
             assert got is None or got == t.shape
             total += 1
             valid += got is not None
     assert total > valid > 0
     # not nested; a step that is no horizontal strip; a strip larger than the one before
-    assert _lr_chain_shape(((1,), (2,), (1, 1))) is None
-    assert _lr_chain_shape(((), (2,))) is None
-    assert _lr_chain_shape(((), (1,), (1, 1, 1))) is None
-    assert _lr_chain_shape(((), (1, 1), (2, 1))) == ((2, 1), (2, 1), ())
+    assert lr_chain_shape(((1,), (2,), (1, 1))) is None
+    assert lr_chain_shape(((), (2,))) is None
+    assert lr_chain_shape(((), (1,), (1, 1, 1))) is None
+    assert lr_chain_shape(((), (1, 1), (2, 1))) == ((2, 1), (2, 1), ())
 
 
 def st12(t):
