@@ -50,10 +50,7 @@ from .modules import (
     Subspace,
     annihilator,
     module_type,
-    preimage,
     quotient_type,
-    rad_layer,
-    soc_layer,
     standard_module,
     submodule_span,
 )

@@ -27,12 +27,17 @@ import numpy as np
 
 
 def asmat(rows, n, p):
-    """Normalize ``rows`` to a 2-D int64 array with n columns, reduced mod p."""
+    """Normalize ``rows`` to a 2-D int64 array with n columns, reduced mod p.
+
+    Input with no entries is no rows; rows of any width but n raise ValueError.
+    """
     a = np.array(rows, dtype=np.int64)
     if a.size == 0:
         return np.zeros((0, n), dtype=np.int64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
+    if a.ndim != 2 or a.shape[1] != n:
+        raise ValueError(f"rows of width {n} expected, got an array of shape {a.shape}")
     return a % p
 
 
@@ -142,13 +147,4 @@ def nullspace(mat, p):
 def left_annihilator(basis, n, p):
     """Canonical basis of {f : f . v = 0 for every row v of basis}."""
     return nullspace(asmat(basis, n, p), p)
-
-
-def is_subspace(small, big, p):
-    """True iff span(small) is contained in span(big)."""
-    if small.shape[0] == 0:
-        return True
-    ncols = big.shape[1]
-    basis = _eliminate(_to_rows(big, p), ncols, p)[0]
-    return len(_eliminate(basis + _to_rows(small, p), ncols, p)[0]) == len(basis)
 

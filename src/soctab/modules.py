@@ -8,8 +8,8 @@ basis, so equal subspaces have equal basis arrays.
 
 The operator acts only through ``FpModule.shift``: on rows read as
 vectors it returns T^r v, and on rows read as functionals (r < 0) it
-returns f T^|r|.  How T is stored is known to this module alone, and
-``standard_module`` returns one shared module per (prime, partition).
+returns f T^|r|.  ``standard_module`` returns one shared module per
+(prime, partition).
 
 Module types are read off pivots.  T^r moves coordinate off+i of a block
 of size n to off+i+r, so coordinate off+i has level i (T^i M is spanned by
@@ -30,6 +30,10 @@ the columns in an order that makes every rank needed a prefix: by depth,
 deepest first, for U; H first and the rest by level for M/soc^l U (H is
 empty from l = N on, which gives M/U); high(i) by level and the rest last
 for M/T^i U.  No layer is built, and each module keeps its column orders.
+
+A module stores T only as the lists high(r), r = 0..N: ``shift`` moves the
+columns in high(r) by r and zeroes the rest.  So no power of T is a matrix,
+and a module holds O(N * dim) column indices.
 
 Each Jordan block is self-dual: reversing the basis inside every block
 turns the transposed operator back into the shift.  So the annihilator of
@@ -79,7 +83,7 @@ class FpModule:
     """Direct sum of Jordan blocks of the sizes ``parts`` over F_p."""
 
     __slots__ = (
-        "prime", "parts", "dim", "_powers", "_high", "_by_depth", "_socle_orders", "_radical_orders",
+        "prime", "parts", "dim", "_high", "_by_depth", "_socle_orders", "_radical_orders",
     )
 
     def __init__(self, prime, parts):
@@ -88,8 +92,6 @@ class FpModule:
         self.dim = sum(self.parts)
         _check_prime(self.prime, self.dim)
         levels = range(self.nilpotency_index + 1)
-        # T^0 .. T^N for N = parts[0]; T^N and every higher power are zero
-        self._powers = [_shift_matrix(self.parts, r) for r in levels]
         # coordinate off+i of a block of size n has level i and depth n - i
         coords = [(o + i, i, n - i) for o, n in zip(block_offsets(self.parts), self.parts) for i in range(n)]
         by_level = sorted(coords, key=lambda c: c[1])
@@ -111,12 +113,21 @@ class FpModule:
     def shift(self, rows, r):
         """T^r applied to each row, a fresh array reduced mod p.
 
-        For r >= 0 the rows are vectors and the result holds T^r v; for
-        r < 0 they are functionals and the result holds f T^|r|.  Powers
-        saturate at zero beyond the nilpotency index.
+        For r >= 0 the rows are vectors and the result holds T^r v: column
+        c + r of it is column c of v for c in high(r).  For r < 0 they are
+        functionals and the result holds f T^|r|: column c of it is column
+        c + |r| of f for c in high(|r|).  Every other column is 0, so powers
+        saturate at zero from the nilpotency index on, where high is empty.
         """
-        mat = self._powers[min(abs(r), self.nilpotency_index)]
-        return (rows @ (mat.T if r >= 0 else mat)) % self.prime
+        k = abs(r)
+        high = self._high_cols(k)
+        moved = [c + k for c in high]
+        out = np.zeros(rows.shape, dtype=np.int64)
+        if r >= 0:
+            out[:, moved] = rows[:, high]
+        else:
+            out[:, high] = rows[:, moved]
+        return out % self.prime
 
     def _high_cols(self, r):
         """Coordinates off+i with i < size - r (r >= 0): T^r moves them to
@@ -139,15 +150,6 @@ class FpModule:
 def _order(pairs):
     """The columns and the keys of (column, key) pairs, as two lists."""
     return [c for c, _ in pairs], [k for _, k in pairs]
-
-
-def _shift_matrix(parts, r):
-    """T^r on the blocks ``parts``: p^i -> p^(i+r) inside each block."""
-    n = sum(parts)
-    a = np.zeros((n, n), dtype=np.int64)
-    for off, size in zip(block_offsets(parts), parts):
-        a[off : off + size, off : off + size] = np.eye(size, k=-r, dtype=np.int64)
-    return a
 
 
 class Subspace:
@@ -207,19 +209,12 @@ class Subspace:
             return NotImplemented
         return self.module == other.module and np.array_equal(self.basis, other.basis)
 
-    def __le__(self, other):
-        return linalg.is_subspace(self.basis, other.basis, self.module.prime)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.module!r})"
 
 
 def zero_subspace(module):
     return Subspace(module, np.zeros((0, module.dim), dtype=np.int64))
-
-
-def full_subspace(module):
-    return Subspace(module, np.eye(module.dim, dtype=np.int64))
 
 
 def standard_module(prime, parts):
@@ -322,32 +317,6 @@ def _sub_type(module, sub):
     for d in _pivot_keys(sub, *module._by_depth):
         rows[d] += 1
     return transpose(tuple(r for r in rows if r))
-
-
-def soc_layer(module, sub, ell):
-    """{a in sub : T^ell a = 0}."""
-    p = module.prime
-    if ell <= 0 or sub.dim == 0:
-        return zero_subspace(module)
-    # coefficients x with T^ell (x . basis) = 0, that is x . basis[:, high(ell)] = 0;
-    # the product of two reduced row-echelon matrices in this order is one
-    coeffs = linalg.nullspace(sub.basis[:, module._high_cols(ell)].T, p)
-    return Subspace._canonical(module, (coeffs @ sub.basis) % p)
-
-
-def rad_layer(module, sub, m):
-    """T^m applied to sub."""
-    return Subspace._canonical(module, linalg.row_space(module.shift(sub.basis, m), module.prime))
-
-
-def preimage(module, sub, r):
-    """{b in module : T^r b in sub}: where f T^r vanishes for every f vanishing on sub.
-
-    When no functional vanishes on sub (sub is the whole module), that is everything.
-    """
-    return Subspace._canonical(
-        module, linalg.nullspace(module.shift(sub.annihilator_basis, -r), module.prime)
-    )
 
 
 def annihilator(module, sub):

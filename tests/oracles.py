@@ -41,13 +41,48 @@ def sub_type(module, sub):
     )
 
 
+def is_subspace(small, big, p):
+    """True iff span(small) is contained in span(big)."""
+    return linalg.rank(np.vstack([big, small]), p) == linalg.rank(big, p)
+
+
+def full_subspace(module):
+    return Subspace(module, np.eye(module.dim, dtype=np.int64))
+
+
 def soc_layer(module, sub, ell):
+    """{a in sub : T^ell a = 0}, from the columns of sub's basis in high(ell)."""
+    p = module.prime
+    if ell <= 0 or sub.dim == 0:
+        return zero_subspace(module)
+    # coefficients x with T^ell (x . basis) = 0, that is x . basis[:, high(ell)] = 0;
+    # the product of two reduced row-echelon matrices in this order is one
+    coeffs = linalg.nullspace(sub.basis[:, module._high_cols(ell)].T, p)
+    return Subspace._canonical(module, (coeffs @ sub.basis) % p)
+
+
+def soc_layer_by_shift(module, sub, ell):
     """{a in sub : T^ell a = 0}, from the kernel of T^ell on sub's basis."""
     p = module.prime
     if ell <= 0 or sub.dim == 0:
         return zero_subspace(module)
     coeffs = linalg.nullspace(module.shift(sub.basis, ell).T, p)
     return Subspace(module, (coeffs @ sub.basis) % p)
+
+
+def rad_layer(module, sub, m):
+    """T^m applied to sub."""
+    return Subspace._canonical(module, linalg.row_space(module.shift(sub.basis, m), module.prime))
+
+
+def preimage(module, sub, r):
+    """{b in module : T^r b in sub}: where f T^r vanishes for every f vanishing on sub.
+
+    When no functional vanishes on sub (sub is the whole module), that is everything.
+    """
+    return Subspace._canonical(
+        module, linalg.nullspace(module.shift(sub.annihilator_basis, -r), module.prime)
+    )
 
 
 class _SwitchGeometry:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fixtures import DUAL_LR_M2, SOCLE_M2
-from oracles import intersection
+from oracles import intersection, is_subspace
 from soctab import convert, linalg
 from soctab.convert import (
     InconsistentMatrix,
@@ -302,7 +302,7 @@ def check_defect_sequence(prime, ell, m):
         f[m + i, i] = (-1) % prime  # negated canonical surjection into the second
     assert linalg.rank(f, prime) == m - 1, "picket map is not injective"
     img_sub = linalg.row_space((top.sub.basis @ f.T) % prime, prime)
-    assert linalg.is_subspace(img_sub, mid.sub.basis, prime), "picket map does not respect the subspaces"
+    assert is_subspace(img_sub, mid.sub.basis, prime), "picket map does not respect the subspaces"
     img = Subspace(mid.ambient, (np.eye(m - 1, dtype=np.int64) @ f.T) % prime)
     assert quotient_type(mid.ambient, img) == (m - 1,), "cokernel of the picket map has the wrong type"
     # sub-level exactness: the middle subspace meets the image exactly in the

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
-from oracles import intersection
+from oracles import full_subspace, intersection, rad_layer, soc_layer
 from soctab import linalg
 from soctab.embeddings import (
     BadIndex,
@@ -27,10 +27,7 @@ from soctab.embeddings import (
 )
 from soctab.modules import (
     Subspace,
-    full_subspace,
     quotient_type,
-    rad_layer,
-    soc_layer,
     standard_module,
     zero_subspace,
 )

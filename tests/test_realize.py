@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
+from oracles import soc_layer
 from soctab import checks, linalg, switching
 from soctab.embeddings import (
     embedding_from_json,
@@ -18,7 +19,6 @@ from soctab.modules import (
     block_offsets,
     module_type,
     quotient_type,
-    soc_layer,
     standard_module,
 )
 from soctab.partitions import (
