@@ -129,7 +129,8 @@ def realize_lr_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
     chain must be one of those enumerated, which replaces its axiom check."""
     rep = SweepReport("realize-lr-roundtrip", max_beta=max_beta_weight, primes=list(primes))
     for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
-        chains, mirrors = _beta_chains(beta, "lr"), _beta_chains(beta, "socle")
+        chains = _beta_chains(beta, "lr")
+        mirrors = {key: set(found) for key, found in _beta_chains(beta, "socle").items()}
         for alpha, _, gamma in group:
             for chain in chains.get((alpha, gamma), ()):
                 rep.cases += 1

@@ -103,10 +103,8 @@ def picket(prime, ell, m):
     if m == 0:
         return zero_embedding(prime)
     mod = standard_module(prime, (m,))
-    basis = np.zeros((ell, m), dtype=np.int64)
-    for i in range(ell):
-        basis[i, m - ell + i] = 1
-    return Embedding(mod, Subspace(mod, basis))
+    rows = [[int(c == m - ell + i) for c in range(m)] for i in range(ell)]
+    return Embedding(mod, Subspace(mod, rows))
 
 
 def direct_sum(x: Embedding, y: Embedding) -> Embedding:
@@ -294,9 +292,7 @@ def embedding_to_json(x: Embedding) -> dict:
     """JSON form: the block sizes and one generator per basis row of the subspace."""
     beta = x.ambient.parts
     offs = block_offsets(beta)
-    gens = []
-    for v in x.sub.basis:
-        gens.append([[int(v[o + i]) for i in range(size)] for o, size in zip(offs, beta)])
+    gens = [[v[o : o + size] for o, size in zip(offs, beta)] for v in x.sub.rows]
     d = embedding_spec(beta, gens)
     return {"prime": x.prime, **d}
 

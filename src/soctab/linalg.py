@@ -1,24 +1,24 @@
 """Exact linear algebra over the prime field F_p.
 
-The interface is numpy: matrices are int64 arrays, vectors are rows, and a
-subspace is represented by its reduced row-echelon basis, which makes
-subspace equality plain array equality.  Every public function takes and
-returns such arrays, with entries reduced mod p.
+The public interface is numpy: matrices are int64 arrays, vectors are
+rows, and every function takes and returns such arrays, reduced mod p.
+A subspace is its reduced row-echelon basis, held by ``modules.Subspace``
+as kernel rows, so equal subspaces have equal rows.
 
 Inside, every elimination runs in one routine, ``_eliminate``, on rows
 held as lists of Python ints in [0, p), at every prime.  A public function
 converts its arrays to rows once on entry and back once on exit, so the
 matrices the library produces (mostly smaller than 20 x 20) pay no
 per-entry numpy call, and arithmetic is exact at any prime (the
-realization builds its rows itself).  Rows bit-packed into one int and
+realization and subspaces pass in rows).  Rows bit-packed into one int and
 eliminated by XOR at p = 2 (as in M4RI) ran the realization sweep slower,
 so one row form serves every prime.  ``nullspace`` costs one elimination:
 the reduced echelon basis of the kernel is read off the reduced rows.
 
 This module knows nothing of the operator: ``FpModule.shift`` applies it,
-and the callers hand the resulting arrays in.  The matrix products that
-remain in numpy, in modules and embeddings, are exact while
-ncols * (p - 1)**2 < 2**63; ``FpModule`` rejects moduli beyond that.
+and the callers hand the resulting arrays in.  An int64 product of such
+arrays is exact while ncols * (p - 1)**2 < 2**63; ``FpModule`` rejects
+moduli beyond that.
 """
 
 import itertools

@@ -4,7 +4,7 @@ A module is kept as its type, the partition of its block sizes.  Basis
 vector offset+i of block j represents p^i times the j-th generator, and
 the operator, multiplication by the uniformizer, shifts it to the next
 one in the block.  Subspaces carry their ambient module and a reduced row-echelon
-basis, so equal subspaces have equal basis arrays.
+basis as rows of Python ints, so equal subspaces have equal rows.
 
 The operator acts only through ``FpModule.shift``: on rows read as
 vectors it returns T^r v, and on rows read as functionals (r < 0) it
@@ -153,30 +153,33 @@ def _order(pairs):
 
 
 class Subspace:
-    """Subspace of an FpModule, held as reduced row-echelon basis rows."""
+    """Subspace of an FpModule, held as its reduced row-echelon basis ``rows``,
+    lists of ints in [0, p); ``basis`` is their read-only int64 array."""
 
-    __slots__ = ("module", "basis", "_annihilator")
+    __slots__ = ("module", "rows", "_basis", "_annihilator")
 
     def __init__(self, module, basis):
-        self.module = module
-        self.basis = linalg.row_space(
-            linalg.asmat(basis, module.dim, module.prime), module.prime
-        )
-        self._annihilator = None
+        rows = linalg.row_space(linalg.asmat(basis, module.dim, module.prime), module.prime)
+        self.module, self.rows, self._basis, self._annihilator = module, rows.tolist(), None, None
 
     @classmethod
-    def _canonical(cls, module, basis):
-        """Subspace on a basis that is already reduced row-echelon, as
-        ``linalg.nullspace`` and ``row_space`` return it; skips the second rref."""
+    def _canonical(cls, module, rows):
+        """Subspace on rows already reduced row-echelon, as ``linalg._null_rows`` returns."""
         sub = cls.__new__(cls)
-        sub.module = module
-        sub.basis = basis
-        sub._annihilator = None
+        sub.module, sub.rows, sub._basis, sub._annihilator = module, rows, None, None
         return sub
 
     @property
+    def basis(self):
+        """The rows as an int64 array, built on first read; writing to it raises."""
+        if self._basis is None:
+            self._basis = linalg._to_array(self.rows, self.module.dim)
+            self._basis.flags.writeable = False
+        return self._basis
+
+    @property
     def dim(self):
-        return self.basis.shape[0]
+        return len(self.rows)
 
     @property
     def annihilator_basis(self):
@@ -194,20 +197,28 @@ class Subspace:
     def is_invariant(self):
         """True iff the operator maps this subspace into itself.
 
-        The basis B is reduced row-echelon with pivot columns piv, so a row
-        v lies in its span iff v = v[:, piv] @ B: one product, no elimination.
+        The rows B are reduced row-echelon with pivot columns piv, so v lies
+        in their span iff v - sum of v[piv[k]] B[k] is 0: no elimination, and
+        exact at any prime.  T b moves the columns of b in high(1) by one.
         """
-        if self.dim == 0:
-            return True
-        b, m = self.basis, self.module
-        tb = m.shift(b, 1)
-        piv = [row.index(1) for row in b.tolist()]  # each row leads with a 1
-        return np.array_equal(tb[:, piv] @ b % m.prime, tb)
+        m, p = self.module, self.module.prime
+        piv = [row.index(1) for row in self.rows]  # each row leads with a 1
+        for b in self.rows:
+            v = [0] * m.dim
+            for c in m._high_cols(1):
+                v[c + 1] = b[c]
+            for c, r in zip(piv, self.rows):
+                f = v[c]  # no other row of B is nonzero at c
+                if f:
+                    v = [(x - f * y) % p for x, y in zip(v, r)]
+            if any(v):
+                return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.module == other.module and np.array_equal(self.basis, other.basis)
+        return self.module == other.module and self.rows == other.rows
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.module!r})"
@@ -248,26 +259,16 @@ def module_type(module):
 
 
 def submodule_span(module, generators):
-    """Smallest invariant subspace containing the generators."""
+    """Smallest invariant subspace containing the generators g: the span of T^r g."""
     gens = linalg.asmat(generators, module.dim, module.prime)
-    rows = [gens]
-    cur = gens
-    for _ in range(module.nilpotency_index):
-        cur = module.shift(cur, 1)
-        if not cur.any():
-            break
-        rows.append(cur)
-    return Subspace(module, np.vstack(rows))
-
-
-def _require_invariant(sub):
-    if not sub.is_invariant():
-        raise NotInvariant("subspace is not stable under the operator")
+    powers = range(1, module.nilpotency_index)  # T^N is 0
+    return Subspace(module, np.vstack([gens, *(module.shift(gens, r) for r in powers)]))
 
 
 def quotient_type(module, sub):
     """Type of module/sub under the induced operator."""
-    _require_invariant(sub)
+    if not sub.is_invariant():
+        raise NotInvariant("subspace is not stable under the operator")
     return _quotient_type(module, sub)
 
 
@@ -291,7 +292,8 @@ def _radical_quotient_type(module, sub, i):
 def _pivot_keys(sub, order, keys):
     """keys[k] of each pivot k of sub's basis with its columns in ``order``,
     leaving out the pivots keyed None."""
-    pivots = linalg.pivot_columns(sub.basis[:, order], sub.module.prime)
+    rows = [[r[c] for c in order] for r in sub.rows]
+    pivots = linalg._eliminate(rows, len(order), sub.module.prime)[1]
     return [keys[k] for k in pivots if keys[k] is not None]
 
 

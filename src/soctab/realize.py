@@ -99,7 +99,7 @@ class _IntChain:
             return Embedding(amb, zero_subspace(amb))
         self.check(p)
         basis = linalg._null_rows([[x % p for x in r] for r in self.composite], amb.dim, p)
-        return Embedding(amb, Subspace._canonical(amb, linalg._to_array(basis, amb.dim)))
+        return Embedding(amb, Subspace._canonical(amb, basis))
 
 
 def _rows(ones, n):

@@ -41,6 +41,23 @@ def sub_type(module, sub):
     )
 
 
+def invariant_by_product(sub):
+    """True iff T maps sub into itself, by one int64 product: with B the reduced
+    basis and piv its pivot columns, TB = (TB)[:, piv] @ B mod p."""
+    if sub.dim == 0:
+        return True
+    b, m = sub.basis, sub.module
+    tb = m.shift(b, 1)
+    piv = [row.index(1) for row in b.tolist()]  # each row leads with a 1
+    return np.array_equal(tb[:, piv] @ b % m.prime, tb)
+
+
+def pivot_keys_by_array(sub, order, keys):
+    """``modules._pivot_keys`` on the basis array: the pivots of basis[:, order]."""
+    pivots = linalg.pivot_columns(sub.basis[:, order], sub.module.prime)
+    return [keys[k] for k in pivots if keys[k] is not None]
+
+
 def is_subspace(small, big, p):
     """True iff span(small) is contained in span(big)."""
     return linalg.rank(np.vstack([big, small]), p) == linalg.rank(big, p)
@@ -58,7 +75,7 @@ def soc_layer(module, sub, ell):
     # coefficients x with T^ell (x . basis) = 0, that is x . basis[:, high(ell)] = 0;
     # the product of two reduced row-echelon matrices in this order is one
     coeffs = linalg.nullspace(sub.basis[:, module._high_cols(ell)].T, p)
-    return Subspace._canonical(module, (coeffs @ sub.basis) % p)
+    return Subspace._canonical(module, ((coeffs @ sub.basis) % p).tolist())
 
 
 def soc_layer_by_shift(module, sub, ell):
@@ -72,7 +89,9 @@ def soc_layer_by_shift(module, sub, ell):
 
 def rad_layer(module, sub, m):
     """T^m applied to sub."""
-    return Subspace._canonical(module, linalg.row_space(module.shift(sub.basis, m), module.prime))
+    return Subspace._canonical(
+        module, linalg.row_space(module.shift(sub.basis, m), module.prime).tolist()
+    )
 
 
 def preimage(module, sub, r):
@@ -81,7 +100,7 @@ def preimage(module, sub, r):
     When no functional vanishes on sub (sub is the whole module), that is everything.
     """
     return Subspace._canonical(
-        module, linalg.nullspace(module.shift(sub.annihilator_basis, -r), module.prime)
+        module, linalg.nullspace(module.shift(sub.annihilator_basis, -r), module.prime).tolist()
     )
 
 

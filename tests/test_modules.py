@@ -1,5 +1,7 @@
 import random
 import tracemalloc
+from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import full_subspace, intersection, is_subspace, preimage, rad_layer, soc_layer
-from soctab import linalg
+from soctab import linalg, modules
 from soctab.embeddings import Embedding, embedding_from_spec, load_fixture, random_corpus
 from soctab.modules import (
     BadPrime,
@@ -343,3 +345,50 @@ def test_soc_layer_basis_is_already_reduced(case, ell):
     layer = soc_layer(m, sub, ell)
     # reducing the basis again changes nothing
     assert layer == Subspace(m, layer.basis) == oracles.soc_layer_by_shift(m, sub, ell)
+
+
+def _int64_bound(dim):
+    """The largest p with dim * (p - 1)**2 < 2**63, the bound a module of dimension dim accepts."""
+    return isqrt((2**63 - 1) // max(dim, 1)) + 1
+
+
+@st.composite
+def rows_at_random_primes(draw):
+    """A standard module, |beta| <= 8, at a small prime or a prime at most
+    2000 below its int64 bound, and up to three random generator rows in it."""
+    beta = draw(st.sampled_from([b for w in range(9) for b in partitions_of(w)]))
+    top = _int64_bound(weight(beta))
+    p = draw(st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers(top - 2000, top)))
+    while not modules._is_prime(p):
+        p -= 1
+    m = standard_module(p, beta)
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
+    return m, draw(st.lists(st.lists(entry, min_size=m.dim, max_size=m.dim), max_size=3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows_at_random_primes())
+def test_row_form_subspaces_agree_with_the_array_oracles(case):
+    m, gens = case
+    with pytest.raises(BadPrime):
+        standard_module(_int64_bound(m.dim) + 1, m.parts)
+    span, sub = Subspace(m, gens), submodule_span(m, gens)
+    for s in (span, sub):
+        assert s.basis.tolist() == s.rows
+        assert s.dim == s.basis.shape[0]
+        assert s.is_invariant() == oracles.invariant_by_product(s)
+        assert Subspace._canonical(m, s.rows) == s
+    assert sub.is_invariant()
+    assert (span == sub) == np.array_equal(span.basis, sub.basis)
+
+    # every read-off of the invariant span, on rows and on the basis array
+    def read_offs():
+        rs = range(m.nilpotency_index + 2)
+        return [_sub_type(m, sub)] + [
+            f(m, sub, r) for r in rs for f in (_socle_quotient_type, _radical_quotient_type)
+        ]
+
+    on_rows = read_offs()
+    with mock.patch.object(modules, "_pivot_keys", oracles.pivot_keys_by_array):
+        assert read_offs() == on_rows
+    assert on_rows[0] == oracles.sub_type(m, sub)

@@ -474,3 +474,22 @@ def test_verify_rejects_bad_chains():
         [np.zeros((1, 1), dtype=np.int64)],
     )
     assert any("not surjective" in p for p in verify_epi_chain(chain))
+
+
+def test_realization_builds_no_array(monkeypatch):
+    def refuse(rows, ncols):
+        raise AssertionError("an int64 array was built")
+
+    monkeypatch.setattr(linalg, "_to_array", refuse)
+    assert SOCLE_M2.alpha
+    for p in (2, 3, 1000003):
+        assert socle_tableau(realize_socle(SOCLE_M2, p)) == SOCLE_M2
+
+
+def test_the_basis_array_is_a_read_only_view_of_the_rows():
+    m = standard_module(3, (3, 2))
+    for sub in (Subspace(m, [[1, 2, 0, 0, 1]]), realize_socle(SOCLE_M2, 3).sub):
+        assert sub.basis.tolist() == sub.rows
+        with pytest.raises(ValueError):
+            sub.basis[0, 0] = 2
+        assert sub.basis.tolist() == sub.rows
