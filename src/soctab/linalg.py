@@ -16,9 +16,11 @@ so one row form serves every prime.  ``nullspace`` costs one elimination:
 the reduced echelon basis of the kernel is read off the reduced rows.
 
 This module knows nothing of the operator: ``FpModule.shift`` applies it,
-and the callers hand the resulting arrays in.  An int64 product of such
-arrays is exact while ncols * (p - 1)**2 < 2**63; ``FpModule`` rejects
-moduli beyond that.
+and the callers hand the resulting arrays in.  The arrays only hold
+residues mod p, and no function here multiplies them.  ``FpModule`` still
+refuses moduli with ncols * (p - 1)**2 >= 2**63, the bound under which an
+int64 product would be exact, so its trial-division primality test only
+meets primes below 3.04e9.
 """
 
 import itertools
@@ -29,9 +31,13 @@ import numpy as np
 def asmat(rows, n, p):
     """Normalize ``rows`` to a 2-D int64 array with n columns, reduced mod p.
 
-    Input with no entries is no rows; rows of any width but n raise ValueError.
+    Input with no entries is no rows; rows of any width but n, and entries
+    outside the int64 range, raise ValueError.
     """
-    a = np.array(rows, dtype=np.int64)
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("matrix entries must lie in the int64 range") from None
     if a.size == 0:
         return np.zeros((0, n), dtype=np.int64)
     if a.ndim == 1:

@@ -55,7 +55,7 @@ class NotInvariant(ValueError):
 
 
 class BadPrime(ValueError):
-    """Raised when a module's modulus is not a prime its int64 products can hold."""
+    """Raised when a module's modulus is not a prime within the dimension bound."""
 
 
 @lru_cache(maxsize=None)
@@ -66,10 +66,13 @@ def _is_prime(p):
 def _check_prime(p, dim):
     """Reject p unless it is prime and dim * (p - 1)**2 < 2**63.
 
-    The bound keeps every int64 matrix product over the module exact.  It
-    is applied with dim at least 1, so the primality test only ever meets
-    p < 3.04e9, and a modulus that no nonzero module could use is refused
-    for the zero module as well.
+    The module's arrays hold only residues mod p, and the library makes no
+    int64 product of them (its subspaces and read-offs run on Python ints),
+    so the bound is not needed for exactness; the tests' oracles still
+    multiply arrays under it.  It is applied with dim at least 1, so the
+    trial-division primality test only ever meets p < 3.04e9, and a
+    modulus that no nonzero module could use is refused for the zero module
+    as well.
     """
     if p < 2:
         raise BadPrime(f"modulus {p} is not a prime")

@@ -10,7 +10,8 @@ lattice condition counted from the left.
 Tableaux are equivalently partition chains: for the socle kind the chain
 decreases from beta to gamma and entry l occupies chain[l-1] \\ chain[l];
 for the LR kind the chain increases from gamma to beta and entry l
-occupies chain[l] \\ chain[l-1].
+occupies chain[l] \\ chain[l-1].  Every chain search walks down, removing
+horizontal strips from beta, and reads an LR chain in reverse.
 
 A tableau is built in one of two ways.  ``SkewTableau(...)`` takes a
 filling from outside (JSON, the switching read-off, user code) and checks
@@ -421,23 +422,21 @@ def from_chain(chain, view: str) -> SkewTableau:
 # enumeration
 
 
-def _strip_columns(part, gap, k, cap, bound, remove):
-    """Column sets of the size-k horizontal strips of one chain step.
+def _strip_columns(part, gap, k, cap, bound):
+    """Column sets of the size-k horizontal strips removable in one chain step.
 
     ``part`` is the current partition padded to the width of beta, and
-    gap[c] is how far column c is from its end: part[c] - floor[c] when
-    removing a strip (socle), ceiling[c] - part[c] when adding one (LR).
-    A returned set C (an ascending list) satisfies:
+    gap[c] = part[c] - gamma[c] is how many boxes column c can still give
+    up.  A returned set C (an ascending list) satisfies:
 
-    * C is a suffix (removing) or a prefix (adding) of every block of
-      equal parts, so part -/+ 1_C is a partition;
+    * C is a suffix of every block of equal parts, so part - 1_C is a
+      partition;
     * only columns with gap > 0 move;
     * afterwards every gap is at most ``cap``, the number of strips still
-      to come, so the end stays reachable.  A column with gap cap + 1 is
+      to come, so gamma stays reachable.  A column with gap cap + 1 is
       forced into C, and one with a larger gap leaves no set at all;
     * when ``bound`` (k columns, the caller's lattice step) is given, the
-      column at position q of C is >= bound[q] when removing and
-      <= bound[q] when adding.
+      column at position q of C is >= bound[q].
 
     Each condition prunes while the columns are chosen, block by block
     from the left.  The sets come in lexicographic order of their
@@ -445,7 +444,7 @@ def _strip_columns(part, gap, k, cap, bound, remove):
     """
     n = len(part)
     top = cap + 1
-    blocks = []  # (first, end, forced, free) of the blocks with a movable column
+    blocks = []  # (end, forced, free) of the blocks with a movable column
     i = 0
     while i < n:
         v = part[i]
@@ -462,14 +461,14 @@ def _strip_columns(part, gap, k, cap, bound, remove):
                         return []
                     forced += 1
         if free:
-            blocks.append((i, j, forced, free))
+            blocks.append((j, forced, free))
         i = j
     nb = len(blocks)
     least = [0] * (nb + 1)  # columns the blocks from b on must / can still take
     most = [0] * (nb + 1)
     for b in range(nb - 1, -1, -1):
-        least[b] = least[b + 1] + blocks[b][2]
-        most[b] = most[b + 1] + blocks[b][3]
+        least[b] = least[b + 1] + blocks[b][1]
+        most[b] = most[b + 1] + blocks[b][2]
     if not least[0] <= k <= most[0]:
         return []
     out = []
@@ -479,59 +478,57 @@ def _strip_columns(part, gap, k, cap, bound, remove):
         if m == k:
             out.append(acc)
             return
-        i, j, forced, free = blocks[b]
+        j, forced, free = blocks[b]
         lo = max(forced, k - m - most[b + 1])
         hi = min(free, k - m - least[b + 1])
         for t in range(lo, hi + 1):
-            cols = list(range(j - t, j) if remove else range(i, i + t))
+            cols = list(range(j - t, j))
             # a larger t fails the lattice step wherever this one does
-            if bound is not None and (
-                any(c < bound[m + q] for q, c in enumerate(cols))
-                if remove
-                else any(c > bound[m + q] for q, c in enumerate(cols))
-            ):
+            if bound is not None and any(c < bound[m + q] for q, c in enumerate(cols)):
                 break
             rec(b + 1, acc + cols)
 
     rec(0, [])
+    del rec  # rec holds itself through its closure: free it now, not at a cyclic collection
     return out
 
 
 def _chain_start(alpha, beta, gamma, kind):
-    """Strip sizes, start partition and start gaps of a validated shape, or None.
+    """Strip sizes and start gaps of a validated shape's chain search, or None.
 
-    Partitions are padded to the width of beta; the socle chain starts at
-    beta and removes strips down to gamma, the LR chain starts at gamma
-    and adds strips up to beta.
+    Every search starts at beta and removes strips down to gamma, so the
+    start gaps are beta - gamma, with gamma padded to the width of beta.
+    The socle chain removes strips of sizes transpose(alpha) in order; the
+    LR chain is read in reverse, so going down its sizes weakly increase.
     """
     if weight(alpha) + weight(gamma) != weight(beta) or not contains(beta, gamma):
         return None
-    n = len(beta)
-    inner = tuple(gamma) + (0,) * (n - len(gamma))
-    gap = tuple(b - g for b, g in zip(beta, inner))
-    return transpose(alpha), (beta if kind == "socle" else inner), gap
+    sizes = transpose(alpha)
+    gap = tuple(b - part(gamma, c) for c, b in enumerate(beta, 1))
+    return (sizes if kind == "socle" else sizes[::-1]), gap
 
 
-def _lattice_bound(prev, k, remove):
-    """Per-position bound on the next k strip columns after a strip ``prev``.
+def _lattice_bound(prev, k, socle):
+    """Per-position lower bound on the next k strip columns removed after ``prev``.
 
-    The i-th smallest of them is >= the i-th smallest of prev when
-    removing (mirrored lattice), and the i-th largest is <= the i-th
-    largest of prev when adding.  None when there is no previous strip.
+    A socle chain takes the mirrored lattice step: the i-th smallest
+    column is >= the i-th smallest of prev.  An LR chain read in reverse
+    has k >= len(prev), and the i-th largest column is >= the i-th largest
+    of prev.  None when there is no previous strip.
     """
     if prev is None:
         return None
-    return prev[:k] if remove else prev[len(prev) - k:]
+    return prev[:k] if socle else (0,) * (k - len(prev)) + prev
 
 
-def _step(part, gap, cols, remove):
-    """Partition and gaps after moving the strip columns ``cols`` one step."""
-    nxt, ngap = list(part), list(gap)
-    d = -1 if remove else 1
-    for c in cols:
-        nxt[c] += d
-        ngap[c] -= 1
-    return tuple(nxt), tuple(ngap)
+def _steps(part, gap, k, cap, bound):
+    """(columns, next partition, next gaps) of each strip ``_strip_columns`` allows."""
+    for cols in _strip_columns(part, gap, k, cap, bound):
+        nxt, ngap = list(part), list(gap)
+        for c in cols:
+            nxt[c] -= 1
+            ngap[c] -= 1
+        yield tuple(cols), tuple(nxt), tuple(ngap)
 
 
 def _unpad(p):
@@ -545,8 +542,9 @@ def _unpad(p):
 def _chains(alpha, beta, gamma, kind, lattice=True):
     """Chains of canonical partitions of a validated shape's tableaux of the kind.
 
-    The recursion moves padded partitions; each chain member is unpadded
-    once, as it is reached.
+    The recursion removes strips from beta on padded partitions; each
+    chain member is unpadded once, as it is reached, and an LR chain is
+    reversed when it is complete.
 
     With ``lattice`` off the socle chains lose the mirrored lattice
     condition and give every filling with weakly decreasing rows and
@@ -555,20 +553,19 @@ def _chains(alpha, beta, gamma, kind, lattice=True):
     start = _chain_start(alpha, beta, gamma, kind)
     if start is None:
         return
-    sizes, part, gap = start
+    sizes, gap = start
     s = len(sizes)
-    remove = kind == "socle"
+    socle = kind == "socle"
 
     def rec(level, part, gap, prev, acc):
         if level == s:
-            yield acc
+            yield acc if socle else acc[::-1]
             return
         k = sizes[level]
-        for cols in _strip_columns(part, gap, k, s - level - 1, _lattice_bound(prev, k, remove), remove):
-            nxt, ngap = _step(part, gap, cols, remove)
+        for cols, nxt, ngap in _steps(part, gap, k, s - level - 1, _lattice_bound(prev, k, socle)):
             yield from rec(level + 1, nxt, ngap, cols if lattice else None, acc + (_unpad(nxt),))
 
-    yield from rec(0, part, gap, None, (_unpad(part),))
+    yield from rec(0, beta, gap, None, (beta,))
 
 
 # one object per distinct strip or partition the moves hold: after a
@@ -595,13 +592,7 @@ def _strip_moves(part, prev, socle) -> tuple:
         ks = range(1, len(prev) + 1) if socle else range(len(prev), n + 1)
     moves = []
     for k in ks:
-        if prev is None:
-            bound = None
-        elif socle:
-            bound = prev[:k]
-        else:
-            bound = (0,) * (k - len(prev)) + prev
-        for cols in _strip_columns(part, part, k, cap, bound, True):
+        for cols in _strip_columns(part, part, k, cap, _lattice_bound(prev, k, socle)):
             nxt = list(part)
             for c in cols:
                 nxt[c] -= 1
@@ -620,8 +611,9 @@ def _beta_chains(beta, kind) -> dict:
     as removed: strip sizes weakly decrease and consecutive strips take
     the mirrored lattice step.  LR chains are read in reverse: going down,
     strip sizes weakly increase, and the i-th largest column of a strip is
-    >= the i-th largest of the strip removed before it.  The chains are
-    those of ``_chains``, in another order.
+    >= the i-th largest of the strip removed before it.  ``_chains`` takes
+    the same steps (``_lattice_bound``) down to one gamma, so the chains of
+    each (alpha, gamma) are its chains, in another order.
     """
     beta = partition(beta)
     socle = kind == "socle"
@@ -636,28 +628,29 @@ def _beta_chains(beta, kind) -> dict:
                 rec(low, cols, (len(cols),) + sizes, (low,) + acc)
 
     rec(beta, None, (), (beta,))
+    # rec holds itself, and through ``found`` every chain, in a reference
+    # cycle: break it, so the chains go when the caller drops them
+    del rec
     return {(transpose(sizes), gamma): chains for (sizes, gamma), chains in found.items()}
 
 
-def _path_count(part, gap, prev, sizes, remove, memo) -> int:
-    """Number of chains from ``part`` with the given remaining strip sizes.
+def _path_count(part, gap, prev, sizes, socle, memo) -> int:
+    """Number of chains from ``part`` down to gamma with the given remaining strip sizes.
 
     ``memo`` is keyed by (part, the lattice bound on the next strip,
-    sizes), so it may be shared by every start on the same end (the floor
-    when removing, the ceiling when adding).  ``prev`` is a tuple.
+    sizes), so it may be shared by every start on the same gamma.
     """
     if not sizes:
         return 1
     k = sizes[0]
-    bound = _lattice_bound(prev, k, remove)
+    bound = _lattice_bound(prev, k, socle)
     key = (part, bound, sizes)
     got = memo.get(key)
     if got is None:
         got = 0
         rest = sizes[1:]
-        for cols in _strip_columns(part, gap, k, len(rest), bound, remove):
-            nxt, ngap = _step(part, gap, cols, remove)
-            got += _path_count(nxt, ngap, tuple(cols), rest, remove, memo)
+        for cols, nxt, ngap in _steps(part, gap, k, len(rest), bound):
+            got += _path_count(nxt, ngap, cols, rest, socle, memo)
         memo[key] = got
     return got
 
@@ -698,17 +691,14 @@ def enumerate_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> l
     return ts
 
 
-def _count(alpha, beta, gamma, kind, memo) -> int:
+def count_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> int:
+    """Number of tableaux of the kind, counted as chain paths without building them."""
+    alpha, beta, gamma = _shape_args(shape_or_alpha, beta, gamma, kind)
     start = _chain_start(alpha, beta, gamma, kind)
     if start is None:
         return 0
-    sizes, part, gap = start
-    return _path_count(part, gap, None, sizes, kind == "socle", memo)
-
-
-def count_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> int:
-    """Number of tableaux of the kind, counted as chain paths without building them."""
-    return _count(*_shape_args(shape_or_alpha, beta, gamma, kind), kind, {})
+    sizes, gap = start
+    return _path_count(beta, gap, None, sizes, kind == "socle", {})
 
 
 def lr_coefficient(alpha, beta, gamma) -> int:

@@ -360,7 +360,7 @@ def beta_chains(beta, kind):
                 bound = prev[:k]
             else:
                 bound = (0,) * (k - len(prev)) + prev
-            for cols in _strip_columns(part, part, k, cap, bound, True):
+            for cols in _strip_columns(part, part, k, cap, bound):
                 nxt = list(part)
                 for c in cols:
                     nxt[c] -= 1

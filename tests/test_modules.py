@@ -105,6 +105,16 @@ def test_a_basis_of_the_wrong_width_is_refused(rows):
         linalg.left_annihilator(rows, m.dim, m.prime)
 
 
+@pytest.mark.parametrize("rows", [[[2**70, 1]], [[2**64, 1]], [[-(2**70), 1]]], ids=["2**70", "2**64", "-2**70"])
+def test_an_entry_beyond_int64_is_refused(rows):
+    m = standard_module(3, (2,))
+    for build in (Subspace, submodule_span):
+        with pytest.raises(ValueError, match="int64"):
+            build(m, rows)
+    with pytest.raises(ValueError, match="int64"):
+        linalg.left_annihilator(rows, m.dim, m.prime)
+
+
 def test_module_type_is_kept():
     m = standard_module(5, (4, 2, 2))
     first = module_type(m)

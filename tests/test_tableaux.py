@@ -29,7 +29,6 @@ from soctab.tableaux import (
     _chain_tableau,
     _chains,
     _lattice_bound,
-    _step,
     _strip_columns,
     _strip_moves,
     build_matching,
@@ -287,6 +286,24 @@ def test_count_symmetry_small():
                     assert n_soc == n_lr == n_swap, (alpha, beta, gamma)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, gamma, expect",
+    [
+        ((6, 4, 3, 2, 1), (8, 7, 6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2), 392),
+        ((4, 3, 2, 1), (6, 5, 4, 3, 2, 1), (5, 3, 2, 1), 24),
+        ((4, 3, 3, 1), (6, 5, 4, 3, 2, 1), (4, 3, 2, 1), 18),
+        ((6, 3, 1, 1), (8, 6, 4, 3, 2, 1), (6, 3, 2, 1, 1), 18),
+        ((4, 3, 2, 1, 1), (6, 6, 4, 4, 2, 2), (5, 3, 2, 2, 1), 7),
+    ],
+)
+def test_count_symmetry_at_weight_20_and_more(alpha, beta, gamma, expect):
+    # beyond the shapes the count property draws (weight <= 11)
+    assert weight(beta) >= 20
+    assert count_tableaux(alpha, beta, gamma, kind="socle") == expect
+    assert count_tableaux(alpha, beta, gamma, kind="lr") == expect
+    assert count_tableaux(gamma, beta, alpha, kind="lr") == expect
+
+
 def test_json_round_trip():
     for t in [SOCLE_M2, SOCLE_M1, DUAL_LR_M2] + SOCLE_642:
         blob = json.dumps(t.to_json_dict())
@@ -312,27 +329,22 @@ def test_render():
 # the strip generator and the path counts
 
 
-def brute_strips(part, gap, k, cap, bound, remove):
+def brute_strips(part, gap, k, cap, bound):
     """Oracle for _strip_columns: filter every k-subset of the columns.
 
-    Keeps the sets C for which part -/+ 1_C is a partition, no column
+    Keeps the sets C for which part - 1_C is a partition, no column
     passes its end, every gap left is at most cap, and (with a bound)
-    each column of C is >= (removing) or <= (adding) its bound; sorts
-    them by their per-block counts.
+    each column of C is >= its bound; sorts them by their per-block counts.
     """
     n = len(part)
-    d = -1 if remove else 1
     out = []
     for cols in combinations(range(n), k):
-        nxt = [x + d * (c in cols) for c, x in enumerate(part)]
+        nxt = [x - (c in cols) for c, x in enumerate(part)]
         left = [g - (c in cols) for c, g in enumerate(gap)]
         if any(a < b for a, b in zip(nxt, nxt[1:])) or not all(0 <= g <= cap for g in left):
             continue
-        if bound is not None:
-            if remove and any(c < b for c, b in zip(cols, bound)):
-                continue
-            if not remove and any(c > b for c, b in zip(cols, bound)):
-                continue
+        if bound is not None and any(c < b for c, b in zip(cols, bound)):
+            continue
         out.append(list(cols))
     starts = [c for c in range(n) if c == 0 or part[c] != part[c - 1]] + [n]
 
@@ -343,27 +355,28 @@ def brute_strips(part, gap, k, cap, bound, remove):
 
 
 def test_strip_columns_match_brute_force_on_every_reached_state():
+    # both kinds walk down from beta: socle sizes in order, LR sizes reversed
     seen = set()
     for alpha, beta, gamma in shape_triples(8):
         for kind in ("socle", "lr"):
-            sizes, part, gap = _chain_start(alpha, beta, gamma, kind)
-            remove = kind == "socle"
+            sizes, gap = _chain_start(alpha, beta, gamma, kind)
             for lattice in (True, False):
-                todo = [(part, gap, None, 0)]
+                todo = [(beta, gap, None, 0)]
                 while todo:
                     part_, gap_, prev, level = todo.pop()
                     if level == len(sizes):
                         continue
                     k = sizes[level]
-                    bound = _lattice_bound(prev, k, remove)
-                    state = (part_, gap_, k, len(sizes) - level - 1, bound, remove)
+                    bound = _lattice_bound(prev, k, kind == "socle")
+                    state = (part_, gap_, k, len(sizes) - level - 1, bound)
                     if state in seen:
                         continue
                     seen.add(state)
                     got = _strip_columns(*state)
                     assert got == brute_strips(*state), state
                     for cols in got:
-                        nxt, ngap = _step(part_, gap_, cols, remove)
+                        nxt = tuple(x - (c in cols) for c, x in enumerate(part_))
+                        ngap = tuple(g - (c in cols) for c, g in enumerate(gap_))
                         todo.append((nxt, ngap, tuple(cols) if lattice else None, level + 1))
     assert len(seen) > 10000, len(seen)
 
