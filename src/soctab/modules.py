@@ -77,7 +77,7 @@ def _check_prime(p, dim):
     if p < 2:
         raise BadPrime(f"modulus {p} is not a prime")
     if max(dim, 1) * (p - 1) ** 2 >= 2**63:
-        raise BadPrime(f"modulus {p} overflows int64 products in dimension {max(dim, 1)}")
+        raise BadPrime(f"modulus {p} is too large: dim * (p - 1)**2 must stay below 2**63, with dim {max(dim, 1)}")
     if not _is_prime(p):
         raise BadPrime(f"modulus {p} is not a prime")
 

@@ -387,15 +387,20 @@ def _lr_chain_entries(geo, chain, alpha):
     return want
 
 
+def _predicted(grid, want):
+    """Whether ``grid`` is the terminal grid ``want`` (see ``_lr_chain_entries``) predicts."""
+    return want is not None and all(x == w if w < 0 else x >= 0 for x, w in zip(grid, want))
+
+
 def _switch_one(report, geo, chain, alpha, inner, orders):
     """Switch the tableau of one socle chain in every order and record mismatches.
 
     ``inner`` is the grid of ``_inner_grid``; the T entries are filled
-    from the chain.  When the deterministic run ends at the predicted grid
-    and the search finds no other terminal, every maximal swap sequence,
-    seeded ones included, ends there, so those are counted, not run.
-    Otherwise the seeded orders run, and each run whose terminal grid
-    differs is recorded; tableaux are built only for a record.
+    from the chain.  With seeded orders the search runs first: when its
+    one terminal grid is the predicted one, every maximal swap sequence
+    ends there, so no order is run.  Otherwise every order runs, and each
+    run whose terminal grid differs is recorded; tableaux are built only
+    for a record.
     """
     report.tableaux += 1
     g = inner[:]
@@ -404,18 +409,18 @@ def _switch_one(report, geo, chain, alpha, inner, orders):
         for c, (b, a) in enumerate(zip_longest(chain[l - 1], chain[l], fillvalue=0), 1):
             if a < b:
                 g[geo.slot[(b, c)]] = s + 1 - l
-    initial = SwitchState._of_grid(geo, g, [])
     lr_chain = _socle_chain_to_duallr(chain)
     want = _lr_chain_entries(geo, lr_chain, alpha)
-    baseline = run_switch(initial)
-    base = baseline._grid
-    base_bad = want is None or any(x < 0 if w >= 0 else x != w for x, w in zip(base, want))
-    if orders and not base_bad:
+    if orders and want is not None:
         terminal, states = _search(geo, g)
         report.states += states
-        if terminal == tuple(base):
+        if terminal is not None and _predicted(terminal, want):
             report.runs += 1 + len(orders)
             return
+    initial = SwitchState._of_grid(geo, g, [])
+    baseline = run_switch(initial)
+    base = baseline._grid
+    base_bad = not _predicted(base, want)
     runs = [("deterministic", baseline)]
     for label, rng, start in orders:
         rng.setstate(start)

@@ -23,6 +23,7 @@ validates the chain instead: a valid chain fixes the boxes and the content.
 
 from functools import lru_cache
 from numbers import Integral
+from operator import ge
 from typing import Iterator, NamedTuple
 
 from .partitions import (
@@ -200,23 +201,12 @@ class SkewTableau:
         return cls(alpha, beta, gamma, entries)
 
 
-def _row_cols(t: SkewTableau):
-    """Skew columns present in each row, as {row: [cols ascending]}."""
-    rows = {}
-    for (r, c) in t.entries:
-        rows.setdefault(r, []).append(c)
-    for cols in rows.values():
-        cols.sort()
-    return rows
-
-
-def _col_rows(t: SkewTableau):
-    cols = {}
-    for (r, c) in t.entries:
-        cols.setdefault(c, []).append(r)
-    for rows in cols.values():
-        rows.sort()
-    return cols
+def _lines(t: SkewTableau, axis: int):
+    """The skew boxes by row (axis 0) or by column (axis 1), as {line: [positions ascending]}."""
+    lines = {}
+    for box in sorted(t.entries):
+        lines.setdefault(box[axis], []).append(box[1 - axis])
+    return lines
 
 
 def _check_axioms(t: SkewTableau, increasing: bool) -> bool:
@@ -228,12 +218,12 @@ def _check_axioms(t: SkewTableau, increasing: bool) -> bool:
     columns holds more entries l + 1 than entries l.
     """
     e = t.entries
-    for r, cols in _row_cols(t).items():
+    for r, cols in _lines(t, 0).items():
         for a, b in zip(cols, cols[1:]):
             x, y = e[(r, a)], e[(r, b)]
             if (x > y) if increasing else (x < y):
                 return False
-    col_rows = _col_rows(t)
+    col_rows = _lines(t, 1)
     for c, rows in col_rows.items():
         for a, b in zip(rows, rows[1:]):
             x, y = e[(a, c)], e[(b, c)]
@@ -568,36 +558,39 @@ def _chains(alpha, beta, gamma, kind, lattice=True):
     yield from rec(0, beta, gap, None, (beta,))
 
 
-# one object per distinct strip or partition the moves hold: after a
-# weight-8 count sweep the move cache takes about 0.23 MB instead of 0.39 MB
+# one object per distinct strip or partition the strip lists hold, so the
+# chains of every beta share their members
 _interned = {}
 
 
 @lru_cache(maxsize=None)
-def _strip_moves(part, prev, socle) -> tuple:
-    """(strip columns, next partition) of every step of ``_beta_chains`` out of a state.
+def _strips(part) -> tuple:
+    """(columns, next partition) of every nonempty horizontal strip of ``part``.
 
-    ``part`` is a canonical partition and ``prev`` the columns of the
-    strip just removed (None at the start).  The step removes a horizontal
-    strip with floor 0 and cap part[0], so no column is forced, and takes
-    the lattice step of the kind after ``prev``.  The moves do not depend
-    on the beta the search started from, so the cache serves every beta of
-    a process.
+    ``part`` is canonical.  The strips come by size, then in the order of
+    ``_strip_columns`` with floor 0 and cap part[0] (no column is forced).
     """
-    n = len(part)
-    cap = part[0] if part else 0  # no gap exceeds it, so no column is forced
+    ks = range(1, len(part) + 1)
+    moves = ((cols, _unpad(nxt)) for k in ks for cols, nxt, _ in _steps(part, part, k, part[0], None))
+    return tuple((_interned.setdefault(c, c), _interned.setdefault(n, n)) for c, n in moves)
+
+
+@lru_cache(maxsize=None)
+def _strip_moves(part, prev, socle) -> tuple:
+    """The pairs of ``_strips(part)`` a step of ``_beta_chains`` may take after ``prev``.
+
+    ``prev`` is the strip just removed (None at the start: every strip).  A
+    socle step keeps the strips of at most len(prev) columns, an LR step
+    those of at least len(prev), each meeting ``_lattice_bound``.  The
+    filter depends on the state alone, so the cache serves every beta.
+    """
     if prev is None:
-        ks = range(1, n + 1)
-    else:
-        ks = range(1, len(prev) + 1) if socle else range(len(prev), n + 1)
-    moves = []
-    for k in ks:
-        for cols in _strip_columns(part, part, k, cap, _lattice_bound(prev, k, socle)):
-            nxt = list(part)
-            for c in cols:
-                nxt[c] -= 1
-            cols, nxt = tuple(cols), _unpad(tuple(nxt))
-            moves.append((_interned.setdefault(cols, cols), _interned.setdefault(nxt, nxt)))
+        return _strips(part)
+    n, moves = len(prev), []
+    for move in _strips(part):
+        k = len(move[0])
+        if (k <= n if socle else k >= n) and all(map(ge, move[0], _lattice_bound(prev, k, socle))):
+            moves.append(move)
     return tuple(moves)
 
 
@@ -605,15 +598,16 @@ def _beta_chains(beta, kind) -> dict:
     """{(alpha, gamma): chains} of every tableau of the kind on ambient ``beta``.
 
     A prefix of a valid chain is a valid chain, so one search from beta
-    finds them all.  It removes horizontal strips (``_strip_moves``), and
-    every partition it reaches closes the chain of a tableau of shape
-    (transpose(strip sizes), beta, that partition).  Socle chains are read
-    as removed: strip sizes weakly decrease and consecutive strips take
-    the mirrored lattice step.  LR chains are read in reverse: going down,
-    strip sizes weakly increase, and the i-th largest column of a strip is
-    >= the i-th largest of the strip removed before it.  ``_chains`` takes
-    the same steps (``_lattice_bound``) down to one gamma, so the chains of
-    each (alpha, gamma) are its chains, in another order.
+    finds them all.  Each step removes a horizontal strip of the current
+    partition (``_strips``) that passes the lattice filter of the state
+    (``_strip_moves``), and every partition reached closes the chain of a
+    tableau of shape (transpose(strip sizes), beta, that partition).  Socle
+    chains are read as removed: strip sizes weakly decrease and
+    consecutive strips take the mirrored lattice step.  LR chains are read
+    in reverse: going down, strip sizes weakly increase, and the i-th
+    largest column of a strip is >= the i-th largest of the strip removed
+    before it.  ``_chains`` takes the same steps down to one gamma, so the
+    chains of each (alpha, gamma) are its chains, in another order.
     """
     beta = partition(beta)
     socle = kind == "socle"

@@ -182,6 +182,32 @@ def test_check_conjecture_records_each_mismatching_run(monkeypatch):
     assert "mismatches: 4" in rep.render()
 
 
+def test_runs_happen_only_when_the_search_cannot_settle_them(monkeypatch):
+    calls = []
+    real = switching.run_switch
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(switching, "run_switch", counted)
+    assert check_conjecture(8).ok and calls == []
+    # with no seeded order, nothing is searched and every deterministic run happens
+    assert check_conjecture(8, seeds=0).ok and len(calls) == 1351
+    # a wrong closed form on one tableau: its runs happen, the deterministic first
+    target = ((2, 1), (4, 1, 1), (2, 1))
+    (t,) = iter_tableaux(*target, kind="socle")
+    t_chain, wrong_chain = to_chain(t, "socle"), to_chain(SkewTableau((), (4, 1, 1), (4, 1, 1), {}), "lr")
+    real_conv = switching._socle_chain_to_duallr
+    monkeypatch.setattr(
+        switching, "_socle_chain_to_duallr", lambda chain: wrong_chain if tuple(chain) == t_chain else real_conv(chain)
+    )
+    calls.clear()
+    rep = check_conjecture(6, seeds=3, base_seed=10)
+    assert calls == [(), ("seeded-random",), ("seeded-random",), ("seeded-random",)]
+    assert [m["order"] for m in rep.mismatches] == ["deterministic", "seed 10", "seed 11", "seed 12"]
+
+
 SMALL_SOCLE = [
     t for sh in shape_triples(7) for t in iter_tableaux(*sh, kind="socle")
 ]

@@ -31,6 +31,7 @@ from soctab.tableaux import (
     _lattice_bound,
     _strip_columns,
     _strip_moves,
+    _strips,
     build_matching,
     check_lr,
     check_socle,
@@ -435,6 +436,35 @@ def test_shared_strip_moves_give_the_uncached_search():
             assert list(got.values()) == list(want.values()), (beta, kind)
     assert _strip_moves.cache_info().misses == misses  # every state was cached
     assert _beta_chains((), "socle") == {((), ()): [((),)]}
+
+
+def test_strips_are_every_strip_by_size_then_block_counts():
+    for part_ in (p for wgt in range(11) for p in partitions_of(wgt)):
+        want = [cols for k in range(1, len(part_) + 1) for cols in brute_strips(part_, part_, k, part_[0], None)]
+        got = _strips(part_)
+        assert [list(cols) for cols, _ in got] == want, part_
+        for cols, nxt in got:
+            assert nxt == tuple(x for x in (x - (c in cols) for c, x in enumerate(part_)) if x), part_
+
+
+def test_strip_moves_hold_the_pairs_of_the_strip_lists():
+    # walk every state a weight-9 sweep cached: each move is one of the
+    # partition's strip pairs, the object itself, not a copy
+    count_symmetry_sweep(9)
+    misses = _strip_moves.cache_info().misses
+    todo = [(beta, None, socle) for wgt in range(10) for beta in partitions_of(wgt) for socle in (True, False)]
+    seen = set()
+    while todo:
+        state = todo.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        part_, _, socle = state
+        strips = {id(pair) for pair in _strips(part_)}
+        for pair in _strip_moves(*state):
+            assert id(pair) in strips, state
+            todo.append((pair[1], pair[0], socle))
+    assert _strip_moves.cache_info().misses == misses and len(seen) > 1000
 
 
 def test_lr_chain_shape_is_check_lr_on_chains():
