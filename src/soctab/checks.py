@@ -104,45 +104,68 @@ def count_symmetry_sweep(max_beta_weight: int) -> SweepReport:
 
 
 def realize_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
-    """Every socle tableau is realized exactly by its constructed embedding."""
+    """Every socle tableau is realized exactly by its constructed embedding.
+    The tableaux are checked on every CPU this process may use (``_shards``)."""
+    # imported here: without cached bytecode, every import of the package
+    # would compile the driver, and a sweep that does not use it would pay
+    from . import _shards
+
     rep = SweepReport("realize-roundtrip", max_beta=max_beta_weight, primes=list(primes))
+    items = []
     for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
         chains = _beta_chains(beta, "socle")
         for alpha, _, gamma in group:
-            for chain in chains.get((alpha, gamma), ()):
-                # the enumerator's chains are valid, so nothing is checked again
-                built = _IntChain(_chain_tableau(chain, "socle"))
-                rep.cases += 1
-                for p in primes:
-                    x = built.embedding(p)
-                    if x.shape != (alpha, beta, gamma):
-                        rep.fail(f"{(alpha, beta, gamma)} p={p}: wrong shape {tuple(x.shape)}")
-                        continue
-                    # canonical chains: equal iff the tableaux are
-                    if tuple(_filtration_chain(x, _socle_quotient_type, beta, gamma)) != chain:
-                        rep.fail(f"{(alpha, beta, gamma)} p={p}: socle tableau differs")
+            shape = (alpha, beta, gamma)
+            items += [(shape, chain) for chain in chains.get((alpha, gamma), ())]
+
+    def realize(item):
+        shape, chain = item
+        # the enumerator's chains are valid, so nothing is checked again
+        built = _IntChain(_chain_tableau(chain, "socle"))
+        out = []
+        for p in primes:
+            x = built.embedding(p)
+            if x.shape != shape:
+                out.append(f"{shape} p={p}: wrong shape {tuple(x.shape)}")
+            # canonical chains: equal iff the tableaux are
+            elif tuple(_filtration_chain(x, _socle_quotient_type, shape[1], shape[2])) != chain:
+                out.append(f"{shape} p={p}: socle tableau differs")
+        return out
+
+    rep.cases = len(items)
+    rep.failures = _shards.run(items, realize)
     return rep
 
 
 def realize_lr_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
     """Dual counterpart of realize_sweep for LR tableaux; each mirrored socle
     chain must be one of those enumerated, which replaces its axiom check."""
+    from . import _shards
+
     rep = SweepReport("realize-lr-roundtrip", max_beta=max_beta_weight, primes=list(primes))
+    items = []
     for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
         chains = _beta_chains(beta, "lr")
         mirrors = {key: set(found) for key, found in _beta_chains(beta, "socle").items()}
         for alpha, _, gamma in group:
-            for chain in chains.get((alpha, gamma), ()):
-                rep.cases += 1
-                mirror = _duallr_chain_to_socle(chain)
-                if mirror not in mirrors.get((gamma, alpha), ()):
-                    rep.fail(f"{(alpha, beta, gamma)}: mirror is not an enumerated socle chain")
-                    continue
-                built = _IntChain(_chain_tableau(mirror, "socle"))
-                for p in primes:
-                    x = dual_embedding(built.embedding(p))
-                    if tuple(_filtration_chain(x, _radical_quotient_type, x.gamma, x.beta)) != chain:
-                        rep.fail(f"{(alpha, beta, gamma)} p={p}: lr tableau differs")
+            shape, targets = (alpha, beta, gamma), mirrors.get((gamma, alpha), ())
+            items += [(shape, chain, targets) for chain in chains.get((alpha, gamma), ())]
+
+    def realize(item):
+        shape, chain, targets = item
+        mirror = _duallr_chain_to_socle(chain)
+        if mirror not in targets:
+            return [f"{shape}: mirror is not an enumerated socle chain"]
+        built = _IntChain(_chain_tableau(mirror, "socle"))
+        out = []
+        for p in primes:
+            x = dual_embedding(built.embedding(p))
+            if tuple(_filtration_chain(x, _radical_quotient_type, x.gamma, x.beta)) != chain:
+                out.append(f"{shape} p={p}: lr tableau differs")
+        return out
+
+    rep.cases = len(items)
+    rep.failures = _shards.run(items, realize)
     return rep
 
 

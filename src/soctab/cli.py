@@ -14,6 +14,7 @@ import random
 import sys
 
 from . import checks
+from ._shards import WorkerDied
 from .convert import (
     defect_table,
     duallr_to_hom,
@@ -326,7 +327,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ConditionStarViolated, AssertionError) as exc:
+    except (ConditionStarViolated, WorkerDied, AssertionError) as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 2
     except INPUT_ERRORS as exc:

@@ -85,32 +85,17 @@ def _check_prime(p, dim):
 class FpModule:
     """Direct sum of Jordan blocks of the sizes ``parts`` over F_p."""
 
-    __slots__ = (
-        "prime", "parts", "dim", "_high", "_by_depth", "_socle_orders", "_radical_orders",
-    )
+    __slots__ = ("prime", "parts", "dim", "_high")
 
     def __init__(self, prime, parts):
         self.prime = int(prime)
         self.parts = partition(parts)
         self.dim = sum(self.parts)
         _check_prime(self.prime, self.dim)
-        levels = range(self.nilpotency_index + 1)
-        # coordinate off+i of a block of size n has level i and depth n - i
-        coords = [(o + i, i, n - i) for o, n in zip(block_offsets(self.parts), self.parts) for i in range(n)]
-        by_level = sorted(coords, key=lambda c: c[1])
         # high(r) for r = 0..N, the coordinates of depth > r; empty at N
-        self._high = [[c for c, _, d in coords if d > r] for r in levels]
-        # the column orders of the pivot read-offs, with the key of every
-        # position (a row of the conjugate type, or None): by depth for the
-        # type of U, and for r = 0..N those of M / soc^r U and M / T^r U
-        self._by_depth = _order([(c, d - 1) for c, _, d in sorted(coords, key=lambda c: -c[2])])
-        self._socle_orders = [
-            _order([(c, None) for c in self._high[r]] + [(c, i) for c, i, d in by_level if d <= r])
-            for r in levels
-        ]
-        self._radical_orders = [
-            _order([(c, i + r) for c, i, d in by_level if d > r] + [(c, None) for c, _, d in coords if d <= r])
-            for r in levels
+        self._high = [
+            [o + i for o, n in zip(block_offsets(self.parts), self.parts) for i in range(n) if n - i > r]
+            for r in range(self.nilpotency_index + 1)
         ]
 
     def shift(self, rows, r):
@@ -150,9 +135,23 @@ class FpModule:
         return f"FpModule(p={self.prime}, parts={self.parts})"
 
 
-def _order(pairs):
-    """The columns and the keys of (column, key) pairs, as two lists."""
-    return [c for c, _ in pairs], [k for _, k in pairs]
+@lru_cache(maxsize=None)
+def _read_off_order(parts, kind, r=0):
+    """The column order of a pivot read-off in the module of ``parts``, and
+    the key of each position (a row of the conjugate type, or None): by
+    depth for the type of U, and for M / soc^r U ("socle") and M / T^r U
+    ("radical").  It is the same at every prime, so the modules of all
+    primes share it, built on first use."""
+    # coordinate off+i of a block of size n has level i and depth n - i
+    coords = [(o + i, i, n - i) for o, n in zip(block_offsets(parts), parts) for i in range(n)]
+    by_level = sorted(coords, key=lambda c: c[1])
+    if kind == "socle":
+        pairs = [(c, None) for c, _, d in coords if d > r] + [(c, i) for c, i, d in by_level if d <= r]
+    elif kind == "radical":
+        pairs = [(c, i + r) for c, i, d in by_level if d > r] + [(c, None) for c, _, d in coords if d <= r]
+    else:
+        pairs = [(c, d - 1) for c, _, d in sorted(coords, key=lambda c: -c[2])]
+    return tuple(c for c, _ in pairs), tuple(k for _, k in pairs)
 
 
 class Subspace:
@@ -282,13 +281,13 @@ def _quotient_type(module, sub):
 
 def _socle_quotient_type(module, sub, ell):
     """Type of module / soc^ell(sub), for an invariant sub."""
-    order = module._socle_orders[min(ell, module.nilpotency_index)]
+    order = _read_off_order(module.parts, "socle", min(ell, module.nilpotency_index))
     return _quotient_off(module, _pivot_keys(sub, *order))
 
 
 def _radical_quotient_type(module, sub, i):
     """Type of module / T^i sub, for an invariant sub."""
-    order = module._radical_orders[min(i, module.nilpotency_index)]
+    order = _read_off_order(module.parts, "radical", min(i, module.nilpotency_index))
     return _quotient_off(module, _pivot_keys(sub, *order))
 
 
@@ -319,7 +318,7 @@ def _sub_type(module, sub):
     the number of pivots of depth d when the deepest columns come first.
     """
     rows = [0] * module.nilpotency_index
-    for d in _pivot_keys(sub, *module._by_depth):
+    for d in _pivot_keys(sub, *_read_off_order(module.parts, "depth")):
         rows[d] += 1
     return transpose(tuple(r for r in rows if r))
 

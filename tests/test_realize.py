@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import oracles
 import pytest
@@ -16,6 +18,7 @@ from soctab.embeddings import (
 )
 from soctab.modules import (
     Subspace,
+    _is_prime,
     block_offsets,
     module_type,
     quotient_type,
@@ -448,6 +451,34 @@ TABLEAUX_TO_6 = [
 @given(case=st.sampled_from(TABLEAUX_TO_6), p=st.sampled_from([2, 3, 5, 7, 11]))
 def test_round_trip_at_random_primes(case, p):
     kind, t = case
+    if kind == "socle":
+        x = realize_socle(t, p)
+        assert socle_tableau(x) == t
+    else:
+        x = realize_lr(t, p)
+        assert lr_tableau(x) == t
+    assert x.shape == t.shape and x.prime == p
+
+
+TABLEAUX_TO_5 = [(kind, t) for kind, t in TABLEAUX_TO_6 if weight(t.beta) <= 5]
+
+
+@st.composite
+def tableaux_at_random_primes(draw):
+    """A socle or LR tableau with |beta| <= 5 and a prime its module accepts:
+    below 100, or anywhere up to the bound dim * (p - 1)**2 < 2**63."""
+    kind, t = draw(st.sampled_from(TABLEAUX_TO_5))
+    top = isqrt((2**63 - 1) // max(weight(t.beta), 1)) + 1
+    p = draw(st.one_of(st.integers(2, 100), st.integers(2, top)))
+    while not _is_prime(p):
+        p -= 1
+    return kind, t, p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tableaux_at_random_primes())
+def test_round_trip_at_any_accepted_prime(case):
+    kind, t, p = case
     if kind == "socle":
         x = realize_socle(t, p)
         assert socle_tableau(x) == t
