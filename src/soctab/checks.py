@@ -6,8 +6,6 @@ switching sweep lives in the switching module because a mismatch there
 is a reportable result rather than a bug.
 """
 
-from itertools import groupby
-
 from .convert import (
     _duallr_chain_to_socle,
     _socle_chain_to_duallr,
@@ -29,7 +27,7 @@ from .embeddings import (
     socle_tableau,
 )
 from .modules import _radical_quotient_type, _socle_quotient_type
-from .partitions import shape_triples
+from .partitions import beta_triple_counts, shape_triples, triple_order
 from .realize import _IntChain
 from .tableaux import (
     MatchingFailed,
@@ -76,11 +74,13 @@ def count_symmetry_sweep(max_beta_weight: int) -> SweepReport:
     count, and the direct conversion maps the socle set bijectively onto the
     swapped LR set."""
     rep = SweepReport("count-symmetry", max_beta=max_beta_weight)
-    for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
-        # one search per kind finds every tableau on beta; absent means none
+    for beta, n in beta_triple_counts(max_beta_weight):
+        rep.cases += n
+        # one search per kind finds every tableau on beta; a shape that no
+        # search found has no tableau of either kind, so its counts agree
         socle, lr = _beta_chains(beta, "socle"), _beta_chains(beta, "lr")
-        for alpha, _, gamma in group:
-            rep.cases += 1
+        keys = {*socle, *lr, *((gamma, alpha) for alpha, gamma in lr)}
+        for alpha, gamma in sorted(keys, key=triple_order):
             chains = socle.get((alpha, gamma), ())
             n_lr = len(lr.get((alpha, gamma), ()))
             swapped = lr.get((gamma, alpha), ())
@@ -112,11 +112,11 @@ def realize_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
 
     rep = SweepReport("realize-roundtrip", max_beta=max_beta_weight, primes=list(primes))
     items = []
-    for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
+    for beta, _ in beta_triple_counts(max_beta_weight):
         chains = _beta_chains(beta, "socle")
-        for alpha, _, gamma in group:
+        for alpha, gamma in sorted(chains, key=triple_order):
             shape = (alpha, beta, gamma)
-            items += [(shape, chain) for chain in chains.get((alpha, gamma), ())]
+            items += [(shape, chain) for chain in chains[alpha, gamma]]
 
     def realize(item):
         shape, chain = item
@@ -144,12 +144,12 @@ def realize_lr_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
 
     rep = SweepReport("realize-lr-roundtrip", max_beta=max_beta_weight, primes=list(primes))
     items = []
-    for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
+    for beta, _ in beta_triple_counts(max_beta_weight):
         chains = _beta_chains(beta, "lr")
         mirrors = {key: set(found) for key, found in _beta_chains(beta, "socle").items()}
-        for alpha, _, gamma in group:
+        for alpha, gamma in sorted(chains, key=triple_order):
             shape, targets = (alpha, beta, gamma), mirrors.get((gamma, alpha), ())
-            items += [(shape, chain, targets) for chain in chains.get((alpha, gamma), ())]
+            items += [(shape, chain, targets) for chain in chains[alpha, gamma]]
 
     def realize(item):
         shape, chain, targets = item

@@ -7,8 +7,9 @@ of known kind and ambient is reconstructible from its multiplicity map,
 whose cumulative row sums are the row lengths of its partition chain.
 """
 
-from itertools import zip_longest
-from operator import lt
+from functools import lru_cache
+from itertools import accumulate, zip_longest
+from operator import lt, sub
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .tableaux import (
     SkewTableau,
     _chain_layers,
     _chain_tableau,
+    _interned,
+    _unpad,
     check_lr,
     check_socle,
 )
@@ -241,33 +244,46 @@ def _socle_chain_to_duallr(chain) -> tuple:
     ``chain`` is a socle chain from beta down to gamma (padded partitions
     allowed); the result is the dual LR chain of canonical partitions.
     Its layer ell has the row lengths of beta in rows m <= ell, and in row
-    m > ell the number of entries m - ell below row ell.
+    m > ell the number of entries m - ell below row ell: the boxes of
+    chain[m - ell - 1] below row ell less those of chain[m - ell].
     """
     beta = chain[0]
     beta_rows = transpose(beta)
     b1 = len(beta_rows)
-    # below[e-1][r]: boxes of strip e, chain[e-1] \ chain[e], below row r
-    below = []
-    for big, small in zip(chain, chain[1:b1 + 1]):
-        tail = [0] * (b1 + 1)
-        for x, y in zip_longest(big, small, fillvalue=0):
-            if x != y:
-                tail[x - 1] += 1  # a strip box in row x is below rows 0..x-1
-        for r in range(b1 - 1, 0, -1):
-            tail[r - 1] += tail[r]
-        below.append(tail)
+    # column r: the boxes below row r in each member a layer reads
+    below = zip_longest(*map(_boxes_below, chain[:b1 + 1]), fillvalue=0)
     out = []
-    for ell in range(part(chain[-1], 1) + 1):
-        lam_rows = list(beta_rows[:ell])
-        lam_rows += [tail[ell] for tail in below[:b1 - ell]]
-        while lam_rows and lam_rows[-1] == 0:
-            lam_rows.pop()
-        if any(map(lt, lam_rows, lam_rows[1:])):
-            raise InvalidTableau("derived layer is not a partition")
-        out.append(transpose(tuple(lam_rows)))
+    for ell, col in zip(range(part(chain[-1], 1) + 1), below):
+        # a display, not tuple(map(...)): that tuple is built oversized and
+        # shrunk, and each one freed stays on the interpreter's free lists
+        out.append(_dual_layer((*beta_rows[:ell], *map(sub, col, col[1:b1 - ell + 1]))))
     if out[-1] != beta:
         raise InvalidTableau("derived chain does not reach the ambient shape")
     return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _boxes_below(p) -> tuple:
+    """below[r]: the number of boxes of partition ``p`` below row r, for r = 0..p[0]."""
+    below = list(accumulate(reversed(transpose(p)), initial=0))
+    below.reverse()
+    return tuple(below)
+
+
+@lru_cache(maxsize=4096)
+def _dual_layer(rows) -> tuple:
+    """The partition with row lengths ``rows``, trailing zeros allowed.
+
+    A sweep's chains share their layers, so each distinct row tuple is
+    checked and transposed once while it stays in the cache.
+    """
+    rows = _unpad(rows)
+    if any(map(lt, rows, rows[1:])):
+        raise InvalidTableau("derived layer is not a partition")
+    # cached here, not in transpose's cache too; the layers of an enumerated
+    # chain are members of enumerated LR chains, so the strip lists hold them
+    layer = transpose.__wrapped__(rows)
+    return _interned.get(layer, layer)
 
 
 def _duallr_chain_to_socle(chain) -> tuple:

@@ -8,7 +8,7 @@ the diagram of ``p`` iff r <= p[c-1].  Row lengths are obtained through
 """
 
 from functools import lru_cache
-from operator import lt
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -177,3 +177,22 @@ def shape_triples(max_beta_weight: int) -> Iterator[Shape]:
             for gamma in sorted(subdiagrams(beta)):
                 for alpha in by_weight[wgt - weight(gamma)]:
                     yield Shape(alpha, beta, gamma)
+
+
+# sorts the (alpha, gamma) pairs of one beta into ``shape_triples`` order
+triple_order = itemgetter(1, 0)
+
+
+def beta_triple_counts(max_beta_weight: int) -> Iterator[tuple]:
+    """(beta, the number of shape triples on beta) for every beta with |beta| <= the bound.
+
+    The betas come in ``shape_triples`` order.  The triples on beta are one
+    per gamma inside it and partition alpha of |beta| - |gamma|, so they are
+    counted without being built.
+    """
+    counts = []  # counts[k]: the number of partitions of k
+    for wgt in range(0, max_beta_weight + 1):
+        betas = sorted(partitions_of(wgt))
+        counts.append(len(betas))
+        for beta in betas:
+            yield beta, sum(counts[wgt - weight(gamma)] for gamma in subdiagrams(beta))

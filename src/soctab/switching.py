@@ -13,10 +13,10 @@ conjecturally always.
 
 import random
 from functools import lru_cache
-from itertools import groupby, zip_longest
+from itertools import zip_longest
 
 from .convert import _socle_chain_to_duallr
-from .partitions import part, partition, shape_triples, transpose
+from .partitions import beta_triple_counts, part, partition, transpose, triple_order
 from .tableaux import InvalidTableau, SkewTableau, _beta_chains, _chain_tableau, check_socle
 
 RELABELING_NOTE = (
@@ -355,18 +355,16 @@ def check_conjecture(max_beta_weight: int, seeds: int = 5, base_seed: int = 0) -
     # one generator per seed, rewound to its seeded state before each run
     rngs = [random.Random(base_seed + k) for k in range(seeds)]
     orders = [(f"seed {base_seed + k}", rng, rng.getstate()) for k, rng in enumerate(rngs)]
-    for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
-        # one search finds every socle chain on beta; the enumerator's chains
-        # are valid, so neither the tableau nor its conversion is checked again
+    for beta, n in beta_triple_counts(max_beta_weight):
+        report.shapes += n
+        # one search finds every socle chain on beta, and a shape it did not
+        # find has no tableau; the enumerator's chains are valid, so neither
+        # the tableau nor its conversion is checked again
         chains = _beta_chains(beta, "socle")
-        geo = _geometry(beta)
-        for alpha, _, gamma in group:
-            report.shapes += 1
-            found = chains.get((alpha, gamma))
-            if not found:
-                continue
+        geo = _Geometry(beta)  # not cached: the sweep visits each beta once
+        for alpha, gamma in sorted(chains, key=triple_order):
             inner = _inner_grid(geo, gamma)
-            for chain in found:
+            for chain in chains[alpha, gamma]:
                 _switch_one(report, geo, chain, alpha, inner, orders)
     return report
 

@@ -1,14 +1,16 @@
 """Reference computations that several test files check the library against."""
 
-from operator import gt
+import random
+from itertools import groupby, zip_longest
+from operator import gt, lt
 
 import numpy as np
 
-from soctab import linalg
+from soctab import checks, linalg, switching
 from soctab.modules import Subspace, block_offsets, standard_module, zero_subspace
-from soctab.partitions import Shape, partition, transpose
+from soctab.partitions import Shape, part, partition, shape_triples, transpose
 from soctab.realize import ConditionStarViolated, EpiChain
-from soctab.tableaux import _chain_layers, _strip_columns, _unpad, build_matching
+from soctab.tableaux import InvalidTableau, _chain_layers, _strip_columns, _unpad, build_matching
 
 
 def intersection(a, b, p):
@@ -373,3 +375,84 @@ def beta_chains(beta, kind):
 
     rec(beta, None, (), (beta,))
     return {(transpose(sizes), gamma): chains for (sizes, gamma), chains in found.items()}
+
+
+def socle_chain_to_duallr(chain):
+    """``soctab.convert._socle_chain_to_duallr`` as it was first written: per
+    chain, the boxes of each strip below every row, then each layer's rows
+    stripped of zeros, checked and transposed."""
+    beta = chain[0]
+    beta_rows = transpose(beta)
+    b1 = len(beta_rows)
+    # below[e-1][r]: boxes of strip e, chain[e-1] \ chain[e], below row r
+    below = []
+    for big, small in zip(chain, chain[1:b1 + 1]):
+        tail = [0] * (b1 + 1)
+        for x, y in zip_longest(big, small, fillvalue=0):
+            if x != y:
+                tail[x - 1] += 1  # a strip box in row x is below rows 0..x-1
+        for r in range(b1 - 1, 0, -1):
+            tail[r - 1] += tail[r]
+        below.append(tail)
+    out = []
+    for ell in range(part(chain[-1], 1) + 1):
+        lam_rows = list(beta_rows[:ell])
+        lam_rows += [tail[ell] for tail in below[:b1 - ell]]
+        while lam_rows and lam_rows[-1] == 0:
+            lam_rows.pop()
+        if any(map(lt, lam_rows, lam_rows[1:])):
+            raise InvalidTableau("derived layer is not a partition")
+        out.append(transpose(tuple(lam_rows)))
+    if out[-1] != beta:
+        raise InvalidTableau("derived chain does not reach the ambient shape")
+    return tuple(out)
+
+
+def count_symmetry_walk(max_beta_weight):
+    """``checks.count_symmetry_sweep`` visiting every shape triple, one by one.
+
+    The chain searches and the conversion are looked up in ``checks`` at
+    each call, so a fault planted there reaches this walk too.
+    """
+    rep = checks.SweepReport("count-symmetry", max_beta=max_beta_weight)
+    for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
+        socle, lr = checks._beta_chains(beta, "socle"), checks._beta_chains(beta, "lr")
+        for alpha, _, gamma in group:
+            rep.cases += 1
+            chains = socle.get((alpha, gamma), ())
+            n_lr = len(lr.get((alpha, gamma), ()))
+            swapped = lr.get((gamma, alpha), ())
+            if not (len(chains) == n_lr == len(swapped)):
+                rep.fail(f"{(alpha, beta, gamma)}: socle={len(chains)} lr={n_lr} swapped={len(swapped)}")
+                continue
+            targets = set(swapped)
+            images = set()
+            for chain in chains:
+                img = checks._socle_chain_to_duallr(chain)
+                if img not in targets:
+                    rep.fail(f"{(alpha, beta, gamma)}: conversion left the target set")
+                    break
+                images.add(img)
+            if len(images) != len(chains):
+                rep.fail(f"{(alpha, beta, gamma)}: conversion is not injective")
+    return rep
+
+
+def conjecture_walk(max_beta_weight, seeds=5, base_seed=0):
+    """``switching.check_conjecture`` visiting every shape triple, one by one,
+    with the geometry of each beta from the shared cache."""
+    report = switching.ConjectureReport(max_beta_weight, seeds)
+    rngs = [random.Random(base_seed + k) for k in range(seeds)]
+    orders = [(f"seed {base_seed + k}", rng, rng.getstate()) for k, rng in enumerate(rngs)]
+    for beta, group in groupby(shape_triples(max_beta_weight), key=lambda s: s.beta):
+        chains = switching._beta_chains(beta, "socle")
+        geo = switching._geometry(beta)
+        for alpha, _, gamma in group:
+            report.shapes += 1
+            found = chains.get((alpha, gamma))
+            if not found:
+                continue
+            inner = switching._inner_grid(geo, gamma)
+            for chain in found:
+                switching._switch_one(report, geo, chain, alpha, inner, orders)
+    return report

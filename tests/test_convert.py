@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fixtures import DUAL_LR_M2, SOCLE_M2
+import oracles
 from oracles import intersection, is_subspace
 from soctab import convert, linalg
 from soctab.convert import (
@@ -32,8 +33,8 @@ from soctab.embeddings import (
     zero_embedding,
 )
 from soctab.modules import Subspace, quotient_type
-from soctab.partitions import partitions_of, subdiagrams, transpose, weight
-from soctab.tableaux import InvalidTableau, SkewTableau, iter_tableaux, to_chain
+from soctab.partitions import contains, is_horizontal_strip, partitions_of, subdiagrams, transpose, weight
+from soctab.tableaux import InvalidTableau, SkewTableau, _beta_chains, iter_tableaux, to_chain
 
 
 def test_socle_to_hom_examples():
@@ -195,6 +196,110 @@ def test_count_sweep_reports_a_lost_socle_tableau(monkeypatch):
 
     monkeypatch.setattr(checks, "_beta_chains", dropping)
     assert checks.count_symmetry_sweep(6).failures == [f"{TWO}: socle=1 lr=2 swapped=2"]
+
+
+def test_count_sweep_equals_the_walk_over_every_shape_triple():
+    # the sweep visits only the shapes its searches found
+    from soctab import checks
+
+    for bound in range(10):
+        got, want = checks.count_symmetry_sweep(bound), oracles.count_symmetry_walk(bound)
+        assert got.to_json_dict() == want.to_json_dict(), bound
+
+
+def test_count_sweep_reports_a_faulty_conversion_in_the_order_of_the_walk(monkeypatch):
+    # the first layer of the image dropped on some chains
+    from soctab import checks
+
+    real = checks._socle_chain_to_duallr
+    monkeypatch.setattr(
+        checks, "_socle_chain_to_duallr", lambda chain: real(chain)[1:] if sum(map(sum, chain)) % 3 == 0 else real(chain)
+    )
+    got, want = checks.count_symmetry_sweep(7), oracles.count_symmetry_walk(7)
+    assert len(got.failures) > 100
+    assert {f.split(": ")[1] for f in got.failures} == {
+        "conversion left the target set",
+        "conversion is not injective",
+    }
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_count_sweep_visits_a_shape_that_only_one_lookup_holds(monkeypatch):
+    # on (3,2,1) no socle chain is found, and only the LR keys with alpha >= gamma
+    # are: a shape with alpha > gamma is then held by the LR lookup alone, one
+    # with alpha < gamma by the swapped LR lookup alone; on (4,2,1) no LR chain
+    # is found, so each shape is held by the socle lookup alone
+    from soctab import checks
+
+    real = checks._beta_chains
+
+    def dropping(beta, kind):
+        got = real(beta, kind)
+        if (beta, kind) in (((3, 2, 1), "socle"), ((4, 2, 1), "lr")):
+            return {}
+        if beta == (3, 2, 1):
+            return {key: chains for key, chains in got.items() if key[0] >= key[1]}
+        return got
+
+    monkeypatch.setattr(checks, "_beta_chains", dropping)
+    got, want = checks.count_symmetry_sweep(7), oracles.count_symmetry_walk(7)
+    assert "((2, 1), (3, 2, 1), (1, 1, 1)): socle=0 lr=1 swapped=0" in got.failures
+    assert "((1, 1, 1), (3, 2, 1), (2, 1)): socle=0 lr=0 swapped=1" in got.failures
+    assert "((3, 1), (4, 2, 1), (1, 1, 1)): socle=1 lr=0 swapped=0" in got.failures
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_socle_chain_conversion_equals_the_per_chain_oracle():
+    for wgt in range(11):
+        for beta in partitions_of(wgt):
+            for chains in _beta_chains(beta, "socle").values():
+                for chain in chains:
+                    assert convert._socle_chain_to_duallr(chain) == oracles.socle_chain_to_duallr(chain)
+
+
+def _outcome(conversion, chain):
+    try:
+        return conversion(chain)
+    except InvalidTableau as exc:
+        return str(exc)
+
+
+def test_socle_chain_conversion_equals_the_oracle_on_every_chain_of_strips():
+    # strip chains that are no socle chains raise the oracle's error, and
+    # padding zeros on the members below beta change nothing
+    parts = [p for wgt in range(6) for p in partitions_of(wgt)]
+    chains = [(p,) for p in parts]
+    seen = 0
+    while chains:
+        chain = chains.pop()
+        seen += 1
+        got = _outcome(convert._socle_chain_to_duallr, chain)
+        assert got == _outcome(oracles.socle_chain_to_duallr, chain), chain
+        padded = chain[:1] + tuple(p + (0,) for p in chain[1:])
+        assert _outcome(convert._socle_chain_to_duallr, padded) == got, chain
+        if len(chain) < 4:
+            chains += [chain + (p,) for p in parts if contains(chain[-1], p) and is_horizontal_strip(chain[-1], p)]
+    assert seen == 968
+
+
+def test_socle_chain_conversion_raises_on_bad_chains_every_time():
+    # an empty strip first: the one layer of the first chain is (), not beta,
+    # and layer 0 of the second has the rows (0, 1)
+    for chain, msg in [
+        (((1,), (1,), ()), "does not reach the ambient shape"),
+        (((2,), (2,), (1,)), "derived layer is not a partition"),
+    ]:
+        for _ in range(2):  # the layer cache does not remember errors
+            with pytest.raises(InvalidTableau, match=msg):
+                convert._socle_chain_to_duallr(chain)
+            with pytest.raises(InvalidTableau, match=msg):
+                oracles.socle_chain_to_duallr(chain)
+
+
+def test_conversion_caches_are_bounded():
+    # socle_to_duallr takes any valid tableau, so no cache may grow without limit
+    for cached in (convert._dual_layer, convert._boxes_below):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_socle_chain_conversion_is_socle_to_duallr():

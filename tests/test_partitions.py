@@ -1,8 +1,10 @@
 import random
+from itertools import groupby
 
 import pytest
 
 from soctab.partitions import (
+    beta_triple_counts,
     InvalidShape,
     NotContained,
     Shape,
@@ -215,3 +217,9 @@ def test_shape_triples_sorts_once_per_weight_with_the_same_order():
 
     for bound in range(-1, 13):
         assert list(shape_triples(bound)) == list(nested(bound)), bound
+
+
+def test_beta_triple_counts_are_the_group_sizes_of_shape_triples():
+    for bound in range(-1, 11):
+        want = [(beta, len(list(group))) for beta, group in groupby(shape_triples(bound), key=lambda s: s.beta)]
+        assert list(beta_triple_counts(bound)) == want, bound

@@ -1,3 +1,4 @@
+import os
 from math import isqrt
 
 import numpy as np
@@ -300,8 +301,15 @@ def _count_check_socle(monkeypatch):
     return calls
 
 
+def _one_cpu(monkeypatch):
+    """Run the realize sweeps' items in this process, where patched calls are counted:
+    a forked shard's calls would be lost with it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 def test_sweeps_do_not_revalidate_enumerated_tableaux(monkeypatch):
     # the enumerator builds socle tableaux from valid chains
+    _one_cpu(monkeypatch)
     calls = _count_check_socle(monkeypatch)
     rep = checks.realize_sweep(5)
     assert rep.ok and rep.cases > 0
@@ -328,6 +336,7 @@ def test_realize_lr_sweep_validates_no_enumerated_or_mirrored_tableau(monkeypatc
     # socle chains, so neither check_lr nor check_socle runs
     from soctab import tableaux
 
+    _one_cpu(monkeypatch)
     check_axioms = tableaux._check_axioms
     calls = []
     monkeypatch.setattr(
@@ -339,6 +348,31 @@ def test_realize_lr_sweep_validates_no_enumerated_or_mirrored_tableau(monkeypatc
     # the public conversion keeps both checks
     realize_lr(DUAL_LR_M2, 2)
     assert calls == [True, False]
+
+
+@pytest.mark.parametrize(
+    "sweep, chain",
+    [(checks.realize_sweep, ((1,), ())), (checks.realize_lr_sweep, ((1,),))],
+    ids=["realize_sweep", "realize_lr_sweep"],
+)
+def test_call_counts_see_a_revalidation_in_the_items_of_a_worker_shard(monkeypatch, sweep, chain):
+    # item 1 of each sweep, of shape ((1,), (1,), ()), is the only one that builds
+    # the socle tableau of ``chain``; with two shards item 1 runs in the forked
+    # worker, whose calls this process never sees
+    build = checks._chain_tableau
+
+    def revalidating(got, view):
+        t = build(got, view)
+        if got == chain:
+            checks.check_socle(t)
+        return t
+
+    monkeypatch.setattr(checks, "_chain_tableau", revalidating)
+    calls = _count_check_socle(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert sweep(3).ok and calls == []
+    _one_cpu(monkeypatch)
+    assert sweep(3).ok and len(calls) == 1
 
 
 def test_realize_lr_sweep_reports_a_mirror_that_is_not_a_socle_chain(monkeypatch):

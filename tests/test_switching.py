@@ -182,6 +182,29 @@ def test_check_conjecture_records_each_mismatching_run(monkeypatch):
     assert "mismatches: 4" in rep.render()
 
 
+def test_conjecture_sweep_equals_the_walk_over_every_shape_triple():
+    # the sweep visits only the shapes that hold a socle chain
+    for bound in range(9):
+        got, want = check_conjecture(bound), oracles.conjecture_walk(bound)
+        assert got.to_json_dict() == want.to_json_dict(), bound
+
+
+def test_conjecture_sweep_records_mismatches_in_the_order_of_the_walk(monkeypatch):
+    # the first layer of the predicted LR chain dropped on some chains: every
+    # run of those tableaux mismatches
+    real = switching._socle_chain_to_duallr
+
+    def dropping(chain):
+        img = real(chain)
+        return img[1:] if sum(map(sum, chain)) % 3 == 0 and len(img) > 1 else img
+
+    monkeypatch.setattr(switching, "_socle_chain_to_duallr", dropping)
+    got = check_conjecture(6, seeds=2, base_seed=4)
+    want = oracles.conjecture_walk(6, seeds=2, base_seed=4)
+    assert len(got.mismatches) > 50
+    assert got.to_json_dict() == want.to_json_dict()
+
+
 def test_runs_happen_only_when_the_search_cannot_settle_them(monkeypatch):
     calls = []
     real = switching.run_switch
