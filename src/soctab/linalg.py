@@ -15,6 +15,14 @@ eliminated by XOR at p = 2 (as in M4RI) ran the realization sweep slower,
 so one row form serves every prime.  ``nullspace`` costs one elimination:
 the reduced echelon basis of the kernel is read off the reduced rows.
 
+The realization's matrices hold integers that mean the same at every
+prime, so ``_eliminate_units`` eliminates them once, over the integers,
+for all primes.  While every entry stays in {-1, 0, 1}, an entry is 0 iff
+it is 0 mod p, at every p, and the pivot -1 is its own inverse, so
+``_eliminate`` would take the same steps at every prime, and its rows are
+these rows reduced mod p.  The first entry outside that set (a 2 is 0 mod
+2 alone) makes it return None, and the caller eliminates at each prime.
+
 This module knows nothing of the operator: ``FpModule.shift`` applies it,
 and the callers hand the resulting arrays in.  The arrays only hold
 residues mod p, and no function here multiplies them.  ``FpModule`` still
@@ -94,6 +102,49 @@ def _eliminate(rows, ncols, p):
     return out, cols
 
 
+_UNITS = frozenset((-1, 0, 1))
+
+
+def _eliminate_units(rows, ncols):
+    """``_eliminate`` over the integers, for every prime at once: the reduced
+    echelon rows and pivot columns, or None as soon as a row given or formed
+    holds an entry outside {-1, 0, 1}.
+
+    An entry in {-1, 0, 1} is 0 iff it is 0 mod p, at every prime p, and a
+    leading -1 is its own inverse.  So while every entry stays in that set,
+    ``_eliminate`` takes these same steps at any p and returns these rows
+    reduced mod p.  A 2, which is 0 mod 2 only, or any other entry ends it.
+    """
+    if not _UNITS.issuperset(itertools.chain.from_iterable(rows)):
+        return None
+    lead = {}  # pivot column -> the row with leading entry 1 there
+    for r in rows:
+        c = 0
+        while True:
+            while c < ncols and not r[c]:
+                c += 1
+            if c == ncols:
+                break
+            q = lead.get(c)
+            if q is None:
+                lead[c] = r if r[c] == 1 else [-x for x in r]
+                break
+            r = [x - y for x, y in zip(r, q)] if r[c] == 1 else [x + y for x, y in zip(r, q)]
+            if 2 in r or -2 in r:
+                return None
+    cols = sorted(lead)
+    out = [lead[c] for c in cols]
+    for i in range(len(out) - 1, 0, -1):
+        r, c = out[i], cols[i]
+        for j in range(i):
+            f = out[j][c]
+            if f:
+                out[j] = s = [x - f * y for x, y in zip(out[j], r)]
+                if 2 in s or -2 in s:
+                    return None
+    return out, cols
+
+
 def _null_rows(rows, ncols, p):
     """Reduced echelon basis of {x : row . x = 0 for every row}, as kernel rows.
 
@@ -103,14 +154,22 @@ def _null_rows(rows, ncols, p):
     its columns reversed back it leads at its free column and vanishes at
     every other free column: taken in decreasing c, these vectors are
     already the reduced echelon basis.
+
+    With p None the elimination is ``_eliminate_units``: the basis, with
+    entries in {-1, 0, 1}, reduced mod any prime p is the basis at p, and
+    None means that elimination gave up.
     """
-    red, pivots = _eliminate([r[::-1] for r in rows], ncols, p)
+    rev = [r[::-1] for r in rows]
+    found = _eliminate(rev, ncols, p) if p else _eliminate_units(rev, ncols)
+    if found is None:
+        return None
+    red, pivots = found
     basis = []
     for c in sorted(set(range(ncols)) - set(pivots), reverse=True):
         v = [0] * ncols
         v[c] = 1
         for r, pc in zip(red, pivots):
-            v[pc] = -r[c] % p
+            v[pc] = -r[c] % p if p else -r[c]
         basis.append(v[::-1])
     return basis
 

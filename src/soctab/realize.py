@@ -7,7 +7,12 @@ each two-step composite has socle equal to the kernel of the first step;
 the kernel of the full composite is then the subspace sought.  The maps
 have entries 0 and 1 at every prime (the construction of Ringel and
 Schmidmeier is prime-free), so they are built once per tableau on rows of
-Python ints, and each prime runs only the eliminations and their checks.
+Python ints.  Their eliminations run once too, over the integers
+(``linalg._eliminate_units``): while every entry stays in {-1, 0, 1}, an
+entry is 0 iff it is 0 mod p, so every prime would take the same steps,
+and the verdict of the checks and the composite's kernel, reduced mod p,
+serve every prime.  An elimination that leaves that set (the composite
+can hold a 2) is run again at each prime instead.
 LR tableaux are realized as the duals of the realizations of their
 mirrored socle tableaux, which lie in the same standard module of beta.
 """
@@ -45,7 +50,7 @@ class _IntChain:
     pair f1, f2, |S| for the socle S of f1's source, the coordinates high(1)
     outside S and the rows of f2 f1[:, S]."""
 
-    __slots__ = ("layers", "maps", "pairs", "composite")
+    __slots__ = ("layers", "maps", "pairs", "composite", "_certified")
 
     def __init__(self, t):
         # the axioms make the layers a valid chain; each is padded to the width of beta
@@ -72,23 +77,53 @@ class _IntChain:
         for f in ones[1:]:
             comp = [[c for k in r for c in comp[k]] for r in f]
         self.composite = _rows(comp, sum(layers[0]))
+        # (verdict, kernel) over the integers, set by the first check; not run
+        # here, so that a construction that fails condition star still builds
+        self._certified = None
 
     def check(self, p):
         """Raise ``ConditionStarViolated`` unless every map is onto and meets
         condition star at p.  An onto map ell has the kernel length the
         tableau prescribes by construction: n - m is the number of entries
-        ell, which the layers remove."""
+        ell, which the layers remove.
+
+        The first call eliminates over the integers (``_eliminate_units``).
+        If every elimination it needs stays in {-1, 0, 1}, its verdict and
+        the composite's kernel hold at every prime, and no later prime
+        eliminates again; otherwise each prime runs its own eliminations.
+        """
+        if self._certified is None:
+            verdict = self._violation(None)
+            kernel = linalg._null_rows(self.composite, sum(self.layers[0]), None) if verdict == "" else None
+            self._certified = verdict, kernel
+        verdict = self._certified[0]
+        if verdict is None:
+            verdict = self._violation(p)
+        if verdict:
+            raise ConditionStarViolated(verdict)
+
+    def _violation(self, p):
+        """The message of the first violation at p, or "" if there is none.
+        With p None the eliminations run over the integers, and None means
+        one of them left {-1, 0, 1} before a verdict."""
         kernels = []
         for ell, (f, src, dst) in enumerate(zip(self.maps, self.layers, self.layers[1:]), 1):
             n, m = sum(src), sum(dst)
-            # one elimination gives the kernel, and rank = source dim - kernel dim
+            # one elimination gives the kernel, and rank = source dim - kernel dim;
+            # the maps are 0/1, so already reduced mod p
             kernels.append(linalg._null_rows(f, n, p))
+            if kernels[-1] is None:
+                return None
             if n - len(kernels[-1]) != m:
-                raise ConditionStarViolated(f"stage {ell} map is not surjective")
+                return f"stage {ell} map is not surjective"
         # condition star: soc(Ker f2 f1) = Ker f1 for consecutive maps f1, f2
         for idx, ((size, high, prod), ker1) in enumerate(zip(self.pairs, kernels)):
-            if not _socle_condition(size, high, [[x % p for x in r] for r in prod], ker1, p):
-                raise ConditionStarViolated(f"socle condition fails between stages {idx+1},{idx+2}")
+            holds = _socle_condition(size, high, [[x % p for x in r] for r in prod] if p else prod, ker1, p)
+            if holds is None:
+                return None
+            if not holds:
+                return f"socle condition fails between stages {idx+1},{idx+2}"
+        return ""
 
     def embedding(self, p):
         """The kernel of the full composite at p, in the standard module of beta."""
@@ -96,7 +131,11 @@ class _IntChain:
         if not self.maps:
             return Embedding(amb, zero_subspace(amb))
         self.check(p)
-        basis = linalg._null_rows([[x % p for x in r] for r in self.composite], amb.dim, p)
+        kernel = self._certified[1]
+        if kernel is None:
+            basis = linalg._null_rows([[x % p for x in r] for r in self.composite], amb.dim, p)
+        else:
+            basis = [[x % p for x in r] for r in kernel]
         return Embedding(amb, Subspace._canonical(amb, basis))
 
 
@@ -108,8 +147,12 @@ def _rows(ones, n):
 def _socle_condition(size, high, prod, ker1, p):
     """True iff soc(Ker f2 f1) = Ker f1, given the kernel rows ker1 of f1: Ker f1
     lies in Ker f2 f1, so iff Ker f1 vanishes on ``high``, outside the socle S,
-    and dim Ker f1 = |S| - rank((f2 f1)[:, S]), with |S| = size and prod the rows."""
-    meet = size - len(linalg._eliminate(prod, size, p)[0])
+    and dim Ker f1 = |S| - rank((f2 f1)[:, S]), with |S| = size and prod the rows.
+    With p None the rank is taken by ``_eliminate_units``, and None means it gave up."""
+    found = linalg._eliminate(prod, size, p) if p else linalg._eliminate_units(prod, size)
+    if found is None:
+        return None
+    meet = size - len(found[0])
     return not any(r[c] for r in ker1 for c in high) and meet == len(ker1)
 
 

@@ -65,9 +65,11 @@ class _Geometry:
         ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _geometry(beta):
-    # keyed by the validated partition, so one entry per diagram a caller visits
+    # keyed by the validated partition, one entry per diagram a caller visits;
+    # bounded, so that a process switching over ever more diagrams keeps the
+    # 256 used last (the 195 diagrams of weight <= 11 all fit)
     return _Geometry(beta)
 
 

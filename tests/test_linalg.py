@@ -61,3 +61,42 @@ def test_pivot_columns_count_the_rank_of_every_column_prefix(mp):
     assert pivots == linalg.rref(m, p)[1]
     for k in range(m.shape[1] + 1):
         assert sum(c < k for c in pivots) == linalg.rank(m[:, :k], p)
+
+
+def test_the_integer_elimination_refuses_a_matrix_whose_rank_depends_on_p():
+    # the generators (1,0,1), (0,1,1), (1,1,0) span 2 dimensions at p = 2 and 3 at p = 3
+    rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+    assert [len(linalg._eliminate(rows, 3, p)[0]) for p in (2, 3)] == [2, 3]
+    assert linalg._eliminate_units(rows, 3) is None
+    assert linalg._null_rows(rows, 3, None) is None
+    # an entry 2 given is refused before any step: it is 0 mod 2 alone
+    assert linalg._eliminate_units([[2, 0]], 2) is None
+    # and so is one formed while clearing above a pivot, here (1, 0, -2): the
+    # steps agree at every prime, but a zero test on the row would not
+    assert linalg._eliminate_units([[1, 1, -1], [0, 1, 1]], 3) is None
+    assert linalg._eliminate([[1, 1, 1], [0, 1, 1]], 3, 2)[0] == [[1, 0, 0], [0, 1, 1]]
+
+
+@st.composite
+def unit_matrices(draw):
+    """Matrices with entries in {-1, 0, 1}, at most 8 x 8."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    cells = st.lists(st.sampled_from([0, 0, 1, -1]), min_size=ncols, max_size=ncols)
+    return draw(st.lists(cells, min_size=nrows, max_size=nrows)), ncols
+
+
+@PROPS
+@given(unit_matrices())
+def test_a_certified_integer_elimination_is_the_elimination_at_every_prime(case):
+    rows, ncols = case
+    found = linalg._eliminate_units(rows, ncols)
+    # the kernel eliminates the rows with their columns reversed
+    kernel = linalg._null_rows(rows, ncols, None)
+    assert (kernel is None) == (linalg._eliminate_units([r[::-1] for r in rows], ncols) is None)
+    for p in (2, 3, 5, BIG):
+        at_p = [[x % p for x in r] for r in rows]
+        if found is not None:
+            red, pivots = found
+            assert linalg._eliminate(at_p, ncols, p) == ([[x % p for x in r] for r in red], pivots)
+        if kernel is not None:
+            assert linalg._null_rows(at_p, ncols, p) == [[x % p for x in r] for r in kernel]

@@ -11,6 +11,7 @@ from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
 from oracles import soc_layer
 from soctab import checks, linalg, switching
 from soctab.embeddings import (
+    Embedding,
     embedding_from_json,
     embedding_to_json,
     lr_tableau,
@@ -423,6 +424,26 @@ def test_realize_sweeps_report_every_wrong_realization(monkeypatch):
     ]
 
 
+def test_a_larger_subspace_with_the_socle_layers_of_the_chain_has_the_wrong_shape(monkeypatch):
+    # at p = 3 only, realize the tableau of shape (1, 2, 1) as the whole module:
+    # M / soc M has the type (1) of its layer 1, but dim M = 2 is not |alpha| = 1
+    (t,) = iter_tableaux((1,), (2,), (1,), kind="socle")
+    real = checks._IntChain
+
+    class Faulty:
+        def __init__(self, u):
+            self.whole, self.built = u == t, real(u)
+
+        def embedding(self, p):
+            if p == 3 and self.whole:
+                amb = standard_module(3, (2,))
+                return Embedding(amb, Subspace(amb, [[1, 0], [0, 1]]))
+            return self.built.embedding(p)
+
+    monkeypatch.setattr(checks, "_IntChain", Faulty)
+    assert checks.realize_sweep(2).failures == ["((1,), (2,), (1,)) p=3: wrong shape ((2,), (2,), ())"]
+
+
 def test_construction_matches_the_numpy_oracle():
     # every socle tableau with |beta| <= 7: the integer-row construction has the
     # stages and maps of the numpy one, built again at each prime, and its
@@ -447,6 +468,111 @@ def test_construction_matches_the_numpy_oracle():
     for p in (2, 3):
         want = oracles.realized_basis(oracles.build_chain(t, p))
         assert np.array_equal(realize_socle(t, p).sub.basis, want)
+
+
+@pytest.mark.parametrize("corrected", [True, False], ids=["corrected", "identity-corrections"])
+def test_the_integer_verdict_and_kernel_are_those_of_every_prime(monkeypatch, corrected):
+    # every socle tableau with |beta| <= 8 certifies; identity corrections give
+    # constructions that violate condition star, certified as well
+    from soctab import realize
+
+    if not corrected:
+        monkeypatch.setattr(realize, "_correction", lambda t, layer, offs, ell: [[r] for r in range(sum(layer))])
+    verdicts = {}
+    for sh in shape_triples(8):
+        for t in iter_tableaux(*sh, kind="socle"):
+            built = _IntChain(t)
+            for p in (2, 3, 5, 1000003):
+                want = built._violation(p)  # the per-prime path
+                try:
+                    x = built.embedding(p)
+                    got = ""
+                except ConditionStarViolated as exc:
+                    got = str(exc)
+                assert got == want, (t.to_json_dict(), p)
+                if not got and built.maps:
+                    composite = [[v % p for v in r] for r in built.composite]
+                    assert x.sub.rows == linalg._null_rows(composite, x.ambient.dim, p)
+            if built.maps:
+                assert built._certified[0] == want and (want or built._certified[1] is not None)
+            verdicts[want] = verdicts.get(want, 0) + 1
+    # identity corrections break condition star on 489 tableaux, at stages 1,2 to 6,7
+    assert sum(verdicts.values()) == 1351 and verdicts[""] == (1351 if corrected else 862)
+
+
+def _count_eliminations(monkeypatch):
+    """Calls of the elimination at p and of the integer one, from now on."""
+    calls = []
+    for name in ("_eliminate", "_eliminate_units"):
+        run = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, run=run, name=name: calls.append(name) or run(*args))
+    return calls
+
+
+def test_a_certified_construction_eliminates_nothing_at_its_second_prime(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    n = 0
+    for sh in shape_triples(6):
+        for t in iter_tableaux(*sh, kind="socle"):
+            built = _IntChain(t)
+            if not built.maps:
+                continue  # the zero subspace: no construction
+            built.embedding(2)
+            assert "_eliminate_units" in calls and "_eliminate" not in calls
+            for p in (3, 5):
+                del calls[:]
+                x = built.embedding(p)
+                assert calls == []
+                assert socle_tableau(x) == t
+            del calls[:]
+            n += 1
+    assert n == 295 - 30  # every beta of weight <= 6 has one tableau with alpha = ()
+    # the first composite that holds an entry 2 is eliminated at each prime
+    # alone; the checks stay certified
+    t = SkewTableau.from_json_dict(
+        {"alpha": [4, 2], "beta": [4, 3, 2], "gamma": [2, 1], "grid": [[0, 0, 4], [0, 3, 2], [2, 1], [1]]}
+    )
+    built = _IntChain(t)
+    built.embedding(2)
+    assert built._certified[0] == "" and built._certified[1] is None
+    for p in (3, 5):
+        del calls[:]
+        built.embedding(p)
+        assert calls == ["_eliminate"]
+
+
+def _planted_column_chain():
+    """The one socle tableau of shape (111)/(222)/(111), with its map replaced by
+    one of rank 3 at p = 3 and rank 2 at p = 2: its rows (0,4), (2,4), (0,2) add
+    the canonical ones, unit rows at 0, 2 and 4, as the spec (101), (011), (110)."""
+    (t,) = iter_tableaux((1, 1, 1), (2, 2, 2), (1, 1, 1), kind="socle")
+    built = _IntChain(t)
+    assert built.maps == [[[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]]]
+    built.maps[0] = built.composite = [[1, 0, 0, 0, 1, 0], [0, 0, 1, 0, 1, 0], [1, 0, 1, 0, 0, 0]]
+    return built
+
+
+@pytest.mark.parametrize("first", [2, 3])
+def test_a_map_onto_at_one_prime_only_is_checked_at_each_prime(monkeypatch, first):
+    calls = _count_eliminations(monkeypatch)
+    built = _planted_column_chain()
+    for p in (first, 5 - first):
+        del calls[:]
+        if p == 2:
+            with pytest.raises(ConditionStarViolated, match=r"^stage 1 map is not surjective$"):
+                built.embedding(2)
+            at_p = ["_eliminate"]
+        else:
+            x = built.embedding(3)
+            # the kernel at p = 3 is the socle of the stage
+            assert x.sub.rows == [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]
+            at_p = ["_eliminate", "_eliminate"]  # the map's kernel and the composite's
+        # the integer elimination runs once, at the first prime, and gives up
+        assert calls == (["_eliminate_units"] if p == first else []) + at_p
+        assert built._certified == (None, None)
+    with pytest.raises(ConditionStarViolated, match=r"^stage 1 map is not surjective$"):
+        built.check(2)
+    built.check(3)
 
 
 def test_round_trip_at_a_prime_near_the_int64_bound():

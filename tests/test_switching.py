@@ -49,6 +49,17 @@ def test_states_over_one_diagram_share_their_geometry():
     assert init_switch(socle_tableau(picket(2, 4, 5)))._geo is not geo
 
 
+def test_the_geometry_cache_is_bounded():
+    # the 272 diagrams of weight <= 12 are more than the cache holds
+    betas = [beta for w in range(13) for beta in partitions_of(w)]
+    size = switching._geometry.cache_info().maxsize
+    assert len(betas) == 272 > size
+    for beta in betas:
+        assert switching.SwitchState(beta, {}, {})._geo.beta == beta
+        assert switching._geometry.cache_info().currsize <= size
+    assert switching._geometry.cache_info().currsize == size
+
+
 def test_run_switch_example():
     st = run_switch(init_switch(SOCLE_M2))
     assert len(st.history) == 8
