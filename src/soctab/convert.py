@@ -11,8 +11,6 @@ from functools import lru_cache
 from itertools import accumulate, zip_longest
 from operator import lt, sub
 
-import numpy as np
-
 from . import linalg
 from .embeddings import BadIndex, Embedding, HomMatrix, _picket_constraints
 from .partitions import part, partition, transpose
@@ -350,12 +348,13 @@ def _defect(x, ell, m, memo):
     v1 = _picket_maps(x, ell, m, memo)
     v2 = _picket_maps(x, ell - 1, m - 2, memo)
     # the precomposed maps are spanned by T v1 and v2
-    return top.shape[0] - linalg.rank(np.vstack([x.ambient.shift(v1, 1), v2]), x.prime)
+    maps = x.ambient.shift(v1, 1) + v2
+    return len(top) - len(linalg._eliminate(maps, x.ambient.dim, x.prime)[0])
 
 
 def _picket_maps(x, ell, m, memo):
     """The maps from the (ell, m) picket into x, as the solutions v of
     T^m v = 0, T^(m-ell) v in sub; solved once per ``memo``."""
     if (ell, m) not in memo:
-        memo[ell, m] = linalg.nullspace(_picket_constraints(x, ell, m), x.prime)
+        memo[ell, m] = linalg._null_rows(_picket_constraints(x, ell, m), x.ambient.dim, x.prime)
     return memo[ell, m]

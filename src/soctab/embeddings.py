@@ -17,8 +17,6 @@ import json
 import random
 from importlib import resources
 
-import numpy as np
-
 from . import linalg
 from .modules import (
     Subspace,
@@ -120,10 +118,8 @@ def direct_sum(x: Embedding, y: Embedding) -> Embedding:
     mod = standard_module(x.prime, [merged[j] for j in order])
     offs = block_offsets(merged)
     cols = [offs[j] + i for j in order for i in range(merged[j])]
-    rows = np.zeros((x.sub.dim + y.sub.dim, mod.dim), dtype=np.int64)
-    rows[: x.sub.dim, : x.ambient.dim] = x.sub.basis
-    rows[x.sub.dim :, x.ambient.dim :] = y.sub.basis
-    return Embedding(mod, Subspace(mod, rows[:, cols]))
+    rows = [v + [0] * y.ambient.dim for v in x.sub.rows] + [[0] * x.ambient.dim + v for v in y.sub.rows]
+    return Embedding(mod, Subspace(mod, [[v[c] for c in cols] for v in rows]))
 
 
 def _filtration_chain(x: Embedding, read_off, first, last):
@@ -223,14 +219,15 @@ class HomMatrix:
 
 
 def _picket_constraints(x: Embedding, ell, m):
-    """Matrix whose nullspace is {b : T^m b = 0 and T^(m-ell) b in sub}.
+    """Rows whose common kernel is {b : T^m b = 0 and T^(m-ell) b in sub}.
 
     That space holds the images of the generator under the maps from the
     (ell, m) picket into x, so its dimension is that of the Hom space.
+    T^m b = 0 iff b vanishes on high(m), where the unit rows stand.
     """
     mod = x.ambient
-    ident = np.eye(mod.dim, dtype=np.int64)
-    return np.vstack([mod.shift(ident, -m), mod.shift(x.sub.annihilator_basis, ell - m)])
+    units = [[int(c == k) for c in range(mod.dim)] for k in mod._high_cols(m)]
+    return units + mod.shift(x.sub.annihilator_basis, ell - m)
 
 
 def hom_matrix(x: Embedding) -> HomMatrix:
@@ -243,7 +240,7 @@ def hom_matrix(x: Embedding) -> HomMatrix:
     for ell in range(L + 1):
         row = [None] * (M + 1)
         for m in range(ell, M + 1):
-            row[m] = n - linalg.rank(_picket_constraints(x, ell, m), p)
+            row[m] = n - len(linalg._eliminate(_picket_constraints(x, ell, m), n, p)[0])
         rows.append(row)
     return HomMatrix(L, M, rows)
 
@@ -280,12 +277,8 @@ def embedding_from_spec(spec, prime) -> Embedding:
     mod = standard_module(prime, spec["beta"])
     p = mod.prime
     # reduced in Python first, so no coefficient overflows int64
-    vecs = [
-        np.array([v % p for coeffs in gen for v in coeffs], dtype=np.int64)
-        for gen in spec["generators"]
-    ]
-    sub = submodule_span(mod, vecs) if vecs else zero_subspace(mod)
-    return Embedding(mod, sub)
+    vecs = [[v % p for coeffs in gen for v in coeffs] for gen in spec["generators"]]
+    return Embedding(mod, submodule_span(mod, vecs))
 
 
 def embedding_to_json(x: Embedding) -> dict:
@@ -320,7 +313,9 @@ def load_fixture(name, prime=None) -> Embedding:
 # random corpus
 
 def random_embedding_spec(rng: random.Random, max_weight: int) -> dict:
-    """Random ambient type and generator coefficients; prime-independent (0/1 entries)."""
+    """Random ambient type and 0/1 generator coefficients.  The spec is the
+    same at every prime, its embedding need not be: the generators (1, 0, 1),
+    (0, 1, 1), (1, 1, 0) in blocks (1, 1, 1) span 2 dimensions mod 2, 3 mod p > 2."""
     w = rng.randint(1, max_weight)
     parts = _random_partition(rng, w)
     g = rng.randint(1, 3)

@@ -2,18 +2,20 @@
 
 The public interface is numpy: matrices are int64 arrays, vectors are
 rows, and every function takes and returns such arrays, reduced mod p.
-A subspace is its reduced row-echelon basis, held by ``modules.Subspace``
-as kernel rows, so equal subspaces have equal rows.
+No other module of the library imports numpy.  A subspace is its reduced
+row-echelon basis, held by ``modules.Subspace`` as kernel rows, so equal
+subspaces have equal rows.
 
 Inside, every elimination runs in one routine, ``_eliminate``, on rows
 held as lists of Python ints in [0, p), at every prime.  A public function
-converts its arrays to rows once on entry and back once on exit, so the
-matrices the library produces (mostly smaller than 20 x 20) pay no
-per-entry numpy call, and arithmetic is exact at any prime (the
-realization and subspaces pass in rows).  Rows bit-packed into one int and
-eliminated by XOR at p = 2 (as in M4RI) ran the realization sweep slower,
-so one row form serves every prime.  ``nullspace`` costs one elimination:
-the reduced echelon basis of the kernel is read off the reduced rows.
+converts its arrays to rows once on entry and back once on exit; the
+library's own callers hold rows throughout and call ``_eliminate`` and
+``_null_rows`` directly, so the matrices they build (mostly smaller than
+20 x 20) pay no per-entry numpy call, and arithmetic is exact at any
+prime.  Rows bit-packed into one int and eliminated by XOR at p = 2 (as
+in M4RI) ran the realization sweep slower, so one row form serves every
+prime.  ``nullspace`` costs one elimination: the reduced echelon basis of
+the kernel is read off the reduced rows.
 
 The realization's matrices hold integers that mean the same at every
 prime, so ``_eliminate_units`` eliminates them once, over the integers,
@@ -23,12 +25,12 @@ it is 0 mod p, at every p, and the pivot -1 is its own inverse, so
 these rows reduced mod p.  The first entry outside that set (a 2 is 0 mod
 2 alone) makes it return None, and the caller eliminates at each prime.
 
-This module knows nothing of the operator: ``FpModule.shift`` applies it,
-and the callers hand the resulting arrays in.  The arrays only hold
-residues mod p, and no function here multiplies them.  ``FpModule`` still
-refuses moduli with ncols * (p - 1)**2 >= 2**63, the bound under which an
-int64 product would be exact, so its trial-division primality test only
-meets primes below 3.04e9.
+This module knows nothing of the operator: ``FpModule.shift`` applies it
+to rows, and the callers hand the resulting rows in.  No function here
+multiplies two matrices.  ``FpModule`` still refuses moduli with
+ncols * (p - 1)**2 >= 2**63, the bound under which an int64 product would
+be exact, so its trial-division primality test only meets primes below
+3.04e9.
 """
 
 import itertools

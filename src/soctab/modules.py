@@ -44,8 +44,6 @@ same module, and no dual module needs building.
 from functools import lru_cache
 from math import isqrt
 
-import numpy as np
-
 from . import linalg
 from .partitions import partition, transpose
 
@@ -66,8 +64,7 @@ def _is_prime(p):
 def _check_prime(p, dim):
     """Reject p unless it is prime and dim * (p - 1)**2 < 2**63.
 
-    The module's arrays hold only residues mod p, and the library makes no
-    int64 product of them (its subspaces and read-offs run on Python ints),
+    The library makes no int64 product (it works on rows of Python ints),
     so the bound is not needed for exactness; the tests' oracles still
     multiply arrays under it.  It is applied with dim at least 1, so the
     trial-division primality test only ever meets p < 3.04e9, and a
@@ -99,7 +96,7 @@ class FpModule:
         ]
 
     def shift(self, rows, r):
-        """T^r applied to each row, a fresh array reduced mod p.
+        """T^r applied to each row, as fresh rows of ints reduced mod p.
 
         For r >= 0 the rows are vectors and the result holds T^r v: column
         c + r of it is column c of v for c in high(r).  For r < 0 they are
@@ -107,15 +104,15 @@ class FpModule:
         c + |r| of f for c in high(|r|).  Every other column is 0, so powers
         saturate at zero from the nilpotency index on, where high is empty.
         """
-        k = abs(r)
-        high = self._high_cols(k)
-        moved = [c + k for c in high]
-        out = np.zeros(rows.shape, dtype=np.int64)
-        if r >= 0:
-            out[:, moved] = rows[:, high]
-        else:
-            out[:, high] = rows[:, moved]
-        return out % self.prime
+        k, p = abs(r), self.prime
+        pairs = [(c + k, c) if r >= 0 else (c, c + k) for c in self._high_cols(k)]
+        out = []
+        for v in rows:
+            w = [0] * self.dim
+            for dst, src in pairs:
+                w[dst] = v[src] % p
+            out.append(w)
+        return out
 
     def _high_cols(self, r):
         """Coordinates off+i with i < size - r (r >= 0): T^r moves them to
@@ -185,15 +182,13 @@ class Subspace:
 
     @property
     def annihilator_basis(self):
-        """Canonical basis of the functionals vanishing on this subspace.
+        """Canonical basis of the functionals vanishing on this subspace, as rows.
 
         Computed on first use and kept for the life of the object; callers
-        must not write to the returned array.
+        must not write to the returned rows.
         """
         if self._annihilator is None:
-            self._annihilator = linalg.left_annihilator(
-                self.basis, self.module.dim, self.module.prime
-            )
+            self._annihilator = linalg._null_rows(self.rows, self.module.dim, self.module.prime)
         return self._annihilator
 
     def is_invariant(self):
@@ -227,7 +222,7 @@ class Subspace:
 
 
 def zero_subspace(module):
-    return Subspace(module, np.zeros((0, module.dim), dtype=np.int64))
+    return Subspace(module, [])
 
 
 def standard_module(prime, parts):
@@ -262,9 +257,9 @@ def module_type(module):
 
 def submodule_span(module, generators):
     """Smallest invariant subspace containing the generators g: the span of T^r g."""
-    gens = linalg.asmat(generators, module.dim, module.prime)
+    gens = linalg.asmat(generators, module.dim, module.prime).tolist()
     powers = range(1, module.nilpotency_index)  # T^N is 0
-    return Subspace(module, np.vstack([gens, *(module.shift(gens, r) for r in powers)]))
+    return Subspace(module, gens + [v for r in powers for v in module.shift(gens, r)])
 
 
 def quotient_type(module, sub):
@@ -336,4 +331,4 @@ def annihilator(module, sub):
         for off, size in zip(block_offsets(module.parts), module.parts)
         for i in range(size)
     ]
-    return Subspace(module, sub.annihilator_basis[:, rev])
+    return Subspace(module, [[f[c] for c in rev] for f in sub.annihilator_basis])

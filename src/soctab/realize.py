@@ -141,7 +141,11 @@ class _IntChain:
 
 def _rows(ones, n):
     """Rows of length n from lists of columns, a column listed k times holding k."""
-    return [[r.count(c) for c in range(n)] for r in ones]
+    out = [[0] * n for _ in ones]
+    for row, r in zip(out, ones):
+        for c in r:
+            row[c] += 1
+    return out
 
 
 def _socle_condition(size, high, prod, ker1, p):

@@ -13,6 +13,16 @@ from soctab.realize import ConditionStarViolated, EpiChain
 from soctab.tableaux import InvalidTableau, _chain_layers, _strip_columns, _unpad, build_matching
 
 
+def shift(module, mat, r):
+    """``module.shift`` on the rows of an int64 array, as an int64 array."""
+    return linalg._to_array(module.shift(mat.tolist(), r), module.dim)
+
+
+def annihilator_array(sub):
+    """``sub.annihilator_basis`` as an int64 array."""
+    return linalg._to_array(sub.annihilator_basis, sub.module.dim)
+
+
 def intersection(a, b, p):
     """Canonical basis of span(a) & span(b): the common kernel of both annihilators."""
     return linalg.nullspace(np.vstack([linalg.nullspace(a, p), linalg.nullspace(b, p)]), p)
@@ -27,9 +37,9 @@ def _type_from_ker_dims(ker_dims):
 def quotient_type(module, sub):
     """Type of module/sub: dim ker T^r there is dim {v : T^r v in sub} - dim sub,
     and T^r v lies in sub iff every functional vanishing on sub kills it."""
-    ann, p = sub.annihilator_basis, module.prime
+    ann, p = annihilator_array(sub), module.prime
     return _type_from_ker_dims(
-        [module.dim - linalg.rank(module.shift(ann, -r), p) - sub.dim
+        [module.dim - linalg.rank(shift(module, ann, -r), p) - sub.dim
          for r in range(module.nilpotency_index + 1)]
     )
 
@@ -38,7 +48,7 @@ def sub_type(module, sub):
     """Type of sub: dim ker T^r there is dim sub - rank(T^r sub)."""
     p = module.prime
     return _type_from_ker_dims(
-        [sub.dim - linalg.rank(module.shift(sub.basis, r), p)
+        [sub.dim - linalg.rank(shift(module, sub.basis, r), p)
          for r in range(module.nilpotency_index + 1)]
     )
 
@@ -49,7 +59,7 @@ def invariant_by_product(sub):
     if sub.dim == 0:
         return True
     b, m = sub.basis, sub.module
-    tb = m.shift(b, 1)
+    tb = shift(m, b, 1)
     piv = [row.index(1) for row in b.tolist()]  # each row leads with a 1
     return np.array_equal(tb[:, piv] @ b % m.prime, tb)
 
@@ -85,14 +95,14 @@ def soc_layer_by_shift(module, sub, ell):
     p = module.prime
     if ell <= 0 or sub.dim == 0:
         return zero_subspace(module)
-    coeffs = linalg.nullspace(module.shift(sub.basis, ell).T, p)
+    coeffs = linalg.nullspace(shift(module, sub.basis, ell).T, p)
     return Subspace(module, (coeffs @ sub.basis) % p)
 
 
 def rad_layer(module, sub, m):
     """T^m applied to sub."""
     return Subspace._canonical(
-        module, linalg.row_space(module.shift(sub.basis, m), module.prime).tolist()
+        module, linalg.row_space(shift(module, sub.basis, m), module.prime).tolist()
     )
 
 
@@ -102,7 +112,7 @@ def preimage(module, sub, r):
     When no functional vanishes on sub (sub is the whole module), that is everything.
     """
     return Subspace._canonical(
-        module, linalg.nullspace(module.shift(sub.annihilator_basis, -r), module.prime).tolist()
+        module, linalg.nullspace(shift(module, annihilator_array(sub), -r), module.prime).tolist()
     )
 
 

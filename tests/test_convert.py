@@ -4,7 +4,7 @@ import pytest
 from fixtures import DUAL_LR_M2, SOCLE_M2
 import oracles
 from oracles import intersection, is_subspace
-from soctab import convert, linalg
+from soctab import checks, convert, linalg
 from soctab.convert import (
     InconsistentMatrix,
     defect,
@@ -24,6 +24,7 @@ from soctab.embeddings import (
     direct_sum,
     dual_embedding,
     embedding_from_spec,
+    embedding_spec,
     hom_matrix,
     load_fixture,
     lr_tableau,
@@ -375,6 +376,18 @@ def test_defect_at_a_large_prime():
     for ell in range(1, 4):
         for m in range(ell + 1, 8):
             assert defect(xbig, ell, m) == defect(x2, ell, m)
+
+
+def test_a_corpus_spec_of_rank_depending_on_p_fails_both_sweeps(monkeypatch):
+    # the three generators sum to 0 mod 2 only, so the subspace has dimension
+    # 2 at p = 2 and 3 at p = 3, and its invariants differ between the primes
+    spec = embedding_spec([1, 1, 1], [[[1], [0], [1]], [[0], [1], [1]], [[1], [1], [0]]])
+    monkeypatch.setattr(checks, "random_corpus", lambda seed, count, weight: [spec])
+    assert [embedding_from_spec(spec, p).sub.dim for p in (2, 3)] == [2, 3]
+    rep = checks.hom_triple_sweep(corpus_count=1, max_beta_weight=3)
+    assert rep.failures == ["corpus[0]: outputs differ between primes 2 and 3"]
+    rep = checks.defect_sweep(corpus_count=1, max_beta_weight=3)
+    assert rep.failures == ["corpus[0]: defect tables differ between primes"]
 
 
 # The defect sequence depends only on (p, ell, m).  The analysis of an

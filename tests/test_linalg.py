@@ -1,6 +1,9 @@
 """The F_p elimination kernel: exactness at large primes and properties of
 rref and nullspace on random matrices, checked in Python integers."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,3 +103,18 @@ def test_a_certified_integer_elimination_is_the_elimination_at_every_prime(case)
             assert linalg._eliminate(at_p, ncols, p) == ([[x % p for x in r] for r in red], pivots)
         if kernel is not None:
             assert linalg._null_rows(at_p, ncols, p) == [[x % p for x in r] for r in kernel]
+
+
+def test_only_linalg_imports_numpy():
+    importers = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["linalg.py"]

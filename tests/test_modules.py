@@ -74,12 +74,13 @@ def test_shift_matches_a_reference_operator(p):
             tr = np.eye(n, dtype=np.int64)  # T^r
             for r in range(m.nilpotency_index + 2):
                 for x in (rows, rows[:0]):  # and no rows at all
-                    assert np.array_equal(m.shift(x, r), x @ tr.T % p), (lam, r)
-                    assert np.array_equal(m.shift(x, -r), x @ tr % p), (lam, r)
+                    assert np.array_equal(oracles.shift(m, x, r), x @ tr.T % p), (lam, r)
+                    assert np.array_equal(oracles.shift(m, x, -r), x @ tr % p), (lam, r)
                 tr = tr @ t
-            # the result is a fresh array: writing to it leaves the module as it was
-            m.shift(rows, 1)[:] = 1
-            assert np.array_equal(m.shift(rows, 1), rows @ t.T % p)
+            # the result is fresh rows: writing to them leaves the module as it was
+            for row in m.shift(rows.tolist(), 1):
+                row[:] = [1] * n
+            assert np.array_equal(oracles.shift(m, rows, 1), rows @ t.T % p)
 
 
 def test_a_module_stores_no_power_of_the_operator():
@@ -144,10 +145,10 @@ def test_direct_sum_and_dual_land_in_the_shared_module():
 def test_embedding_rejects_non_invariant_subspace_of_shared_module():
     m = standard_module(2, (5,))
     ident = np.eye(5, dtype=np.int64)
-    op_before = m.shift(ident, 1)
+    op_before = oracles.shift(m, ident, 1)
     with pytest.raises(ValueError):
         Embedding(m, Subspace(m, ident[:1]))
-    assert np.array_equal(standard_module(2, (5,)).shift(ident, 1), op_before)
+    assert np.array_equal(oracles.shift(standard_module(2, (5,)), ident, 1), op_before)
 
 
 @pytest.mark.parametrize("q", [0, 1, 4, -3])
@@ -345,7 +346,7 @@ def test_column_slice_read_offs_match_the_annihilator_and_shift_formulas(case):
 def test_is_invariant_agrees_with_an_elimination(case):
     m, sub = case
     b = sub.basis
-    assert sub.is_invariant() == is_subspace(m.shift(b, 1), b, m.prime)
+    assert sub.is_invariant() == is_subspace(oracles.shift(m, b, 1), b, m.prime)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -10,10 +10,20 @@ from hypothesis import strategies as st
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
 from oracles import soc_layer
 from soctab import checks, linalg, switching
+from soctab.convert import (
+    defect_table,
+    duallr_to_hom,
+    entry_multiplicities,
+    hom_to_socle,
+    socle_to_duallr,
+    socle_to_hom,
+)
 from soctab.embeddings import (
     Embedding,
+    dual_embedding,
     embedding_from_json,
     embedding_to_json,
+    hom_matrix,
     lr_tableau,
     picket,
     socle_tableau,
@@ -64,7 +74,7 @@ def verify_epi_chain(epi, expected_alpha=None):
             continue
         if src.dim - ker.shape[0] != dst.dim:
             problems.append(f"map {i} is not surjective")
-        if src.shift(ker, 1).any():
+        if oracles.shift(src, ker, 1).any():
             problems.append(f"kernel of map {i} is not semisimple")
     for i in range(1, len(epi.maps)):
         f1, f2 = epi.maps[i - 1], epi.maps[i]
@@ -624,10 +634,10 @@ TABLEAUX_TO_5 = [(kind, t) for kind, t in TABLEAUX_TO_6 if weight(t.beta) <= 5]
 
 
 @st.composite
-def tableaux_at_random_primes(draw):
-    """A socle or LR tableau with |beta| <= 5 and a prime its module accepts:
-    below 100, or anywhere up to the bound dim * (p - 1)**2 < 2**63."""
-    kind, t = draw(st.sampled_from(TABLEAUX_TO_5))
+def tableaux_at_random_primes(draw, cases=TABLEAUX_TO_5):
+    """A socle or LR tableau with |beta| <= 5, from ``cases``, and a prime its
+    module accepts: below 100, or anywhere up to the bound dim * (p - 1)**2 < 2**63."""
+    kind, t = draw(st.sampled_from(cases))
     top = isqrt((2**63 - 1) // max(weight(t.beta), 1)) + 1
     p = draw(st.one_of(st.integers(2, 100), st.integers(2, top)))
     while not _is_prime(p):
@@ -646,6 +656,31 @@ def test_round_trip_at_any_accepted_prime(case):
         x = realize_lr(t, p)
         assert lr_tableau(x) == t
     assert x.shape == t.shape and x.prime == p
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_matrix_and_defects_of_every_realization_to_6(p):
+    for kind, t in TABLEAUX_TO_6:
+        if kind != "socle":
+            continue
+        x = realize_socle(t, p)
+        assert hom_matrix(x) == socle_to_hom(t), t
+        mu = entry_multiplicities(t)
+        table = defect_table(x)
+        assert {(ell, ell + r) for ell, r in mu} <= table.keys(), t
+        for (ell, m), d in table.items():
+            assert d == mu.get((ell, m - ell), 0), (t, ell, m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tableaux_at_random_primes([case for case in TABLEAUX_TO_5 if case[0] == "socle"]))
+def test_hom_path_of_a_realization_at_any_accepted_prime(case):
+    _, t, p = case
+    x = realize_socle(t, p)
+    h, dual = hom_matrix(x), socle_to_duallr(t)
+    assert h == socle_to_hom(t) == duallr_to_hom(dual)
+    assert hom_to_socle(h) == t
+    assert lr_tableau(dual_embedding(x)) == dual
 
 
 def test_verify_rejects_bad_chains():
