@@ -1,21 +1,22 @@
 """Exact linear algebra over the prime field F_p.
 
-The public interface is numpy: matrices are int64 arrays, vectors are
-rows, and every function takes and returns such arrays, reduced mod p.
-No other module of the library imports numpy.  A subspace is its reduced
-row-echelon basis, held by ``modules.Subspace`` as kernel rows, so equal
-subspaces have equal rows.
+Every elimination runs in one routine, ``_eliminate``, on rows held as
+lists of Python ints in [0, p), at every prime.  The library holds rows
+throughout and calls ``_eliminate`` and ``_null_rows`` directly, so the
+matrices it builds (mostly smaller than 20 x 20) pay no per-entry numpy
+call, and arithmetic is exact at any prime.  Rows bit-packed into one int
+and eliminated by XOR at p = 2 (as in M4RI) ran the realization sweep
+slower, so one row form serves every prime.  ``_null_rows`` costs one
+elimination: the reduced echelon basis of the kernel is read off the
+reduced rows.
 
-Inside, every elimination runs in one routine, ``_eliminate``, on rows
-held as lists of Python ints in [0, p), at every prime.  A public function
-converts its arrays to rows once on entry and back once on exit; the
-library's own callers hold rows throughout and call ``_eliminate`` and
-``_null_rows`` directly, so the matrices they build (mostly smaller than
-20 x 20) pay no per-entry numpy call, and arithmetic is exact at any
-prime.  Rows bit-packed into one int and eliminated by XOR at p = 2 (as
-in M4RI) ran the realization sweep slower, so one row form serves every
-prime.  ``nullspace`` costs one elimination: the reduced echelon basis of
-the kernel is read off the reduced rows.
+numpy serves only the checked entry for rows from outside, and the
+public interface is that entry: ``asmat`` reads them into an int64 array
+of the expected width, reduced mod p, and ``rref`` eliminates such an
+array, converting to rows once on entry and back once on exit.
+``modules.Subspace`` builds on the two.  No other module of the library
+imports numpy.  A subspace is its reduced row-echelon basis, held by
+``modules.Subspace`` as kernel rows, so equal subspaces have equal rows.
 
 The realization's matrices hold integers that mean the same at every
 prime, so ``_eliminate_units`` eliminates them once, over the integers,
@@ -185,33 +186,3 @@ def rref(mat, p):
     ncols = mat.shape[1]
     rows, pivots = _eliminate(_to_rows(mat, p), ncols, p)
     return _to_array(rows, ncols), pivots
-
-
-def rank(mat, p):
-    return len(_eliminate(_to_rows(mat, p), mat.shape[1], p)[0])
-
-
-def pivot_columns(mat, p):
-    """Pivot columns of the reduced row-echelon form, in increasing order.
-
-    The number of pivots before column k is the rank of mat[:, :k], so one
-    elimination gives the rank of every column prefix.
-    """
-    return _eliminate(_to_rows(mat, p), mat.shape[1], p)[1]
-
-
-def row_space(mat, p):
-    """Canonical (rref) basis of the row space."""
-    return rref(mat, p)[0]
-
-
-def nullspace(mat, p):
-    """Canonical basis of {x : mat @ x = 0}, as rows."""
-    ncols = mat.shape[1]
-    return _to_array(_null_rows(_to_rows(mat, p), ncols, p), ncols)
-
-
-def left_annihilator(basis, n, p):
-    """Canonical basis of {f : f . v = 0 for every row v of basis}."""
-    return nullspace(asmat(basis, n, p), p)
-

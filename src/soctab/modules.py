@@ -153,28 +153,21 @@ def _read_off_order(parts, kind, r=0):
 
 class Subspace:
     """Subspace of an FpModule, held as its reduced row-echelon basis ``rows``,
-    lists of ints in [0, p); ``basis`` is their read-only int64 array."""
+    lists of ints in [0, p)."""
 
-    __slots__ = ("module", "rows", "_basis", "_annihilator")
+    __slots__ = ("module", "rows", "_annihilator")
 
     def __init__(self, module, basis):
-        rows = linalg.row_space(linalg.asmat(basis, module.dim, module.prime), module.prime)
-        self.module, self.rows, self._basis, self._annihilator = module, rows.tolist(), None, None
+        p = module.prime
+        rows = linalg.rref(linalg.asmat(basis, module.dim, p), p)[0]
+        self.module, self.rows, self._annihilator = module, rows.tolist(), None
 
     @classmethod
     def _canonical(cls, module, rows):
         """Subspace on rows already reduced row-echelon, as ``linalg._null_rows`` returns."""
         sub = cls.__new__(cls)
-        sub.module, sub.rows, sub._basis, sub._annihilator = module, rows, None, None
+        sub.module, sub.rows, sub._annihilator = module, rows, None
         return sub
-
-    @property
-    def basis(self):
-        """The rows as an int64 array, built on first read; writing to it raises."""
-        if self._basis is None:
-            self._basis = linalg._to_array(self.rows, self.module.dim)
-            self._basis.flags.writeable = False
-        return self._basis
 
     @property
     def dim(self):
@@ -257,9 +250,11 @@ def module_type(module):
 
 def submodule_span(module, generators):
     """Smallest invariant subspace containing the generators g: the span of T^r g."""
-    gens = linalg.asmat(generators, module.dim, module.prime).tolist()
+    p = module.prime
+    gens = linalg.asmat(generators, module.dim, p).tolist()
     powers = range(1, module.nilpotency_index)  # T^N is 0
-    return Subspace(module, gens + [v for r in powers for v in module.shift(gens, r)])
+    rows = gens + [v for r in powers for v in module.shift(gens, r)]
+    return Subspace._canonical(module, linalg._eliminate(rows, module.dim, p)[0])
 
 
 def quotient_type(module, sub):

@@ -29,7 +29,8 @@ class ConditionStarViolated(RuntimeError):
 
 
 class EpiChain:
-    """Stage modules C0..Cs and matrices of the surjections between them."""
+    """Stage modules C0..Cs and the surjections between them, each as rows of
+    ints (one row per target coordinate), with entries 0 and 1 at every prime."""
 
     __slots__ = ("prime", "stages", "maps")
 
@@ -192,7 +193,7 @@ def build_chain(t: SkewTableau, prime: int) -> EpiChain:
         raise InvalidTableau("socle tableau expected")
     chain = _IntChain(t)
     stages = [standard_module(prime, layer) for layer in chain.layers]
-    epi = EpiChain(prime, stages, [linalg._to_array(f, c.dim) for f, c in zip(chain.maps, stages)])
+    epi = EpiChain(prime, stages, chain.maps)
     chain.check(prime)
     return epi
 

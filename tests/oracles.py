@@ -18,14 +18,36 @@ def shift(module, mat, r):
     return linalg._to_array(module.shift(mat.tolist(), r), module.dim)
 
 
+def basis(sub):
+    """``sub.rows`` as an int64 array."""
+    return linalg._to_array(sub.rows, sub.module.dim)
+
+
 def annihilator_array(sub):
     """``sub.annihilator_basis`` as an int64 array."""
     return linalg._to_array(sub.annihilator_basis, sub.module.dim)
 
 
+def rank(mat, p):
+    """Rank of an int64 matrix, by ``linalg._eliminate`` on its rows."""
+    return len(linalg._eliminate(linalg._to_rows(mat, p), mat.shape[1], p)[0])
+
+
+def row_space(mat, p):
+    """Canonical (rref) basis of the row space of an int64 matrix, as an int64 array."""
+    ncols = mat.shape[1]
+    return linalg._to_array(linalg._eliminate(linalg._to_rows(mat, p), ncols, p)[0], ncols)
+
+
+def nullspace(mat, p):
+    """Canonical basis of {x : mat @ x = 0}, as the rows of an int64 array."""
+    ncols = mat.shape[1]
+    return linalg._to_array(linalg._null_rows(linalg._to_rows(mat, p), ncols, p), ncols)
+
+
 def intersection(a, b, p):
     """Canonical basis of span(a) & span(b): the common kernel of both annihilators."""
-    return linalg.nullspace(np.vstack([linalg.nullspace(a, p), linalg.nullspace(b, p)]), p)
+    return nullspace(np.vstack([nullspace(a, p), nullspace(b, p)]), p)
 
 
 def _type_from_ker_dims(ker_dims):
@@ -39,7 +61,7 @@ def quotient_type(module, sub):
     and T^r v lies in sub iff every functional vanishing on sub kills it."""
     ann, p = annihilator_array(sub), module.prime
     return _type_from_ker_dims(
-        [module.dim - linalg.rank(shift(module, ann, -r), p) - sub.dim
+        [module.dim - rank(shift(module, ann, -r), p) - sub.dim
          for r in range(module.nilpotency_index + 1)]
     )
 
@@ -48,7 +70,7 @@ def sub_type(module, sub):
     """Type of sub: dim ker T^r there is dim sub - rank(T^r sub)."""
     p = module.prime
     return _type_from_ker_dims(
-        [sub.dim - linalg.rank(shift(module, sub.basis, r), p)
+        [sub.dim - rank(shift(module, basis(sub), r), p)
          for r in range(module.nilpotency_index + 1)]
     )
 
@@ -58,7 +80,7 @@ def invariant_by_product(sub):
     basis and piv its pivot columns, TB = (TB)[:, piv] @ B mod p."""
     if sub.dim == 0:
         return True
-    b, m = sub.basis, sub.module
+    b, m = basis(sub), sub.module
     tb = shift(m, b, 1)
     piv = [row.index(1) for row in b.tolist()]  # each row leads with a 1
     return np.array_equal(tb[:, piv] @ b % m.prime, tb)
@@ -66,13 +88,14 @@ def invariant_by_product(sub):
 
 def pivot_keys_by_array(sub, order, keys):
     """``modules._pivot_keys`` on the basis array: the pivots of basis[:, order]."""
-    pivots = linalg.pivot_columns(sub.basis[:, order], sub.module.prime)
+    p = sub.module.prime
+    pivots = linalg._eliminate(linalg._to_rows(basis(sub)[:, order], p), len(order), p)[1]
     return [keys[k] for k in pivots if keys[k] is not None]
 
 
 def is_subspace(small, big, p):
     """True iff span(small) is contained in span(big)."""
-    return linalg.rank(np.vstack([big, small]), p) == linalg.rank(big, p)
+    return rank(np.vstack([big, small]), p) == rank(big, p)
 
 
 def full_subspace(module):
@@ -86,8 +109,9 @@ def soc_layer(module, sub, ell):
         return zero_subspace(module)
     # coefficients x with T^ell (x . basis) = 0, that is x . basis[:, high(ell)] = 0;
     # the product of two reduced row-echelon matrices in this order is one
-    coeffs = linalg.nullspace(sub.basis[:, module._high_cols(ell)].T, p)
-    return Subspace._canonical(module, ((coeffs @ sub.basis) % p).tolist())
+    b = basis(sub)
+    coeffs = nullspace(b[:, module._high_cols(ell)].T, p)
+    return Subspace._canonical(module, ((coeffs @ b) % p).tolist())
 
 
 def soc_layer_by_shift(module, sub, ell):
@@ -95,14 +119,15 @@ def soc_layer_by_shift(module, sub, ell):
     p = module.prime
     if ell <= 0 or sub.dim == 0:
         return zero_subspace(module)
-    coeffs = linalg.nullspace(shift(module, sub.basis, ell).T, p)
-    return Subspace(module, (coeffs @ sub.basis) % p)
+    b = basis(sub)
+    coeffs = nullspace(shift(module, b, ell).T, p)
+    return Subspace(module, (coeffs @ b) % p)
 
 
 def rad_layer(module, sub, m):
     """T^m applied to sub."""
     return Subspace._canonical(
-        module, linalg.row_space(shift(module, sub.basis, m), module.prime).tolist()
+        module, row_space(shift(module, basis(sub), m), module.prime).tolist()
     )
 
 
@@ -112,7 +137,7 @@ def preimage(module, sub, r):
     When no functional vanishes on sub (sub is the whole module), that is everything.
     """
     return Subspace._canonical(
-        module, linalg.nullspace(shift(module, annihilator_array(sub), -r), module.prime).tolist()
+        module, nullspace(shift(module, annihilator_array(sub), -r), module.prime).tolist()
     )
 
 
@@ -243,10 +268,16 @@ def run_switch(state, order="deterministic", rng=None):
     return st
 
 
+def map_arrays(epi):
+    """The maps of an ``EpiChain`` as int64 arrays, each as wide as its source
+    stage; a map of another width raises ValueError."""
+    return [np.array(f, dtype=np.int64).reshape(len(f), src.dim) for f, src in zip(epi.maps, epi.stages)]
+
+
 def composite(epi):
     """Matrix of the full composition C0 -> Cs of an ``EpiChain``."""
     out = np.eye(epi.stages[0].dim, dtype=np.int64)
-    for f in epi.maps:
+    for f in map_arrays(epi):
         out = (f @ out) % epi.prime
     return out
 
@@ -256,7 +287,7 @@ def build_chain(t, prime):
     again at each prime, with ``soctab.realize``'s checks and messages.
 
     Each map is the canonical surjection g of blocks, corrected by h @ g, and
-    its kernel is taken by ``linalg.nullspace``; condition star is checked on
+    its kernel is taken by ``nullspace``; condition star is checked on
     the product (f2 @ f1)[:, S] for the socle coordinates S of each stage.
     """
     layers = _chain_layers(t, "socle")
@@ -275,7 +306,7 @@ def build_chain(t, prime):
         if ell < s:
             g = (_correction(t, layers[ell], doffs, ell) @ g) % prime
         maps.append(g)
-        kernels.append(linalg.nullspace(g, prime))
+        kernels.append(nullspace(g, prime))
         if sum(src) - kernels[-1].shape[0] != sum(dst):
             raise ConditionStarViolated(f"stage {ell} map is not surjective")
         if sum(src) - sum(dst) != acols[ell - 1]:
@@ -283,7 +314,7 @@ def build_chain(t, prime):
     for idx in range(s - 1):
         stage, f1, f2, ker1 = stages[idx], maps[idx], maps[idx + 1], kernels[idx]
         socle = [o + n - 1 for o, n in zip(block_offsets(stage.parts), stage.parts)]
-        meet = len(socle) - linalg.rank((f2 @ f1[:, socle]) % prime, prime)
+        meet = len(socle) - rank((f2 @ f1[:, socle]) % prime, prime)
         if ker1[:, stage._high_cols(1)].any() or meet != ker1.shape[0]:
             raise ConditionStarViolated(f"socle condition fails between stages {idx+1},{idx+2}")
     return EpiChain(prime, stages, maps)
@@ -315,8 +346,8 @@ def _correction(t, layer, offs, ell):
 def realized_basis(epi):
     """Reduced echelon basis of the kernel of the chain's full composite."""
     if not epi.maps:
-        return zero_subspace(epi.stages[0]).basis
-    return linalg.nullspace(composite(epi), epi.prime)
+        return basis(zero_subspace(epi.stages[0]))
+    return nullspace(composite(epi), epi.prime)
 
 
 def lr_chain_shape(chain):

@@ -3,8 +3,8 @@ import pytest
 
 from fixtures import DUAL_LR_M2, SOCLE_M2
 import oracles
-from oracles import intersection, is_subspace
-from soctab import checks, convert, linalg
+from oracles import basis, intersection, is_subspace, rank, row_space
+from soctab import checks, convert
 from soctab.convert import (
     InconsistentMatrix,
     defect,
@@ -418,14 +418,14 @@ def check_defect_sequence(prime, ell, m):
         f[i + 1, i] = 1  # multiplication by the uniformizer into the first block
     for i in range(m - 2):
         f[m + i, i] = (-1) % prime  # negated canonical surjection into the second
-    assert linalg.rank(f, prime) == m - 1, "picket map is not injective"
-    img_sub = linalg.row_space((top.sub.basis @ f.T) % prime, prime)
-    assert is_subspace(img_sub, mid.sub.basis, prime), "picket map does not respect the subspaces"
+    assert rank(f, prime) == m - 1, "picket map is not injective"
+    img_sub = row_space((basis(top.sub) @ f.T) % prime, prime)
+    assert is_subspace(img_sub, basis(mid.sub), prime), "picket map does not respect the subspaces"
     img = Subspace(mid.ambient, (np.eye(m - 1, dtype=np.int64) @ f.T) % prime)
     assert quotient_type(mid.ambient, img) == (m - 1,), "cokernel of the picket map has the wrong type"
     # sub-level exactness: the middle subspace meets the image exactly in the
     # image of the top subspace, so the quotient carries a length-(ell-1) sub
-    met = intersection(mid.sub.basis, img.basis, prime)
+    met = intersection(basis(mid.sub), basis(img), prime)
     assert met.shape[0] == ell, "picket map subs are not exact in the middle"
 
 

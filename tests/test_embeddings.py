@@ -5,8 +5,17 @@ import numpy as np
 import pytest
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
-from oracles import annihilator_array, full_subspace, intersection, rad_layer, shift, soc_layer
-from soctab import linalg
+from oracles import (
+    annihilator_array,
+    basis,
+    full_subspace,
+    intersection,
+    nullspace,
+    rad_layer,
+    rank,
+    shift,
+    soc_layer,
+)
 from soctab.embeddings import (
     BadIndex,
     Embedding,
@@ -207,10 +216,10 @@ def hom_dim(x, y):
     blocks = [np.kron(shift(x.ambient, ix, 1), iy) - np.kron(ix, shift(y.ambient, iy, -1))]
     ann = annihilator_array(y.sub)
     if ann.shape[0] > 0:
-        for a in x.sub.basis:
+        for a in basis(x.sub):
             blocks.append(np.kron(a.reshape(1, nx), ann))
     mat = np.vstack(blocks) % p
-    return nx * ny - linalg.rank(mat, p)
+    return nx * ny - rank(mat, p)
 
 
 def test_hom_dim_examples():
@@ -220,7 +229,7 @@ def test_hom_dim_examples():
     ident = np.eye(m2.ambient.dim, dtype=np.int64)
     for m in range(1, 4):
         # shift(I, -m) is T^m
-        expect = m2.ambient.dim - linalg.rank(shift(m2.ambient, ident, -m), 2)
+        expect = m2.ambient.dim - rank(shift(m2.ambient, ident, -m), 2)
         assert hom_dim(picket(2, 0, m), m2) == expect
     with pytest.raises(PrimeMismatch):
         hom_dim(picket(2, 1, 2), picket(3, 1, 2))
@@ -273,7 +282,7 @@ def solve_commutant(t_source, t_target, p):
     lhs = np.kron(t_source.T, np.eye(nt, dtype=np.int64)) - np.kron(
         np.eye(ns, dtype=np.int64), t_target
     )
-    sols = linalg.nullspace(lhs % p, p)
+    sols = nullspace(lhs % p, p)
     return [v.reshape(ns, nt).T.copy() for v in sols]
 
 
@@ -290,11 +299,11 @@ def test_hom_isomorphism_invariance():
             for mtx in comm:
                 if rng.random() < 0.5:
                     cand = (cand + mtx) % 2
-            if linalg.rank(cand, 2) == n:
+            if rank(cand, 2) == n:
                 u = cand
                 break
         assert u is not None
-        moved = Subspace(x.ambient, (x.sub.basis @ u.T) % 2)
+        moved = Subspace(x.ambient, (basis(x.sub) @ u.T) % 2)
         y = Embedding(x.ambient, moved)
         assert hom_matrix(y) == hom_matrix(x)
 
@@ -303,8 +312,8 @@ def entries_below(x, ell, r):
     """dim of (soc^ell sub & rad^(r-1) ambient) over (soc^(ell-1) sub & rad^(r-1) ambient)."""
     p = x.prime
     radb = rad_layer(x.ambient, full_subspace(x.ambient), r - 1)
-    hi = intersection(soc_layer(x.ambient, x.sub, ell).basis, radb.basis, p)
-    lo = intersection(soc_layer(x.ambient, x.sub, ell - 1).basis, radb.basis, p)
+    hi = intersection(basis(soc_layer(x.ambient, x.sub, ell)), basis(radb), p)
+    lo = intersection(basis(soc_layer(x.ambient, x.sub, ell - 1)), basis(radb), p)
     return hi.shape[0] - lo.shape[0]
 
 

@@ -1,7 +1,9 @@
 """The F_p elimination kernel: exactness at large primes and properties of
-rref and nullspace on random matrices, checked in Python integers."""
+the reduced rows and the kernel rows of random matrices, checked in Python
+integers, and the array entry that is linalg's public interface."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +31,18 @@ def matrices(draw):
 @given(matrices())
 def test_rref_is_a_canonical_basis_of_the_row_space(mp):
     m, p = mp
-    r, pivots = linalg.rref(m, p)
-    assert r.dtype == np.int64 and r.shape == (len(pivots), m.shape[1])
-    assert linalg.rank(m, p) == len(pivots)
-    r2, pivots2 = linalg.rref(r, p)
-    assert pivots2 == pivots and np.array_equal(r2, r)
-    assert np.array_equal(r[:, pivots], np.eye(len(pivots), dtype=np.int64))
-    basis = r.tolist()
-    for v in (m % p).tolist():
+    ncols = m.shape[1]
+    r, pivots = linalg._eliminate(m.tolist(), ncols, p)
+    assert len(r) == len(pivots) and all(len(row) == ncols for row in r)
+    # the array entry converts the same elimination
+    a, apivots = linalg.rref(m, p)
+    assert a.dtype == np.int64 and a.shape == (len(r), ncols)
+    assert a.tolist() == r and apivots == pivots
+    assert linalg._eliminate(r, ncols, p) == (r, pivots)
+    assert [[row[c] for c in pivots] for row in r] == [[int(i == k) for i in range(len(r))] for k in range(len(r))]
+    for v in m.tolist():
         # the coordinates of v in an rref basis are its entries at the pivots
-        combo = [sum(v[c] * b[k] for c, b in zip(pivots, basis)) % p for k in range(m.shape[1])]
+        combo = [sum(v[c] * b[k] for c, b in zip(pivots, r)) % p for k in range(ncols)]
         assert combo == v
 
 
@@ -46,24 +50,26 @@ def test_rref_is_a_canonical_basis_of_the_row_space(mp):
 @given(matrices())
 def test_nullspace_is_annihilated_and_has_the_right_dimension(mp):
     m, p = mp
-    ns = linalg.nullspace(m, p)
-    assert ns.dtype == np.int64
-    assert ns.shape == (m.shape[1] - linalg.rank(m, p), m.shape[1])
+    ncols = m.shape[1]
+    ns = linalg._null_rows(m.tolist(), ncols, p)
+    assert all(len(x) == ncols for x in ns)
+    assert len(ns) == ncols - len(linalg._eliminate(m.tolist(), ncols, p)[0])
     for v in m.tolist():
-        for x in ns.tolist():
+        for x in ns:
             assert sum(a * b for a, b in zip(v, x)) % p == 0
-    # the basis is canonical: Subspace equality compares these arrays
-    assert linalg.rref(ns, p)[0].tolist() == ns.tolist()
+    # the basis is canonical: Subspace equality compares these rows
+    assert linalg._eliminate(ns, ncols, p)[0] == ns
 
 
 @PROPS
 @given(matrices())
 def test_pivot_columns_count_the_rank_of_every_column_prefix(mp):
     m, p = mp
-    pivots = linalg.pivot_columns(m, p)
+    rows = m.tolist()
+    pivots = linalg._eliminate(rows, m.shape[1], p)[1]
     assert pivots == linalg.rref(m, p)[1]
     for k in range(m.shape[1] + 1):
-        assert sum(c < k for c in pivots) == linalg.rank(m[:, :k], p)
+        assert sum(c < k for c in pivots) == len(linalg._eliminate([r[:k] for r in rows], k, p)[0])
 
 
 def test_the_integer_elimination_refuses_a_matrix_whose_rank_depends_on_p():
@@ -118,3 +124,20 @@ def test_only_linalg_imports_numpy():
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.append(path.name)
     assert sorted(set(importers)) == ["linalg.py"]
+
+    # and inside linalg, only the checked entry for outside rows uses numpy
+    users = set()
+    for node in ast.parse(Path(linalg.__file__).read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node)):
+            users.add(node.name if isinstance(node, ast.FunctionDef) else "<module>")
+    assert users <= {"asmat", "_to_rows", "_to_array", "rref"}, users
+
+
+def test_linalg_exposes_only_the_checked_entry():
+    public = {
+        name for name, obj in vars(linalg).items()
+        if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == linalg.__name__
+    }
+    assert public == {"asmat", "rref"}
