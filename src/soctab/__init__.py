@@ -12,9 +12,6 @@ from .partitions import (
     NotContained,
     Shape,
     contains,
-    format_partition,
-    format_shape,
-    is_horizontal_strip,
     parse_partition,
     parse_shape,
     partition,
@@ -38,10 +35,8 @@ from .tableaux import (
     check_st3_prime,
     count_tableaux,
     enumerate_tableaux,
-    from_chain,
     iter_tableaux,
     lr_coefficient,
-    to_chain,
 )
 from .modules import (
     BadPrime,
@@ -49,7 +44,6 @@ from .modules import (
     NotInvariant,
     Subspace,
     annihilator,
-    module_type,
     quotient_type,
     standard_module,
     submodule_span,
@@ -70,7 +64,6 @@ from .embeddings import (
     picket,
     random_corpus,
     socle_tableau,
-    zero_embedding,
 )
 from .realize import (
     ConditionStarViolated,

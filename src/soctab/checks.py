@@ -27,18 +27,9 @@ from .embeddings import (
     socle_tableau,
 )
 from .modules import _radical_quotient_type, _socle_quotient_type
-from .partitions import beta_triple_counts, shape_triples, triple_order
+from .partitions import beta_triple_counts, triple_order
 from .realize import _IntChain
-from .tableaux import (
-    MatchingFailed,
-    _beta_chains,
-    _chain_tableau,
-    build_matching,
-    check_lr,
-    check_socle,
-    check_st3_prime,
-    iter_st12_fillings,
-)
+from .tableaux import _beta_chains, _chain_tableau, check_lr, check_socle
 
 
 class SweepReport:
@@ -261,21 +252,3 @@ def defect_sweep(
                 rep.fail(f"{name}: defect tables differ between primes")
     return rep
 
-
-def lattice_validator_sweep(max_beta_weight: int = 8) -> SweepReport:
-    """The three socle-lattice validators agree on every row/column-monotone filling."""
-    rep = SweepReport("lattice-equivalence", max_beta=max_beta_weight)
-    for alpha, beta, gamma in shape_triples(max_beta_weight):
-        for t in iter_st12_fillings(alpha, beta, gamma):
-            rep.cases += 1
-            a = check_socle(t)
-            b = check_st3_prime(t)
-            try:
-                for level in range(1, t.max_entry()):
-                    build_matching(t, level)
-                c = True
-            except MatchingFailed:
-                c = False
-            if not (a == b == c):
-                rep.fail(f"{(alpha, beta, gamma)}: validators disagree ({a},{b},{c})")
-    return rep

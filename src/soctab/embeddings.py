@@ -26,13 +26,11 @@ from .modules import (
     _sub_type,
     annihilator,
     block_offsets,
-    module_type,
     quotient_type,  # unused here; perfbench/tests checks the tracer rebinds this import
     standard_module,
     submodule_span,
-    zero_subspace,
 )
-from .partitions import Shape, partition
+from .partitions import Shape, partition, partitions_of
 from .tableaux import SkewTableau, _chain_tableau, _is_int, _is_json_int
 
 
@@ -67,7 +65,7 @@ class Embedding:
         if self._shape is None:
             # __init__ checked that sub is invariant
             a = _sub_type(self.ambient, self.sub)
-            b = module_type(self.ambient)
+            b = self.ambient.parts
             g = _quotient_type(self.ambient, self.sub)
             self._shape = Shape(a, b, g)
         return self._shape
@@ -89,17 +87,10 @@ class Embedding:
         return f"Embedding(alpha={a}, beta={b}, gamma={g}, p={self.prime})"
 
 
-def zero_embedding(prime):
-    m = standard_module(prime, ())
-    return Embedding(m, zero_subspace(m))
-
-
 def picket(prime, ell, m):
     """Single block of length m with its unique invariant subspace of length ell."""
     if ell < 0 or m < 0 or ell > m:
         raise BadIndex(f"picket requires 0 <= ell <= m, got ({ell}, {m})")
-    if m == 0:
-        return zero_embedding(prime)
     mod = standard_module(prime, (m,))
     rows = [[int(c == m - ell + i) for c in range(m)] for i in range(ell)]
     return Embedding(mod, Subspace(mod, rows))
@@ -338,7 +329,22 @@ def _random_partition(rng: random.Random, n: int) -> tuple:
 
 
 def random_corpus(seed: int, count: int, max_weight: int) -> list:
-    """Deterministic list of embedding specs; duplicates are discarded."""
+    """Deterministic list of embedding specs; duplicates are discarded.
+
+    A spec of weight w is a partition of w with one to three generators of
+    w coefficients each, so p(w) (2^w + 4^w + 8^w) specs have weight w.
+    ValueError when fewer than ``count`` specs have weight <= max_weight.
+    """
+    distinct = 0
+    for w in range(1, max_weight + 1):
+        if distinct >= count:
+            break
+        distinct += sum(1 for _ in partitions_of(w)) * (2**w + 4**w + 8**w)
+    if distinct < count:
+        raise ValueError(
+            f"only {distinct} distinct embedding specs have weight <= {max_weight}; "
+            f"cannot draw {count}"
+        )
     rng = random.Random(seed)
     out = []
     seen = set()

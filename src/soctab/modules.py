@@ -243,11 +243,6 @@ def block_offsets(parts):
     return offs
 
 
-def module_type(module):
-    """Type partition of the module: its block sizes."""
-    return module.parts
-
-
 def submodule_span(module, generators):
     """Smallest invariant subspace containing the generators g: the span of T^r g."""
     p = module.prime

@@ -85,13 +85,6 @@ def skew_boxes(beta: tuple, gamma: tuple) -> list:
     return boxes
 
 
-def is_horizontal_strip(beta: tuple, gamma: tuple) -> bool:
-    """True iff every column of beta \\ gamma holds at most one box."""
-    if not contains(beta, gamma):
-        raise NotContained(f"{gamma} is not contained in {beta}")
-    return all(beta[c] - part(gamma, c + 1) <= 1 for c in range(len(beta)))
-
-
 class Shape(NamedTuple):
     """Shape triple (alpha, beta, gamma): content alpha on the skew diagram beta \\ gamma."""
 
@@ -122,20 +115,12 @@ def parse_partition(text: str) -> tuple:
     return partition(int(ch) for ch in text)
 
 
-def format_partition(p: tuple) -> str:
-    return ",".join(str(x) for x in p)
-
-
 def parse_shape(text: str) -> Shape:
     """Parse 'alpha/beta/gamma', each component in parse_partition syntax."""
     pieces = text.split("/")
     if len(pieces) != 3:
         raise ValueError(f"shape must have three '/'-separated components, got {text!r}")
     return shape(*(parse_partition(x) for x in pieces))
-
-
-def format_shape(s: Shape) -> str:
-    return "/".join(format_partition(p) for p in s)
 
 
 def partitions_of(n: int) -> Iterator[tuple]:

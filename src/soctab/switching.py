@@ -200,9 +200,6 @@ class SwitchState:
         boxes = self._geo.boxes
         return [(boxes[s], boxes[t]) for s, t in _slot_swaps(self._geo, self._grid)]
 
-    def is_terminal(self):
-        return not _slot_swaps(self._geo, self._grid)
-
     def inner_region(self):
         """Column lengths of the T region; raises unless it is a Young diagram."""
         geo, g = self._geo, self._grid

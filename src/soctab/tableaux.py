@@ -16,9 +16,9 @@ horizontal strips from beta, and reads an LR chain in reverse.
 A tableau is built in one of two ways.  ``SkewTableau(...)`` takes a
 filling from outside (JSON, the switching read-off, user code) and checks
 that it covers the skew boxes with content transpose(alpha).  Every
-tableau the library derives (enumeration, ``from_chain``, the read-offs of
-an embedding, the conversions) comes from ``_chain_tableau``, which
-validates the chain instead: a valid chain fixes the boxes and the content.
+tableau the library derives (enumeration, the read-offs of an embedding,
+the conversions) comes from ``_chain_tableau``, which validates the chain
+instead: a valid chain fixes the boxes and the content.
 """
 
 from functools import lru_cache
@@ -348,20 +348,6 @@ def _chain_layers(t: SkewTableau, view: str) -> list:
     return chain if view == "lr" else chain[::-1]
 
 
-def to_chain(t: SkewTableau, view: str) -> tuple:
-    """Partition chain of ``t``; view is 'socle' (decreasing) or 'lr' (increasing)."""
-    chain = []
-    for i, layer in enumerate(_chain_layers(t, view)):
-        try:
-            chain.append(partition(layer))
-        except ValueError:
-            raise InvalidTableau(
-                f"level-{i} layer is not a partition; tableau violates the {view} axioms"
-            )
-    _chain_tableau(chain, view)  # validates the chain
-    return tuple(chain)
-
-
 def _chain_tableau(chain, view: str) -> SkewTableau:
     """The tableau of a chain of canonical partitions: entry l fills step l's strip.
 
@@ -401,11 +387,6 @@ def _chain_tableau(chain, view: str) -> SkewTableau:
     t.entries = entries
     t._hash = None
     return t
-
-
-def from_chain(chain, view: str) -> SkewTableau:
-    """Inverse of to_chain; accepts trailing constant repeats and canonicalizes."""
-    return _chain_tableau([partition(p) for p in chain], view)
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +510,13 @@ def _unpad(p):
     return p[:n]
 
 
-def _chains(alpha, beta, gamma, kind, lattice=True):
+def _chains(alpha, beta, gamma, kind):
     """Chains of canonical partitions of a validated shape's tableaux of the kind.
 
-    The recursion removes strips from beta on padded partitions; each
-    chain member is unpadded once, as it is reached, and an LR chain is
-    reversed when it is complete.
-
-    With ``lattice`` off the socle chains lose the mirrored lattice
-    condition and give every filling with weakly decreasing rows and
-    strictly decreasing columns.
+    The recursion removes strips from beta on padded partitions, each
+    taking the lattice step after the strip before it; each chain member
+    is unpadded once, as it is reached, and an LR chain is reversed when
+    it is complete.
     """
     start = _chain_start(alpha, beta, gamma, kind)
     if start is None:
@@ -553,7 +531,7 @@ def _chains(alpha, beta, gamma, kind, lattice=True):
             return
         k = sizes[level]
         for cols, nxt, ngap in _steps(part, gap, k, s - level - 1, _lattice_bound(prev, k, socle)):
-            yield from rec(level + 1, nxt, ngap, cols if lattice else None, acc + (_unpad(nxt),))
+            yield from rec(level + 1, nxt, ngap, cols, acc + (_unpad(nxt),))
 
     yield from rec(0, beta, gap, None, (beta,))
 
@@ -649,45 +627,30 @@ def _path_count(part, gap, prev, sizes, socle, memo) -> int:
     return got
 
 
-def iter_st12_fillings(alpha, beta, gamma) -> Iterator[SkewTableau]:
-    """All fillings with weakly decreasing rows and strictly decreasing columns.
-
-    The socle enumeration without the mirrored lattice condition; used to
-    compare the three lattice validators.
-    """
-    alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
-    for chain in _chains(alpha, beta, gamma, "socle", lattice=False):
-        yield _chain_tableau(chain, "socle")
-
-
-def _shape_args(shape_or_alpha, beta, gamma, kind):
-    """Validated (alpha, beta, gamma) from a shape triple or three partitions."""
-    if beta is None:
-        alpha, beta, gamma = shape_or_alpha
-    else:
-        alpha = shape_or_alpha
+def _shape_args(alpha, beta, gamma, kind):
+    """Validated (alpha, beta, gamma) of an enumeration of the given kind."""
     if kind not in ("socle", "lr"):
         raise ValueError(f"kind must be 'socle' or 'lr', got {kind!r}")
     return partition(alpha), partition(beta), partition(gamma)
 
 
-def iter_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> Iterator[SkewTableau]:
+def iter_tableaux(alpha, beta, gamma, kind) -> Iterator[SkewTableau]:
     """Generate all tableaux of the given kind, in no particular order."""
-    alpha, beta, gamma = _shape_args(shape_or_alpha, beta, gamma, kind)
+    alpha, beta, gamma = _shape_args(alpha, beta, gamma, kind)
     for chain in _chains(alpha, beta, gamma, kind):
         yield _chain_tableau(chain, kind)
 
 
-def enumerate_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> list:
+def enumerate_tableaux(alpha, beta, gamma, kind) -> list:
     """All tableaux of the kind, sorted lexicographically by row-major entries."""
-    ts = list(iter_tableaux(shape_or_alpha, beta, gamma, kind=kind))
+    ts = list(iter_tableaux(alpha, beta, gamma, kind))
     ts.sort(key=SkewTableau.row_sequence)
     return ts
 
 
-def count_tableaux(shape_or_alpha, beta=None, gamma=None, kind="socle") -> int:
+def count_tableaux(alpha, beta, gamma, kind) -> int:
     """Number of tableaux of the kind, counted as chain paths without building them."""
-    alpha, beta, gamma = _shape_args(shape_or_alpha, beta, gamma, kind)
+    alpha, beta, gamma = _shape_args(alpha, beta, gamma, kind)
     start = _chain_start(alpha, beta, gamma, kind)
     if start is None:
         return 0

@@ -8,9 +8,55 @@ import numpy as np
 
 from soctab import checks, linalg, switching
 from soctab.modules import Subspace, block_offsets, standard_module, zero_subspace
-from soctab.partitions import Shape, part, partition, shape_triples, transpose
+from soctab.partitions import NotContained, Shape, contains, part, partition, shape_triples, transpose
 from soctab.realize import ConditionStarViolated, EpiChain
-from soctab.tableaux import InvalidTableau, _chain_layers, _strip_columns, _unpad, build_matching
+from soctab.tableaux import (
+    InvalidTableau,
+    MatchingFailed,
+    _chain_layers,
+    _chain_start,
+    _chain_tableau,
+    _steps,
+    _strip_columns,
+    _unpad,
+    build_matching,
+    check_socle,
+    check_st3_prime,
+)
+
+
+def is_horizontal_strip(beta, gamma):
+    """True iff every column of beta \\ gamma holds at most one box."""
+    if not contains(beta, gamma):
+        raise NotContained(f"{gamma} is not contained in {beta}")
+    return all(beta[c] - part(gamma, c + 1) <= 1 for c in range(len(beta)))
+
+
+def format_partition(p):
+    return ",".join(str(x) for x in p)
+
+
+def format_shape(s):
+    return "/".join(format_partition(p) for p in s)
+
+
+def to_chain(t, view):
+    """Partition chain of ``t``; view is 'socle' (decreasing) or 'lr' (increasing)."""
+    chain = []
+    for i, layer in enumerate(_chain_layers(t, view)):
+        try:
+            chain.append(partition(layer))
+        except ValueError:
+            raise InvalidTableau(
+                f"level-{i} layer is not a partition; tableau violates the {view} axioms"
+            )
+    _chain_tableau(chain, view)  # validates the chain
+    return tuple(chain)
+
+
+def from_chain(chain, view):
+    """Inverse of to_chain; accepts trailing constant repeats and canonicalizes."""
+    return _chain_tableau([partition(p) for p in chain], view)
 
 
 def shift(module, mat, r):
@@ -497,3 +543,48 @@ def conjecture_walk(max_beta_weight, seeds=5, base_seed=0):
             for chain in found:
                 switching._switch_one(report, geo, chain, alpha, inner, orders)
     return report
+
+
+def monotone_chains(alpha, beta, gamma, kind):
+    """``soctab.tableaux._chains`` without the lattice step: the chains of every
+    filling of the shape whose rows and columns are monotone as the kind's are."""
+    start = _chain_start(alpha, beta, gamma, kind)
+    if start is None:
+        return
+    sizes, gap = start
+    s = len(sizes)
+
+    def rec(level, part, gap, acc):
+        if level == s:
+            yield acc if kind == "socle" else acc[::-1]
+            return
+        for _, nxt, ngap in _steps(part, gap, sizes[level], s - level - 1, None):
+            yield from rec(level + 1, nxt, ngap, acc + (_unpad(nxt),))
+
+    yield from rec(0, beta, gap, (beta,))
+
+
+def iter_st12_fillings(alpha, beta, gamma):
+    """All fillings with weakly decreasing rows and strictly decreasing columns."""
+    alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
+    for chain in monotone_chains(alpha, beta, gamma, "socle"):
+        yield _chain_tableau(chain, "socle")
+
+
+def lattice_validator_sweep(max_beta_weight=8):
+    """The three socle-lattice validators agree on every row/column-monotone filling."""
+    rep = checks.SweepReport("lattice-equivalence", max_beta=max_beta_weight)
+    for alpha, beta, gamma in shape_triples(max_beta_weight):
+        for t in iter_st12_fillings(alpha, beta, gamma):
+            rep.cases += 1
+            a = check_socle(t)
+            b = check_st3_prime(t)
+            try:
+                for level in range(1, t.max_entry()):
+                    build_matching(t, level)
+                c = True
+            except MatchingFailed:
+                c = False
+            if not (a == b == c):
+                rep.fail(f"{(alpha, beta, gamma)}: validators disagree ({a},{b},{c})")
+    return rep

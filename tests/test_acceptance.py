@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import time
 
 from fixtures import DUAL_LR_M2, SOCLE_M2
+from oracles import lattice_validator_sweep
 from soctab import checks
 from soctab.embeddings import (
     dual_embedding,
@@ -98,7 +99,7 @@ def test_criterion_6_defect_formula():
 
 def test_criterion_7_lattice_validator_equivalence():
     t0 = time.time()
-    rep = checks.lattice_validator_sweep(8)
+    rep = lattice_validator_sweep(8)
     elapsed = time.time() - t0
     assert rep.failures == []
     _report(7, elapsed, f"{rep.cases} row/column-monotone fillings up to weight 8")

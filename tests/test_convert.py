@@ -3,7 +3,7 @@ import pytest
 
 from fixtures import DUAL_LR_M2, SOCLE_M2
 import oracles
-from oracles import basis, intersection, is_subspace, rank, row_space
+from oracles import basis, intersection, is_horizontal_strip, is_subspace, rank, row_space, to_chain
 from soctab import checks, convert
 from soctab.convert import (
     InconsistentMatrix,
@@ -31,11 +31,10 @@ from soctab.embeddings import (
     picket,
     random_corpus,
     socle_tableau,
-    zero_embedding,
 )
 from soctab.modules import Subspace, quotient_type
-from soctab.partitions import contains, is_horizontal_strip, partitions_of, subdiagrams, transpose, weight
-from soctab.tableaux import InvalidTableau, SkewTableau, _beta_chains, iter_tableaux, to_chain
+from soctab.partitions import contains, partitions_of, subdiagrams, transpose, weight
+from soctab.tableaux import InvalidTableau, SkewTableau, _beta_chains, iter_tableaux
 
 
 def test_socle_to_hom_examples():
@@ -55,7 +54,7 @@ def test_hom_to_socle_round_trip():
     assert hom_to_socle(h) == SOCLE_M2
     h1 = hom_matrix(load_fixture("m1"))
     assert hom_to_socle(h1) == socle_tableau(load_fixture("m1"))
-    z = hom_matrix(zero_embedding(2))
+    z = hom_matrix(picket(2, 0, 0))
     t = hom_to_socle(z)
     assert t.beta == () and t.entries == {}
 
@@ -90,7 +89,7 @@ def test_duallr_to_hom():
 def test_hom_to_duallr():
     h = hom_matrix(load_fixture("m2"))
     assert hom_to_duallr(h) == DUAL_LR_M2
-    z = hom_matrix(zero_embedding(2))
+    z = hom_matrix(picket(2, 0, 0))
     t = hom_to_duallr(z)
     assert t.beta == () and t.entries == {}
 
@@ -333,7 +332,7 @@ def test_defect():
     acols = transpose((4, 2))
     for ell in range(1, 5):
         assert sum(defect(m2, ell, ell + r) for r in range(1, 7)) == acols[ell - 1]
-    z = zero_embedding(2)
+    z = picket(2, 0, 0)
     assert all(defect(z, ell, m) == 0 for ell in (1, 2) for m in (2, 3, 4) if m > ell)
     with pytest.raises(BadIndex):
         defect(m2, 2, 2)
@@ -344,7 +343,7 @@ def test_defect():
 def test_defect_table_matches_defect():
     xs = [load_fixture(name, prime=p) for name in ("m1", "m2", "m3") for p in (2, 3)]
     xs += [embedding_from_spec(spec, 2) for spec in random_corpus(32, 20, 8)]
-    for x in xs + [zero_embedding(2)]:
+    for x in xs + [picket(2, 0, 0)]:
         a1 = x.alpha[0] if x.alpha else 0
         b1 = x.beta[0] if x.beta else 0
         cells = [(ell, m) for ell in range(1, a1 + 1) for m in range(ell + 1, a1 + b1 + 1)]

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
 from oracles import (
     annihilator_array,
     basis,
+    from_chain,
     full_subspace,
     intersection,
     nullspace,
@@ -15,6 +20,7 @@ from oracles import (
     rank,
     shift,
     soc_layer,
+    to_chain,
 )
 from soctab.embeddings import (
     BadIndex,
@@ -32,7 +38,6 @@ from soctab.embeddings import (
     picket,
     random_corpus,
     socle_tableau,
-    zero_embedding,
 )
 from soctab.modules import (
     Subspace,
@@ -40,7 +45,9 @@ from soctab.modules import (
     standard_module,
     zero_subspace,
 )
-from soctab.tableaux import SkewTableau, check_lr, check_socle, from_chain, to_chain
+from soctab.tableaux import SkewTableau, check_lr, check_socle
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_picket():
@@ -89,6 +96,31 @@ def test_corpus_determinism():
     assert len({json.dumps(s, sort_keys=True) for s in a}) == 25
 
 
+def test_corpus_larger_than_its_weight_allows_is_refused():
+    # p(w) (2^w + 4^w + 8^w) specs of weight w: 14 of weight 1, 168 more of weight 2
+    assert len({json.dumps(s, sort_keys=True) for s in random_corpus(5, 14, 1)}) == 14
+    assert len({json.dumps(s, sort_keys=True) for s in random_corpus(5, 182, 2)}) == 182
+    assert random_corpus(5, 0, 0) == []
+    for count, weight, distinct in ((1, 0, 0), (15, 1, 14), (183, 2, 182)):
+        with pytest.raises(ValueError, match=f"only {distinct} distinct"):
+            random_corpus(5, count, weight)
+
+
+@pytest.mark.parametrize("max_beta", ["0", "1"])
+def test_check_with_too_small_a_corpus_weight_exits_1(max_beta):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "soctab.cli", "check", "--max-beta", max_beta],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invalid input: only") and "Traceback" not in proc.stderr
+
+
 def test_picket_tableaux():
     x = picket(2, 4, 5)
     assert dict(socle_tableau(x).entries) == {(r, 1): 6 - r for r in range(2, 6)}
@@ -105,7 +137,7 @@ def test_direct_sum():
         (5, 3, 2), (4, 3, 1), (3, 3), (3, 2), (3, 1),
     )
     x = picket(2, 2, 3)
-    same = direct_sum(x, zero_embedding(2))
+    same = direct_sum(x, picket(2, 0, 0))
     assert same.shape == x.shape
     assert socle_tableau(same) == socle_tableau(x)
     with pytest.raises(PrimeMismatch):
@@ -148,7 +180,7 @@ def _read_back_cases(p):
     xs += [
         direct_sum(picket(p, 2, 4), picket(p, 1, 3)),
         direct_sum(load_fixture("m2", prime=p), picket(p, 1, 2)),
-        direct_sum(zero_embedding(p), picket(p, 0, 2)),
+        direct_sum(picket(p, 0, 0), picket(p, 0, 2)),
     ]
     xs += [embedding_from_spec(spec, p) for spec in random_corpus(31, 20, 8)]
     return xs + [dual_embedding(x) for x in xs]
@@ -224,7 +256,7 @@ def hom_dim(x, y):
 
 def test_hom_dim_examples():
     assert hom_dim(picket(2, 2, 3), picket(2, 4, 5)) == 3
-    assert hom_dim(picket(2, 4, 5), zero_embedding(2)) == 0
+    assert hom_dim(picket(2, 4, 5), picket(2, 0, 0)) == 0
     m2 = load_fixture("m2")
     ident = np.eye(m2.ambient.dim, dtype=np.int64)
     for m in range(1, 4):
@@ -248,7 +280,7 @@ def test_picket_to_picket_closed_form():
 
 
 def test_hom_matrix_matches_hom_dim():
-    for x in (picket(2, 4, 5), load_fixture("m2"), zero_embedding(2)):
+    for x in (picket(2, 4, 5), load_fixture("m2"), picket(2, 0, 0)):
         h = hom_matrix(x)
         for ell in range(h.L + 1):
             for m in range(ell, h.M + 1):

@@ -22,7 +22,6 @@ from soctab.modules import (
     _socle_quotient_type,
     _sub_type,
     annihilator,
-    module_type,
     quotient_type,
     standard_module,
     submodule_span,
@@ -118,9 +117,9 @@ def test_an_entry_beyond_int64_is_refused(rows):
 
 def test_module_type_is_kept():
     m = standard_module(5, (4, 2, 2))
-    first = module_type(m)
+    first = m.parts
     assert first == (4, 2, 2)
-    assert module_type(m) is first
+    assert m.parts is first
     assert quotient_type(m, zero_subspace(m)) == first
 
 

@@ -3,15 +3,13 @@ from itertools import groupby
 
 import pytest
 
+from oracles import format_partition, format_shape, is_horizontal_strip
 from soctab.partitions import (
     beta_triple_counts,
     InvalidShape,
     NotContained,
     Shape,
     contains,
-    format_partition,
-    format_shape,
-    is_horizontal_strip,
     parse_partition,
     parse_shape,
     partition,

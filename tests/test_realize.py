@@ -32,7 +32,6 @@ from soctab.modules import (
     Subspace,
     _is_prime,
     block_offsets,
-    module_type,
     quotient_type,
     standard_module,
 )
@@ -97,7 +96,7 @@ def verify_epi_chain(epi, expected_alpha=None):
         sub = Subspace(amb, nullspace(oracles.composite(epi), p))
         for ell in range(len(epi.stages)):
             got = quotient_type(amb, soc_layer(amb, sub, ell))
-            want = module_type(epi.stages[ell])
+            want = epi.stages[ell].parts
             if got != want:
                 problems.append(
                     f"quotient by socle layer {ell} has type {got}, expected {want}"
@@ -108,7 +107,7 @@ def verify_epi_chain(epi, expected_alpha=None):
 def test_build_chain_shape():
     epi = build_chain(SOCLE_M2, 2)
     assert [c.dim for c in epi.stages] == [10, 8, 6, 5, 4]
-    assert [module_type(c) for c in epi.stages] == [
+    assert [c.parts for c in epi.stages] == [
         (5, 3, 2), (4, 2, 2), (3, 2, 1), (3, 1, 1), (3, 1),
     ]
     # kernel lengths along the chain are the entry counts

@@ -18,7 +18,7 @@ from soctab.switching import (
     run_switch,
     switch_to_duallr,
 )
-from soctab.tableaux import InvalidTableau, SkewTableau, iter_tableaux, to_chain
+from soctab.tableaux import InvalidTableau, SkewTableau, iter_tableaux
 
 
 def test_init_switch_grid():
@@ -165,7 +165,7 @@ def test_check_conjecture_records_each_mismatching_run(monkeypatch):
     wrong = SkewTableau((), (4, 1, 1), (4, 1, 1), {})
     (t,) = iter_tableaux(*target, kind="socle")
     # the sweep converts chains, so the wrong closed form is planted on t's chain
-    t_chain, wrong_chain = to_chain(t, "socle"), to_chain(wrong, "lr")
+    t_chain, wrong_chain = oracles.to_chain(t, "socle"), oracles.to_chain(wrong, "lr")
     real = switching._socle_chain_to_duallr
     monkeypatch.setattr(
         switching,
@@ -231,7 +231,7 @@ def test_runs_happen_only_when_the_search_cannot_settle_them(monkeypatch):
     # a wrong closed form on one tableau: its runs happen, the deterministic first
     target = ((2, 1), (4, 1, 1), (2, 1))
     (t,) = iter_tableaux(*target, kind="socle")
-    t_chain, wrong_chain = to_chain(t, "socle"), to_chain(SkewTableau((), (4, 1, 1), (4, 1, 1), {}), "lr")
+    t_chain, wrong_chain = oracles.to_chain(t, "socle"), oracles.to_chain(SkewTableau((), (4, 1, 1), (4, 1, 1), {}), "lr")
     real_conv = switching._socle_chain_to_duallr
     monkeypatch.setattr(
         switching, "_socle_chain_to_duallr", lambda chain: wrong_chain if tuple(chain) == t_chain else real_conv(chain)
@@ -258,7 +258,7 @@ def test_random_order_terminal_grid_and_input_untouched(t, seed):
     assert rand.owner == base.owner and rand.entry == base.entry
     assert switching._search(state._geo, state._grid)[0] == tuple(base._grid)
     assert state.owner == owner and state.entry == entry and state.history == []
-    assert rand.is_terminal() and base.is_terminal()
+    assert not rand.admissible_swaps() and not base.admissible_swaps()
 
 
 def test_slot_engine_matches_the_dict_engine():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2, SOCLE_642
-from oracles import beta_chains, lr_chain_shape
+from oracles import beta_chains, from_chain, iter_st12_fillings, lr_chain_shape, monotone_chains, to_chain
 from soctab.checks import count_symmetry_sweep
 from soctab.partitions import (
     partitions_of,
@@ -38,11 +38,8 @@ from soctab.tableaux import (
     check_st3_prime,
     count_tableaux,
     enumerate_tableaux,
-    from_chain,
-    iter_st12_fillings,
     iter_tableaux,
     lr_coefficient,
-    to_chain,
 )
 
 
@@ -189,7 +186,7 @@ def test_chain_tableaux_pass_the_filling_check():
     # derived tableaux skip the filling check of SkewTableau(...), and pass it
     for sh in shape_triples(6):
         for kind in ("socle", "lr"):
-            for t in iter_tableaux(sh, kind=kind):
+            for t in iter_tableaux(*sh, kind):
                 assert SkewTableau(t.alpha, t.beta, t.gamma, t.entries) == t
 
 
@@ -471,7 +468,7 @@ def test_lr_chain_shape_is_check_lr_on_chains():
     # every semistandard LR-kind chain, with and without the lattice condition
     total = valid = 0
     for alpha, beta, gamma in shape_triples(7):
-        for chain in _chains(alpha, beta, gamma, "lr", lattice=False):
+        for chain in monotone_chains(alpha, beta, gamma, "lr"):
             t = _chain_tableau(chain, "lr")
             got = lr_chain_shape(chain)
             assert (got is not None) == check_lr(t), chain
