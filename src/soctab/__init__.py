@@ -41,6 +41,7 @@ from .tableaux import (
 from .modules import (
     BadPrime,
     FpModule,
+    ModuleTooLarge,
     NotInvariant,
     Subspace,
     annihilator,

@@ -56,6 +56,13 @@ class Embedding:
         self.sub = sub
         self._shape = None
 
+    @classmethod
+    def _certified(cls, ambient, sub):
+        """Embedding of a subspace of ``ambient`` already known to be invariant."""
+        x = cls.__new__(cls)
+        x.ambient, x.sub, x._shape = ambient, sub, None
+        return x
+
     @property
     def prime(self):
         return self.ambient.prime

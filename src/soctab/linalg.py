@@ -25,6 +25,8 @@ it is 0 mod p, at every p, and the pivot -1 is its own inverse, so
 ``_eliminate`` would take the same steps at every prime, and its rows are
 these rows reduced mod p.  The first entry outside that set (a 2 is 0 mod
 2 alone) makes it return None, and the caller eliminates at each prime.
+Its forward pass alone, ``_unit_pivots``, fixes the pivot columns, which
+is all a type read-off needs.
 
 This module knows nothing of the operator: ``FpModule.shift`` applies it
 to rows, and the callers hand the resulting rows in.  No function here
@@ -108,19 +110,12 @@ def _eliminate(rows, ncols, p):
 _UNITS = frozenset((-1, 0, 1))
 
 
-def _eliminate_units(rows, ncols):
-    """``_eliminate`` over the integers, for every prime at once: the reduced
-    echelon rows and pivot columns, or None as soon as a row given or formed
-    holds an entry outside {-1, 0, 1}.
-
-    An entry in {-1, 0, 1} is 0 iff it is 0 mod p, at every prime p, and a
-    leading -1 is its own inverse.  So while every entry stays in that set,
-    ``_eliminate`` takes these same steps at any p and returns these rows
-    reduced mod p.  A 2, which is 0 mod 2 only, or any other entry ends it.
-    """
+def _unit_pivots(rows, ncols):
+    """The forward pass of ``_eliminate_units``, which fixes the pivots:
+    {pivot column: its row}, or None where ``_eliminate_units`` gives up in it."""
     if not _UNITS.issuperset(itertools.chain.from_iterable(rows)):
         return None
-    lead = {}  # pivot column -> the row with leading entry 1 there
+    lead = {}
     for r in rows:
         c = 0
         while True:
@@ -135,6 +130,22 @@ def _eliminate_units(rows, ncols):
             r = [x - y for x, y in zip(r, q)] if r[c] == 1 else [x + y for x, y in zip(r, q)]
             if 2 in r or -2 in r:
                 return None
+    return lead
+
+
+def _eliminate_units(rows, ncols):
+    """``_eliminate`` over the integers, for every prime at once: the reduced
+    echelon rows and pivot columns, or None as soon as a row given or formed
+    holds an entry outside {-1, 0, 1}.
+
+    An entry in {-1, 0, 1} is 0 iff it is 0 mod p, at every prime p, and a
+    leading -1 is its own inverse.  So while every entry stays in that set,
+    ``_eliminate`` takes these same steps at any p and returns these rows
+    reduced mod p.  A 2, which is 0 mod 2 only, or any other entry ends it.
+    """
+    lead = _unit_pivots(rows, ncols)
+    if lead is None:
+        return None
     cols = sorted(lead)
     out = [lead[c] for c in cols]
     for i in range(len(out) - 1, 0, -1):

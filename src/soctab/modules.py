@@ -56,6 +56,15 @@ class BadPrime(ValueError):
     """Raised when a module's modulus is not a prime within the dimension bound."""
 
 
+class ModuleTooLarge(ValueError):
+    """Raised when a module's dimension exceeds ``MAX_DIM``."""
+
+
+# the largest module dimension accepted: the analysis of one block of size n
+# grows faster than n**2, and takes seconds at 200
+MAX_DIM = 200
+
+
 @lru_cache(maxsize=None)
 def _is_prime(p):
     return all(p % d for d in range(2, isqrt(p) + 1))
@@ -88,6 +97,8 @@ class FpModule:
         self.prime = int(prime)
         self.parts = partition(parts)
         self.dim = sum(self.parts)
+        if self.dim > MAX_DIM:
+            raise ModuleTooLarge(f"module dimension {self.dim} exceeds the limit {MAX_DIM}")
         _check_prime(self.prime, self.dim)
         # high(r) for r = 0..N, the coordinates of depth > r; empty at N
         self._high = [
@@ -185,25 +196,8 @@ class Subspace:
         return self._annihilator
 
     def is_invariant(self):
-        """True iff the operator maps this subspace into itself.
-
-        The rows B are reduced row-echelon with pivot columns piv, so v lies
-        in their span iff v - sum of v[piv[k]] B[k] is 0: no elimination, and
-        exact at any prime.  T b moves the columns of b in high(1) by one.
-        """
-        m, p = self.module, self.module.prime
-        piv = [row.index(1) for row in self.rows]  # each row leads with a 1
-        for b in self.rows:
-            v = [0] * m.dim
-            for c in m._high_cols(1):
-                v[c + 1] = b[c]
-            for c, r in zip(piv, self.rows):
-                f = v[c]  # no other row of B is nonzero at c
-                if f:
-                    v = [(x - f * y) % p for x, y in zip(v, r)]
-            if any(v):
-                return False
-        return True
+        """True iff the operator maps this subspace into itself."""
+        return _is_invariant(self.rows, self.module._high_cols(1), self.module.prime)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -212,6 +206,29 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.module!r})"
+
+
+def _is_invariant(rows, high, p):
+    """True iff T, which moves the columns in ``high`` by one, maps the span of
+    the reduced row-echelon ``rows`` B into itself.
+
+    With piv the pivot columns of B, v lies in the span iff v - sum of
+    v[piv[k]] B[k] is 0: no elimination, and exact at any prime.  With p
+    None this residual is taken over the integers; reduced mod p it is the
+    residual at p, so True then holds at every prime.
+    """
+    piv = [row.index(1) for row in rows]  # each row leads with a 1
+    for b in rows:
+        v = [0] * len(b)
+        for c in high:
+            v[c + 1] = b[c]
+        for c, r in zip(piv, rows):
+            f = v[c]  # no other row of B is nonzero at c
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, r)] if p else [x - f * y for x, y in zip(v, r)]
+        if any(v):
+            return False
+    return True
 
 
 def zero_subspace(module):
@@ -267,13 +284,13 @@ def _quotient_type(module, sub):
 def _socle_quotient_type(module, sub, ell):
     """Type of module / soc^ell(sub), for an invariant sub."""
     order = _read_off_order(module.parts, "socle", min(ell, module.nilpotency_index))
-    return _quotient_off(module, _pivot_keys(sub, *order))
+    return _quotient_off(module.parts, _pivot_keys(sub, *order))
 
 
 def _radical_quotient_type(module, sub, i):
     """Type of module / T^i sub, for an invariant sub."""
     order = _read_off_order(module.parts, "radical", min(i, module.nilpotency_index))
-    return _quotient_off(module, _pivot_keys(sub, *order))
+    return _quotient_off(module.parts, _pivot_keys(sub, *order))
 
 
 def _pivot_keys(sub, order, keys):
@@ -284,13 +301,14 @@ def _pivot_keys(sub, order, keys):
     return [keys[k] for k in pivots if keys[k] is not None]
 
 
-def _quotient_off(module, levels):
-    """Type of module / W from the levels of W's pivots in a read-off order.
+def _quotient_off(parts, levels):
+    """Type of M / W, for M the module of ``parts``, from the levels of W's
+    pivots in a read-off order.
 
-    Row j + 1 of the conjugate type of module / W has as many boxes as
-    module has coordinates of level j, less the pivots of level j.
+    Row j + 1 of the conjugate type of M / W has as many boxes as M has
+    coordinates of level j, less the pivots of level j.
     """
-    rows = list(transpose(module.parts))  # the coordinates of each level
+    rows = list(transpose(parts))  # the coordinates of each level
     for j in levels:
         rows[j] -= 1
     return transpose(tuple(r for r in rows if r))

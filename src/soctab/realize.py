@@ -12,7 +12,9 @@ Python ints.  Their eliminations run once too, over the integers
 entry is 0 iff it is 0 mod p, so every prime would take the same steps,
 and the verdict of the checks and the composite's kernel, reduced mod p,
 serve every prime.  An elimination that leaves that set (the composite
-can hold a 2) is run again at each prime instead.
+can hold a 2) is run again at each prime instead.  The kernel's
+invariance and socle levels are certified once too, so the socle sweep
+reads an embedding at p only where that certificate is missing or misses.
 LR tableaux are realized as the duals of the realizations of their
 mirrored socle tableaux, which lie in the same standard module of beta.
 """
@@ -20,7 +22,15 @@ mirrored socle tableaux, which lie in the same standard module of beta.
 from . import linalg
 from .convert import duallr_to_socle
 from .embeddings import Embedding, dual_embedding
-from .modules import Subspace, block_offsets, standard_module, zero_subspace
+from .modules import (
+    Subspace,
+    _is_invariant,
+    _quotient_off,
+    _read_off_order,
+    block_offsets,
+    standard_module,
+    zero_subspace,
+)
 from .tableaux import InvalidTableau, SkewTableau, _chain_layers, build_matching, check_socle
 
 
@@ -51,7 +61,7 @@ class _IntChain:
     pair f1, f2, |S| for the socle S of f1's source, the coordinates high(1)
     outside S and the rows of f2 f1[:, S]."""
 
-    __slots__ = ("layers", "maps", "pairs", "composite", "_certified")
+    __slots__ = ("layers", "maps", "pairs", "composite", "_certified", "_invariant", "_levels")
 
     def __init__(self, t):
         # the axioms make the layers a valid chain; each is padded to the width of beta
@@ -81,6 +91,7 @@ class _IntChain:
         # (verdict, kernel) over the integers, set by the first check; not run
         # here, so that a construction that fails condition star still builds
         self._certified = None
+        self._levels = None  # set by the first certified_levels
 
     def check(self, p):
         """Raise ``ConditionStarViolated`` unless every map is onto and meets
@@ -92,11 +103,16 @@ class _IntChain:
         If every elimination it needs stays in {-1, 0, 1}, its verdict and
         the composite's kernel hold at every prime, and no later prime
         eliminates again; otherwise each prime runs its own eliminations.
+        The kernel's invariance is tested once too, over the integers: a
+        zero residual there is zero mod every prime.
         """
         if self._certified is None:
             verdict = self._violation(None)
             kernel = linalg._null_rows(self.composite, sum(self.layers[0]), None) if verdict == "" else None
             self._certified = verdict, kernel
+            beta = self.layers[0]
+            high = [o + i for o, n in zip(block_offsets(beta), beta) for i in range(n - 1)]
+            self._invariant = kernel is not None and _is_invariant(kernel, high, None)
         verdict = self._certified[0]
         if verdict is None:
             verdict = self._violation(p)
@@ -137,7 +153,33 @@ class _IntChain:
             basis = linalg._null_rows([[x % p for x in r] for r in self.composite], amb.dim, p)
         else:
             basis = [[x % p for x in r] for r in kernel]
-        return Embedding(amb, Subspace._canonical(amb, basis))
+        sub = Subspace._canonical(amb, basis)
+        # an invariance certified over the integers holds at p; else test it at p
+        return Embedding._certified(amb, sub) if self._invariant else Embedding(amb, sub)
+
+    def certified_levels(self, p):
+        """(dim U, the types of M / soc^l U for l = 1..s) of the subspace U of
+        ``embedding(p)``, read once for every prime off the pivots of U's
+        integer rows, which are those at p while the forward pass stays in
+        {-1, 0, 1}; None for the zero U, or if U is not certified invariant
+        or a pass leaves that set."""
+        if not self.maps:
+            return None
+        self.check(p)
+        if self._levels is None:
+            self._levels = self._read_levels() if self._invariant else ()
+        return self._levels or None
+
+    def _read_levels(self):
+        kernel, beta = self._certified[1], self.layers[0]
+        out = []
+        for ell in range(1, len(self.layers)):
+            order, keys = _read_off_order(beta, "socle", ell)
+            lead = linalg._unit_pivots([[r[c] for c in order] for r in kernel], len(order))
+            if lead is None:
+                return ()
+            out.append(_quotient_off(beta, [keys[k] for k in lead if keys[k] is not None]))
+        return len(kernel), tuple(out)
 
 
 def _rows(ones, n):

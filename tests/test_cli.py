@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,26 @@ def test_analyze_at_a_large_prime(tmp_path, capsys):
     small = json.loads(out)["result"]
     assert rc == 0 and (big.pop("prime"), small.pop("prime")) == (1000000007, 2)
     assert big == small
+
+
+def test_a_module_above_the_dimension_limit_is_invalid_input(tmp_path, capsys):
+    # one block of size 2000 ran for minutes; it is refused before any work,
+    # and so is a tableau whose beta has weight 201, while weight 200 is analysed
+    path = tmp_path / "big.json"
+    cases = [
+        (("analyze",), {"beta": [2000], "generators": []}, 2000),
+        (("analyze",), {"beta": [1] * 201, "generators": []}, 201),
+        (("realize",), {"alpha": [], "beta": [201], "gamma": [201], "grid": [[0]] * 201}, 201),
+    ]
+    for cmd, data, dim in cases:
+        path.write_text(json.dumps(data))
+        start = time.monotonic()
+        rc, out, err = run_cli(capsys, *cmd, str(path))
+        assert (rc, out) == (1, "") and time.monotonic() - start < 10, cmd
+        assert err == f"invalid input: module dimension {dim} exceeds the limit 200\n"
+    path.write_text(json.dumps({"beta": [1] * 200, "generators": []}))
+    rc, out, err = run_cli(capsys, "analyze", str(path), "--format", "json")
+    assert (rc, err) == (0, "") and json.loads(out)["result"]["shape"] == [[], [1] * 200, [1] * 200]
 
 
 def test_realize_and_round_trip(tmp_path, capsys):

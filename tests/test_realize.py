@@ -1,3 +1,4 @@
+import json
 import os
 from math import isqrt
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fixtures import DUAL_LR_M2, SOCLE_M1, SOCLE_M2
 from oracles import nullspace, rank, soc_layer
-from soctab import checks, linalg, switching
+from soctab import checks, linalg, modules, switching
 from soctab.convert import (
     defect_table,
     duallr_to_hom,
@@ -31,6 +32,7 @@ from soctab.embeddings import (
 from soctab.modules import (
     Subspace,
     _is_prime,
+    _socle_quotient_type,
     block_offsets,
     quotient_type,
     standard_module,
@@ -418,6 +420,9 @@ def test_realize_sweeps_report_every_wrong_realization(monkeypatch):
         def embedding(self, p):
             return self.built[p].embedding(p)
 
+        def certified_levels(self, p):
+            return self.built[p].certified_levels(p)
+
     monkeypatch.setattr(checks, "_IntChain", Faulty)
     shape = ((2, 1), (3, 2, 1), (2, 1))
     assert checks.realize_sweep(6).failures == [
@@ -448,6 +453,10 @@ def test_a_larger_subspace_with_the_socle_layers_of_the_chain_has_the_wrong_shap
                 amb = standard_module(3, (2,))
                 return Embedding(amb, Subspace(amb, [[1, 0], [0, 1]]))
             return self.built.embedding(p)
+
+        def certified_levels(self, p):
+            # the planted subspace has no certificate
+            return None if p == 3 and self.whole else self.built.certified_levels(p)
 
     monkeypatch.setattr(checks, "_IntChain", Faulty)
     assert checks.realize_sweep(2).failures == ["((1,), (2,), (1,)) p=3: wrong shape ((2,), (2,), ())"]
@@ -548,6 +557,84 @@ def test_a_certified_construction_eliminates_nothing_at_its_second_prime(monkeyp
         del calls[:]
         built.embedding(p)
         assert calls == ["_eliminate"]
+
+
+def test_the_integer_levels_and_invariance_are_those_of_every_prime():
+    # every socle tableau with |beta| <= 8: the levels and the invariance
+    # certified over the integers are those read off the embedding at p
+    n = 0
+    for sh in shape_triples(8):
+        for t in iter_tableaux(*sh, kind="socle"):
+            built = _IntChain(t)
+            for p in (2, 3, 5, 1000003):
+                x, found = built.embedding(p), built.certified_levels(p)
+                if not built.maps:
+                    assert found is None
+                    continue
+                assert built._invariant == x.sub.is_invariant()
+                s = len(built.layers) - 1
+                read = tuple(_socle_quotient_type(x.ambient, x.sub, ell) for ell in range(1, s + 1))
+                assert found == (x.sub.dim, read), (t.to_json_dict(), p)
+            n += found is not None
+    # every tableau with maps certifies; the 67 with alpha = () have none
+    assert n == 1351 - 67
+
+
+def test_a_certified_invariance_is_not_tested_again_at_any_prime(monkeypatch):
+    calls = []
+    is_invariant = Subspace.is_invariant
+    monkeypatch.setattr(Subspace, "is_invariant", lambda sub: calls.append(sub.module.prime) or is_invariant(sub))
+    for sh in shape_triples(5):
+        for t in iter_tableaux(*sh, kind="socle"):
+            built = _IntChain(t)
+            for p in (2, 3):
+                assert socle_tableau(built.embedding(p)) == t
+            # the zero subspace is built by Subspace and checked by Embedding
+            assert calls == ([] if built.maps else [2, 3])
+            del calls[:]
+    # a composite that holds an entry 2 has no integer kernel: each prime tests its own
+    t = SkewTableau.from_json_dict(
+        {"alpha": [4, 2], "beta": [4, 3, 2], "gamma": [2, 1], "grid": [[0, 0, 4], [0, 3, 2], [2, 1], [1]]}
+    )
+    built = _IntChain(t)
+    for p in (2, 3):
+        built.embedding(p)
+    assert calls == [2, 3] and built.certified_levels(5) is None
+
+
+def test_an_integer_residual_that_vanishes_at_one_prime_only_certifies_nothing():
+    # in the module (2, 2), T (1, 0, -1, 0) = (0, 1, 0, -1) leaves the residual
+    # (0, 0, 0, -2) against the second row: 0 mod 2 alone
+    rows, m = [[1, 0, -1, 0], [0, 1, 0, 1]], standard_module(2, (2, 2))
+    assert not modules._is_invariant(rows, m._high_cols(1), None)
+    for p, invariant in ((2, True), (3, False)):
+        m = standard_module(p, (2, 2))
+        assert Subspace._canonical(m, [[x % p for x in r] for r in rows]).is_invariant() == invariant
+
+
+@pytest.mark.parametrize("gives_up", ["_read_levels", "_is_invariant", "_unit_pivots"])
+def test_the_sweep_falls_back_to_every_prime_when_the_integer_read_off_gives_up(monkeypatch, gives_up):
+    # the level read-off gives up, or no invariance certifies, or every
+    # forward pass over the integers gives up (and with it every integer
+    # elimination), so each prime builds and reads its embedding, and the
+    # report is byte-identical
+    from soctab import realize
+
+    want = json.dumps(checks.realize_sweep(8).to_json_dict())
+    _one_cpu(monkeypatch)
+    calls = []
+    if gives_up == "_read_levels":
+        monkeypatch.setattr(_IntChain, "_read_levels", lambda self: calls.append(self) or ())
+    elif gives_up == "_is_invariant":
+        monkeypatch.setattr(realize, "_is_invariant", lambda rows, high, p: calls.append(p) or False)
+    else:
+        monkeypatch.setattr(linalg, "_unit_pivots", lambda rows, ncols: calls.append(ncols))
+    embedding = _IntChain.embedding
+    built = []
+    monkeypatch.setattr(_IntChain, "embedding", lambda self, p: built.append(p) or embedding(self, p))
+    rep = checks.realize_sweep(8)
+    assert json.dumps(rep.to_json_dict()) == want
+    assert calls and len(built) == 2 * 1351
 
 
 def _planted_column_chain():

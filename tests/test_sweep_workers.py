@@ -91,6 +91,9 @@ def faulty_realizations(monkeypatch, primes):
         def embedding(self, p):
             return self.built[p].embedding(p)
 
+        def certified_levels(self, p):
+            return self.built[p].certified_levels(p)
+
     monkeypatch.setattr(checks, "_IntChain", Faulty)
 
 
