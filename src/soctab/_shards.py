@@ -1,5 +1,11 @@
 """The realize sweeps' driver: their independent items run on one process
-per CPU, and the results are merged as if one process had run them."""
+per CPU, each process pinned to its own CPU, and the results are merged as
+if one process had run them.
+
+The pins are what make the fork pay: left to the scheduler, the worker of
+a short sweep often shares its caller's CPU, and the sweep then takes about
+as long as in one process (README, "Command line").
+"""
 
 import os
 import pickle
@@ -14,17 +20,21 @@ def run(items, run_item):
     """The messages of ``run_item(item)`` for every item, in item order.
 
     The items run in the interleaved shards ``items[k::n]``, one for each
-    of the n CPUs this process may run on: shard 0 here, and each other
-    shard in a forked child, which pickles its (index, message) pairs back
-    over a pipe.  The result, and the exception raised (that of the lowest
-    item that raises), are those of running every item here in order, as
-    happens when n is 1.  No child outlives the call: an error or an
-    interrupt here kills them, and every child is reaped.
+    of the n CPUs ``cpus`` this process may run on: shard 0 here, and each
+    other shard in a forked child, which pickles its (index, message) pairs
+    back over a pipe.  Shard k runs pinned to ``cpus[k]``; the caller's CPU
+    set is restored before the call ends, on every exit path.  The result,
+    and the exception raised (that of the lowest item that raises), are
+    those of running every item here in order, as happens when n is 1.  No
+    child outlives the call: an error or an interrupt here kills them, and
+    every child is reaped.
     """
     try:
-        n = min(len(os.sched_getaffinity(0)), len(items))
+        allowed = os.sched_getaffinity(0)
     except AttributeError:  # no affinity, and no fork, on this platform
-        n = 1
+        allowed = ()
+    cpus = sorted(allowed)
+    n = min(len(cpus), len(items))
     if n <= 1:
         return [msg for item in items for msg in run_item(item)]
     pids, pipes, sent = [], [], None
@@ -37,6 +47,7 @@ def run(items, run_item):
                 if pid == 0:  # the worker: send shard k, then exit whatever happened
                     status = 1
                     try:
+                        _pin({cpus[k]})
                         with open(w, "wb") as out:
                             pickle.dump(_shard(items, k, n, run_item), out)
                         status = 0
@@ -45,9 +56,11 @@ def run(items, run_item):
             finally:
                 os.close(w)
             pids.append(pid)
+        _pin({cpus[0]})
         own = _shard(items, 0, n, run_item)
         sent = [pipe.read() for pipe in pipes]
     finally:
+        _pin(allowed)
         for pipe in pipes:
             pipe.close()
         codes = []
@@ -65,6 +78,15 @@ def run(items, run_item):
     if errors:
         raise min(errors, key=itemgetter(0))[1]
     return [msg for _, msg in sorted((pair for found, _ in shards for pair in found), key=itemgetter(0))]
+
+
+def _pin(cpus):
+    """Run the calling thread on ``cpus`` only; a set the kernel refuses
+    (an offline CPU, or none this process may use) leaves it as it was."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
 def _shard(items, k, n, run_item):

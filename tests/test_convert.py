@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import DUAL_LR_M2, SOCLE_M2
 import oracles
@@ -387,6 +389,18 @@ def test_a_corpus_spec_of_rank_depending_on_p_fails_both_sweeps(monkeypatch):
     assert rep.failures == ["corpus[0]: outputs differ between primes 2 and 3"]
     rep = checks.defect_sweep(corpus_count=1, max_beta_weight=3)
     assert rep.failures == ["corpus[0]: defect tables differ between primes"]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_corpora_agree_at_two_large_primes(seed):
+    # a 0/1 spec of weight <= 5 spans the same dimension at both primes, and
+    # dim * (p - 1)**2 stays below the BadPrime bound for every module there
+    primes = (1000003, 100000007)
+    for sweep in (checks.hom_triple_sweep, checks.defect_sweep):
+        rep = sweep(corpus_seed=seed, corpus_count=30, max_beta_weight=5, primes=primes)
+        assert rep.failures == [], rep.failures[:3]
+        assert rep.cases == 33
 
 
 # The defect sequence depends only on (p, ell, m).  The analysis of an

@@ -3,7 +3,9 @@ exception they raise equal those of one process, and no worker outlives a
 sweep, whether it returns, raises, loses a worker or is interrupted.
 
 The CPUs a sweep sees are set by replacing ``os.sched_getaffinity``: one
-CPU runs every item in-process, three fork two workers on any host.
+CPU runs every item in-process, three fork two workers on any host.  Each
+shard runs pinned to its own CPU, and the caller's CPU set is the same after
+a sweep as before it.
 """
 
 import os
@@ -13,7 +15,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from soctab import checks, realize
+from soctab import _shards, checks, realize
 from soctab._shards import WorkerDied
 from soctab.realize import ConditionStarViolated
 from soctab.tableaux import SkewTableau, iter_tableaux
@@ -21,6 +23,10 @@ from soctab.tableaux import SkewTableau, iter_tableaux
 SWEEPS = (checks.realize_sweep, checks.realize_lr_sweep)
 MODES = ("one-cpu", "host", "three-cpus")
 CPUS = {"one-cpu": {0}, "three-cpus": {0, 1, 2}}
+# the CPUs this process runs on, read before any test replaces the function
+real_affinity = os.sched_getaffinity
+HOST = sorted(real_affinity(0))
+multi_cpu = pytest.mark.skipif(len(HOST) < 2, reason="pinning needs at least 2 CPUs")
 
 
 @pytest.fixture(autouse=True)
@@ -201,3 +207,70 @@ def test_no_affinity_runs_in_process(monkeypatch):
     rep = checks.realize_sweep(4)
     assert rep.ok and rep.cases > 0
     assert forks == []
+
+
+def affinity(item):
+    return [(item, sorted(real_affinity(0)))]
+
+
+@multi_cpu
+def test_each_shard_runs_pinned_to_its_own_cpu():
+    items = list(range(3 * len(HOST)))
+    assert _shards.run(items, affinity) == [(i, [HOST[i % len(HOST)]]) for i in items]
+
+
+def exiting(how, parent):
+    """A run_item that leaves the driver ``how``; ``parent`` runs shard 0."""
+
+    def run_item(item):
+        here = os.getpid() == parent
+        if how == "item raises" and not here:
+            raise ValueError(f"item {item}")
+        if how == "worker died" and not here:
+            os._exit(1)
+        if how == "interrupt":
+            if here:
+                raise KeyboardInterrupt
+            time.sleep(60)
+        return affinity(item)
+
+    return run_item
+
+
+EXITS = {"return": None, "item raises": ValueError, "worker died": WorkerDied, "interrupt": KeyboardInterrupt}
+
+
+@multi_cpu
+@pytest.mark.parametrize("how", EXITS)
+def test_the_callers_cpus_are_restored_on_every_exit(how):
+    parent, seen = os.getpid(), []
+    run_item = exiting(how, parent)
+
+    def recorded(item):
+        if os.getpid() == parent:
+            seen.append(real_affinity(0))
+        return run_item(item)
+
+    before = real_affinity(0)
+    with deadline(30):
+        if EXITS[how] is None:
+            _shards.run(list(range(8)), recorded)
+        else:
+            with pytest.raises(EXITS[how]):
+                _shards.run(list(range(8)), recorded)
+    # the caller ran its own shard on its one CPU, and has its CPUs back
+    assert seen and all(cpus == {HOST[0]} for cpus in seen)
+    assert real_affinity(0) == before
+
+
+@pytest.mark.skipif(HOST != [0, 1], reason="needs a host whose CPUs are 0 and 1")
+def test_a_worker_that_cannot_be_pinned_runs_unpinned(monkeypatch):
+    # three faked CPUs on a 2-CPU host: the worker of CPU 2 keeps every CPU
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: CPUS["three-cpus"])
+        with deadline(60):
+            found = _shards.run(list(range(6)), affinity)
+    assert found == [(i, [0] if i % 3 == 0 else [1] if i % 3 == 1 else HOST) for i in range(6)]
+    assert real_affinity(0) == set(HOST)
+    out = run_in_modes(monkeypatch, checks.realize_sweep, 6)
+    assert out["three-cpus"] == out["one-cpu"] == out["host"]
