@@ -23,10 +23,15 @@ from soctab.tableaux import SkewTableau, iter_tableaux
 SWEEPS = (checks.realize_sweep, checks.realize_lr_sweep)
 MODES = ("one-cpu", "host", "three-cpus")
 CPUS = {"one-cpu": {0}, "three-cpus": {0, 1, 2}}
-# the CPUs this process runs on, read before any test replaces the function
+# the CPUs this process runs on, read with the function no test has replaced
 real_affinity = os.sched_getaffinity
-HOST = sorted(real_affinity(0))
-multi_cpu = pytest.mark.skipif(len(HOST) < 2, reason="pinning needs at least 2 CPUs")
+multi_cpu = pytest.mark.skipif(len(real_affinity(0)) < 2, reason="pinning needs at least 2 CPUs")
+# a CPU id far above those a kernel supports, which no host has online
+ABSENT_CPU = 1 << 16
+
+
+def host():
+    return sorted(real_affinity(0))
 
 
 @pytest.fixture(autouse=True)
@@ -215,8 +220,9 @@ def affinity(item):
 
 @multi_cpu
 def test_each_shard_runs_pinned_to_its_own_cpu():
-    items = list(range(3 * len(HOST)))
-    assert _shards.run(items, affinity) == [(i, [HOST[i % len(HOST)]]) for i in items]
+    mine = host()
+    items = list(range(3 * len(mine)))
+    assert _shards.run(items, affinity) == [(i, [mine[i % len(mine)]]) for i in items]
 
 
 def exiting(how, parent):
@@ -252,6 +258,7 @@ def test_the_callers_cpus_are_restored_on_every_exit(how):
         return run_item(item)
 
     before = real_affinity(0)
+    first = min(before)
     with deadline(30):
         if EXITS[how] is None:
             _shards.run(list(range(8)), recorded)
@@ -259,18 +266,17 @@ def test_the_callers_cpus_are_restored_on_every_exit(how):
             with pytest.raises(EXITS[how]):
                 _shards.run(list(range(8)), recorded)
     # the caller ran its own shard on its one CPU, and has its CPUs back
-    assert seen and all(cpus == {HOST[0]} for cpus in seen)
+    assert seen and all(cpus == {first} for cpus in seen)
     assert real_affinity(0) == before
 
 
-@pytest.mark.skipif(HOST != [0, 1], reason="needs a host whose CPUs are 0 and 1")
 def test_a_worker_that_cannot_be_pinned_runs_unpinned(monkeypatch):
-    # three faked CPUs on a 2-CPU host: the worker of CPU 2 keeps every CPU
+    # the host's CPUs and one the kernel refuses: the last worker keeps every CPU
+    mine = host()
     with monkeypatch.context() as m:
-        m.setattr(os, "sched_getaffinity", lambda pid: CPUS["three-cpus"])
+        m.setattr(os, "sched_getaffinity", lambda pid: {*mine, ABSENT_CPU})
         with deadline(60):
-            found = _shards.run(list(range(6)), affinity)
-    assert found == [(i, [0] if i % 3 == 0 else [1] if i % 3 == 1 else HOST) for i in range(6)]
-    assert real_affinity(0) == set(HOST)
-    out = run_in_modes(monkeypatch, checks.realize_sweep, 6)
-    assert out["three-cpus"] == out["one-cpu"] == out["host"]
+            found = _shards.run(list(range(2 * len(mine) + 2)), affinity)
+    n = len(mine) + 1
+    assert found == [(i, mine if i % n == len(mine) else [mine[i % n]]) for i in range(2 * n)]
+    assert real_affinity(0) == set(mine)
