@@ -1,6 +1,7 @@
-"""The realize sweeps' driver: their independent items run on one process
-per CPU, each process pinned to its own CPU, and the results are merged as
-if one process had run them.
+"""The driver of the realize sweeps and of the switching conjecture sweep:
+their independent items (tableaux, or the betas of the conjecture sweep) run
+on one process per CPU, each process pinned to its own CPU, and the results
+are merged as if one process had run them.
 
 The pins are what make the fork pay: left to the scheduler, the worker of
 a short sweep often shares its caller's CPU, and the sweep then takes about

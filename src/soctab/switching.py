@@ -348,23 +348,43 @@ def check_conjecture(max_beta_weight: int, seeds: int = 5, base_seed: int = 0) -
     """Compare switching with socle_to_duallr on every socle tableau up to the bound.
 
     A mismatch is recorded with full replay data; it is a result, not an
-    error.
+    error.  The betas are switched on every CPU this process may use
+    (``_shards``), each beta's tableaux by one process, and the report is
+    that of switching them all here in order.
     """
+    if seeds < 0:
+        raise ValueError(f"seeds must be nonnegative, got {seeds}")
+    # imported here, as in checks.realize_sweep: only a sweep pays to compile it
+    from . import _shards
+
     report = ConjectureReport(max_beta_weight, seeds)
-    # one generator per seed, rewound to its seeded state before each run
+    # one generator per seed, rewound to its seeded state before each run;
+    # a forked shard runs on its own copies
     rngs = [random.Random(base_seed + k) for k in range(seeds)]
     orders = [(f"seed {base_seed + k}", rng, rng.getstate()) for k, rng in enumerate(rngs)]
+    betas = []
     for beta, n in beta_triple_counts(max_beta_weight):
         report.shapes += n
+        betas.append(beta)
+
+    def switch_beta(beta):
         # one search finds every socle chain on beta, and a shape it did not
         # find has no tableau; the enumerator's chains are valid, so neither
         # the tableau nor its conversion is checked again
+        share = ConjectureReport(max_beta_weight, seeds)
         chains = _beta_chains(beta, "socle")
         geo = _Geometry(beta)  # not cached: the sweep visits each beta once
         for alpha, gamma in sorted(chains, key=triple_order):
             inner = _inner_grid(geo, gamma)
             for chain in chains[alpha, gamma]:
-                _switch_one(report, geo, chain, alpha, inner, orders)
+                _switch_one(share, geo, chain, alpha, inner, orders)
+        return [(share.tableaux, share.runs, share.states, share.mismatches)]
+
+    for tableaux, runs, states, mismatches in _shards.run(betas, switch_beta):
+        report.tableaux += tableaux
+        report.runs += runs
+        report.states += states
+        report.mismatches += mismatches
     return report
 
 

@@ -1,6 +1,7 @@
-"""The realize sweeps run one forked shard per CPU: their reports and the
-exception they raise equal those of one process, and no worker outlives a
-sweep, whether it returns, raises, loses a worker or is interrupted.
+"""The realize sweeps and the switching conjecture sweep run one forked shard
+per CPU: their reports and the exception they raise equal those of one
+process, and no worker outlives a sweep, whether it returns, raises, loses a
+worker or is interrupted.
 
 The CPUs a sweep sees are set by replacing ``os.sched_getaffinity``: one
 CPU runs every item in-process, three fork two workers on any host.  Each
@@ -15,8 +16,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from soctab import _shards, checks, realize
+from soctab import _shards, checks, realize, switching
 from soctab._shards import WorkerDied
+from soctab.partitions import beta_triple_counts
 from soctab.realize import ConditionStarViolated
 from soctab.tableaux import SkewTableau, iter_tableaux
 
@@ -73,18 +75,27 @@ def cpus(monkeypatch, mode):
     return forks
 
 
-def run_in_modes(monkeypatch, sweep, *args):
-    """{mode: (to_json_dict(), render())} of the sweep; the driver forks n - 1 workers."""
+def reports_in_modes(monkeypatch, sweep, *args):
+    """{mode: report} of the sweep; the driver forks n - 1 workers, and the
+    host's run gives the caller its CPUs back."""
     out = {}
     for mode in MODES:
+        before = real_affinity(0)
         with monkeypatch.context() as m:
             forks = cpus(m, mode)
             with deadline(120):
-                rep = sweep(*args)
-            out[mode] = (rep.to_json_dict(), rep.render())
+                out[mode] = sweep(*args)
             if mode in CPUS:
                 assert len(forks) == len(CPUS[mode]) - 1
+            else:
+                assert real_affinity(0) == before
     return out
+
+
+def run_in_modes(monkeypatch, sweep, *args):
+    """{mode: (to_json_dict(), render())} of the sweep in every mode."""
+    reports = reports_in_modes(monkeypatch, sweep, *args)
+    return {mode: (rep.to_json_dict(), rep.render()) for mode, rep in reports.items()}
 
 
 def faulty_realizations(monkeypatch, primes):
@@ -121,14 +132,18 @@ def test_reports_are_identical_in_every_mode(monkeypatch, sweep, faulty):
 
 
 def raised_in_modes(monkeypatch, sweep, *args):
-    """{mode: (type, message)} of the exception the sweep raises."""
+    """{mode: (type, message)} of the exception the sweep raises; the host's
+    run gives the caller its CPUs back."""
     out = {}
     for mode in MODES:
+        before = real_affinity(0)
         with monkeypatch.context() as m:
             cpus(m, mode)
             with deadline(120), pytest.raises(Exception) as err:
                 sweep(*args)
             out[mode] = (err.type, str(err.value))
+            if mode not in CPUS:
+                assert real_affinity(0) == before
     return out
 
 
@@ -155,6 +170,51 @@ def test_the_lowest_raising_item_wins(monkeypatch, sweep):
     out = raised_in_modes(monkeypatch, sweep, 4)
     assert out["host"] == out["one-cpu"] == out["three-cpus"]
     assert out["one-cpu"][0] is ConditionStarViolated
+
+
+def dropping_first_layers(monkeypatch):
+    # the fault of test_conjecture_sweep_records_mismatches_in_the_order_of_the_walk:
+    # every run of a tableau whose chain sum is a multiple of 3 mismatches
+    real = switching._socle_chain_to_duallr
+
+    def dropping(chain):
+        img = real(chain)
+        return img[1:] if sum(map(sum, chain)) % 3 == 0 and len(img) > 1 else img
+
+    monkeypatch.setattr(switching, "_socle_chain_to_duallr", dropping)
+
+
+def test_conjecture_reports_are_identical_in_every_mode(monkeypatch):
+    dropping_first_layers(monkeypatch)
+    out = run_in_modes(monkeypatch, switching.check_conjecture, 6, 2, 4)
+    assert out["host"] == out["one-cpu"] == out["three-cpus"]
+    mismatches = out["one-cpu"][0]["mismatches"]
+    assert len(mismatches) > 50
+    # the betas are dealt out in turn, and every shard of two and of three records some
+    betas = [beta for beta, _ in beta_triple_counts(6)]
+    found = {betas.index(tuple(m["shape"][1])) for m in mismatches}
+    assert all({i % n for i in found} == set(range(n)) for n in (2, 3))
+
+
+def test_conjecture_states_are_counted_in_every_shard(monkeypatch):
+    reports = reports_in_modes(monkeypatch, switching.check_conjecture, 8)
+    assert {mode: rep.states for mode, rep in reports.items()} == dict.fromkeys(MODES, 13626)
+
+
+def test_a_search_that_raises_in_a_worker_raises_in_every_mode(monkeypatch):
+    # (2, 1) is the sixth beta: in shard 1 of two and in shard 2 of three
+    betas = [beta for beta, _ in beta_triple_counts(6)]
+    assert betas.index((2, 1)) % 2 == 1 and betas.index((2, 1)) % 3 == 2
+    real = switching._search
+
+    def search(geo, start):
+        if geo.beta == (2, 1):
+            raise ValueError(f"search failed on {geo.beta}")
+        return real(geo, start)
+
+    monkeypatch.setattr(switching, "_search", search)
+    out = raised_in_modes(monkeypatch, switching.check_conjecture, 6)
+    assert set(out.values()) == {(ValueError, "search failed on (2, 1)")}
 
 
 def test_a_worker_exception_reaches_the_caller(monkeypatch):

@@ -1,3 +1,4 @@
+import os
 import random
 from collections import Counter
 
@@ -216,7 +217,14 @@ def test_conjecture_sweep_records_mismatches_in_the_order_of_the_walk(monkeypatc
     assert got.to_json_dict() == want.to_json_dict()
 
 
+def _one_cpu(monkeypatch):
+    """Switch every beta of the sweep in this process, where patched calls are
+    counted: a forked shard's calls would be lost with it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 def test_runs_happen_only_when_the_search_cannot_settle_them(monkeypatch):
+    _one_cpu(monkeypatch)
     calls = []
     real = switching.run_switch
 
@@ -332,6 +340,7 @@ def test_search_visits_every_reachable_grid():
 
 
 def test_slot_swaps_match_the_dict_engine_on_every_reached_grid(monkeypatch):
+    _one_cpu(monkeypatch)
     real, reached = switching._slot_swaps, []
 
     def checked(geo, g):
@@ -377,3 +386,9 @@ def test_each_horizontal_swap_clause_decides_a_swap(rows, swaps):
 def test_switch_state_rejects_negative_entries():
     with pytest.raises(ValueError):
         switching.SwitchState((1,), {(1, 1): "T"}, {(1, 1): -1})
+
+
+def test_check_conjecture_rejects_a_negative_seed_count():
+    # as the CLI's --seeds does, instead of reporting -2 orders and one run per tableau
+    with pytest.raises(ValueError, match=r"^seeds must be nonnegative, got -2$"):
+        check_conjecture(4, seeds=-2)
