@@ -26,7 +26,7 @@ from .embeddings import (
     random_corpus,
     socle_tableau,
 )
-from .modules import _radical_quotient_type, _socle_quotient_type
+from .modules import _radical_quotient_type, _socle_quotient_type, standard_module
 from .partitions import beta_triple_counts, triple_order
 from .realize import _IntChain
 from .tableaux import _beta_chains, _chain_tableau, check_lr, check_socle
@@ -94,6 +94,17 @@ def count_symmetry_sweep(max_beta_weight: int) -> SweepReport:
     return rep
 
 
+def _check_primes(primes):
+    """The primes as a tuple, checked before a sweep starts: ValueError if
+    there are none, and ``BadPrime`` for a modulus that is not a prime."""
+    primes = tuple(primes)
+    if not primes:
+        raise ValueError("a sweep needs at least one prime")
+    for p in primes:
+        standard_module(p, ())  # raises BadPrime
+    return primes
+
+
 def realize_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
     """Every socle tableau is realized exactly by its constructed embedding.
     The tableaux are checked on every CPU this process may use (``_shards``)."""
@@ -101,6 +112,7 @@ def realize_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
     # would compile the driver, and a sweep that does not use it would pay
     from . import _shards
 
+    primes = _check_primes(primes)
     rep = SweepReport("realize-roundtrip", max_beta=max_beta_weight, primes=list(primes))
     items = []
     for beta, _ in beta_triple_counts(max_beta_weight):
@@ -146,6 +158,7 @@ def realize_lr_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
     chain must be one of those enumerated, which replaces its axiom check."""
     from . import _shards
 
+    primes = _check_primes(primes)
     rep = SweepReport("realize-lr-roundtrip", max_beta=max_beta_weight, primes=list(primes))
     items = []
     for beta, _ in beta_triple_counts(max_beta_weight):
@@ -185,6 +198,7 @@ def hom_triple_sweep(
 ) -> SweepReport:
     """Engine Hom-matrix equals both closed forms; inverses reconstruct; all
     integer outputs are independent of the prime."""
+    primes = _check_primes(primes)
     rep = SweepReport(
         "hom-triple",
         seed=corpus_seed,
@@ -223,6 +237,7 @@ def defect_sweep(
     corpus_seed=20260810, corpus_count=200, max_beta_weight=10, primes=(2, 3)
 ) -> SweepReport:
     """Defect equals the tableau multiplicity and the four-term Hom expression."""
+    primes = _check_primes(primes)
     rep = SweepReport(
         "defect",
         seed=corpus_seed,

@@ -349,7 +349,7 @@ def _defect(x, ell, m, memo):
     v2 = _picket_maps(x, ell - 1, m - 2, memo)
     # the precomposed maps are spanned by T v1 and v2
     maps = x.ambient.shift(v1, 1) + v2
-    return len(top) - len(linalg._eliminate(maps, x.ambient.dim, x.prime)[0])
+    return len(top) - len(linalg._pivot_rows(maps, x.ambient.dim, x.prime))
 
 
 def _picket_maps(x, ell, m, memo):

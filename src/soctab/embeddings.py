@@ -238,7 +238,7 @@ def hom_matrix(x: Embedding) -> HomMatrix:
     for ell in range(L + 1):
         row = [None] * (M + 1)
         for m in range(ell, M + 1):
-            row[m] = n - len(linalg._eliminate(_picket_constraints(x, ell, m), n, p)[0])
+            row[m] = n - len(linalg._pivot_rows(_picket_constraints(x, ell, m), n, p))
         rows.append(row)
     return HomMatrix(L, M, rows)
 

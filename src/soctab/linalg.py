@@ -1,14 +1,27 @@
-"""Exact linear algebra over the prime field F_p.
+"""Exact linear algebra over the prime field F_p, or over the integers for
+every prime at once.
 
 Every elimination runs in one routine, ``_eliminate``, on rows held as
-lists of Python ints in [0, p), at every prime.  The library holds rows
-throughout and calls ``_eliminate`` and ``_null_rows`` directly, so the
-matrices it builds (mostly smaller than 20 x 20) pay no per-entry numpy
-call, and arithmetic is exact at any prime.  Rows bit-packed into one int
-and eliminated by XOR at p = 2 (as in M4RI) ran the realization sweep
-slower, so one row form serves every prime.  ``_null_rows`` costs one
-elimination: the reduced echelon basis of the kernel is read off the
-reduced rows.
+lists of Python ints, at every prime.  It is built on one forward pass,
+``_pivot_rows``, which fixes the pivot columns and so the rank; a caller
+that needs only those calls the forward pass alone and pays for no
+back-substitution.  The library holds rows throughout and calls these
+routines and ``_null_rows`` directly, so the matrices it builds (mostly
+smaller than 20 x 20) pay no per-entry numpy call, and arithmetic is exact
+at any prime.  Rows bit-packed into one int and eliminated by XOR at p = 2
+(as in M4RI) ran the realization sweep slower, so one row form serves
+every prime.  ``_null_rows`` costs one elimination: the reduced echelon
+basis of the kernel is read off the reduced rows.
+
+Each routine takes a prime p, with rows of ints in [0, p), or p None.
+With None it eliminates integer rows once, over the integers, for all
+primes; the realization's matrices hold integers that mean the same at
+every prime.  While every entry stays in {-1, 0, 1}, an entry is 0 iff it
+is 0 mod p, at every p, and the pivot -1 is its own inverse, so the
+elimination at any prime would take the same steps, and its rows and
+pivots are these reduced mod p.  The first entry outside that set (a 2 is
+0 mod 2 alone) makes the routine return None, and the caller eliminates
+at each prime.
 
 numpy serves only the checked entry for rows from outside, and the
 public interface is that entry: ``asmat`` reads them into an int64 array
@@ -17,16 +30,6 @@ array, converting to rows once on entry and back once on exit.
 ``modules.Subspace`` builds on the two.  No other module of the library
 imports numpy.  A subspace is its reduced row-echelon basis, held by
 ``modules.Subspace`` as kernel rows, so equal subspaces have equal rows.
-
-The realization's matrices hold integers that mean the same at every
-prime, so ``_eliminate_units`` eliminates them once, over the integers,
-for all primes.  While every entry stays in {-1, 0, 1}, an entry is 0 iff
-it is 0 mod p, at every p, and the pivot -1 is its own inverse, so
-``_eliminate`` would take the same steps at every prime, and its rows are
-these rows reduced mod p.  The first entry outside that set (a 2 is 0 mod
-2 alone) makes it return None, and the caller eliminates at each prime.
-Its forward pass alone, ``_unit_pivots``, fixes the pivot columns, which
-is all a type read-off needs.
 
 This module knows nothing of the operator: ``FpModule.shift`` applies it
 to rows, and the callers hand the resulting rows in.  No function here
@@ -75,45 +78,21 @@ def _to_array(rows, ncols):
     return np.fromiter(flat, np.int64, len(rows) * ncols).reshape(len(rows), ncols)
 
 
-def _eliminate(rows, ncols, p):
-    """The one elimination routine: reduced echelon rows and pivot columns."""
-    lead = {}  # pivot column -> the row with leading entry 1 there
-    for r in rows:
-        c = 0
-        while True:
-            while c < ncols and not r[c]:
-                c += 1
-            if c == ncols:
-                break
-            q = lead.get(c)
-            f = r[c]
-            if q is None:
-                if f != 1:
-                    inv = pow(f, -1, p)
-                    r = [x * inv % p for x in r]
-                lead[c] = r
-                break
-            r = [(x - f * y) % p for x, y in zip(r, q)]
-    cols = sorted(lead)
-    out = [lead[c] for c in cols]
-    # clear above each pivot, lowest pivot first, so that the row subtracted
-    # is already clear at every pivot after its own
-    for i in range(len(out) - 1, 0, -1):
-        r, c = out[i], cols[i]
-        for j in range(i):
-            f = out[j][c]
-            if f:
-                out[j] = [(x - f * y) % p for x, y in zip(out[j], r)]
-    return out, cols
-
-
 _UNITS = frozenset((-1, 0, 1))
 
 
-def _unit_pivots(rows, ncols):
-    """The forward pass of ``_eliminate_units``, which fixes the pivots:
-    {pivot column: its row}, or None where ``_eliminate_units`` gives up in it."""
-    if not _UNITS.issuperset(itertools.chain.from_iterable(rows)):
+def _pivot_rows(rows, ncols, p):
+    """The forward pass of ``_eliminate``: {pivot column: its row, with
+    leading entry 1}.  It fixes the pivot columns, and so the rank.
+
+    With p None it runs over the integers, for every prime at once, and
+    returns None as soon as a row given or formed holds an entry outside
+    {-1, 0, 1}.  An entry in that set is 0 iff it is 0 mod p, at every
+    prime p, and a leading -1 is its own inverse, so while every entry stays
+    in it, the pass at any p takes these same steps on these rows reduced
+    mod p.  A 2, which is 0 mod 2 only, or any other entry ends it.
+    """
+    if p is None and not _UNITS.issuperset(itertools.chain.from_iterable(rows)):
         return None
     lead = {}
     for r in rows:
@@ -125,37 +104,48 @@ def _unit_pivots(rows, ncols):
                 break
             q = lead.get(c)
             if q is None:
-                lead[c] = r if r[c] == 1 else [-x for x in r]
+                if r[c] == 1:
+                    lead[c] = r
+                elif p is None:
+                    lead[c] = [-x for x in r]  # over the integers the pivot is -1, its own inverse
+                else:
+                    inv = pow(r[c], -1, p)
+                    lead[c] = [x * inv % p for x in r]
                 break
-            r = [x - y for x, y in zip(r, q)] if r[c] == 1 else [x + y for x, y in zip(r, q)]
-            if 2 in r or -2 in r:
-                return None
+            if p is None:
+                r = [x - y for x, y in zip(r, q)] if r[c] == 1 else [x + y for x, y in zip(r, q)]
+                if 2 in r or -2 in r:
+                    return None
+            else:
+                f = r[c]
+                r = [(x - f * y) % p for x, y in zip(r, q)]
     return lead
 
 
-def _eliminate_units(rows, ncols):
-    """``_eliminate`` over the integers, for every prime at once: the reduced
-    echelon rows and pivot columns, or None as soon as a row given or formed
-    holds an entry outside {-1, 0, 1}.
+def _eliminate(rows, ncols, p):
+    """The one elimination routine: reduced echelon rows and pivot columns.
 
-    An entry in {-1, 0, 1} is 0 iff it is 0 mod p, at every prime p, and a
-    leading -1 is its own inverse.  So while every entry stays in that set,
-    ``_eliminate`` takes these same steps at any p and returns these rows
-    reduced mod p.  A 2, which is 0 mod 2 only, or any other entry ends it.
+    With p None it runs over the integers, as ``_pivot_rows`` does, and
+    returns None as soon as a row given or formed leaves {-1, 0, 1}; else
+    its rows reduced mod p are the rows at every prime p.
     """
-    lead = _unit_pivots(rows, ncols)
+    lead = _pivot_rows(rows, ncols, p)
     if lead is None:
         return None
     cols = sorted(lead)
     out = [lead[c] for c in cols]
+    # clear above each pivot, lowest pivot first, so that the row subtracted
+    # is already clear at every pivot after its own
     for i in range(len(out) - 1, 0, -1):
         r, c = out[i], cols[i]
         for j in range(i):
             f = out[j][c]
-            if f:
+            if f and p is None:
                 out[j] = s = [x - f * y for x, y in zip(out[j], r)]
                 if 2 in s or -2 in s:
                     return None
+            elif f:
+                out[j] = [(x - f * y) % p for x, y in zip(out[j], r)]
     return out, cols
 
 
@@ -169,12 +159,11 @@ def _null_rows(rows, ncols, p):
     every other free column: taken in decreasing c, these vectors are
     already the reduced echelon basis.
 
-    With p None the elimination is ``_eliminate_units``: the basis, with
+    With p None the elimination runs over the integers: the basis, with
     entries in {-1, 0, 1}, reduced mod any prime p is the basis at p, and
     None means that elimination gave up.
     """
-    rev = [r[::-1] for r in rows]
-    found = _eliminate(rev, ncols, p) if p else _eliminate_units(rev, ncols)
+    found = _eliminate([r[::-1] for r in rows], ncols, p)
     if found is None:
         return None
     red, pivots = found

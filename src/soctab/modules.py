@@ -25,11 +25,14 @@ coordinates of level < r and high(r) those of depth > r, for a subspace U:
 * T^i U has, in low(r), the columns of U in high(i) of level < r - i.
 
 The rank of every column prefix of a matrix is the number of its pivots
-inside that prefix, so each type takes one elimination of U's basis, with
-the columns in an order that makes every rank needed a prefix: by depth,
-deepest first, for U; H first and the rest by level for M/soc^l U (H is
-empty from l = N on, which gives M/U); high(i) by level and the rest last
-for M/T^i U.  No layer is built, and each module keeps its column orders.
+inside that prefix, so each type takes one forward pass of elimination
+(``linalg._pivot_rows``) over U's basis, with the columns in an order that
+makes every rank needed a prefix: by depth, deepest first, for U; H first
+and the rest by level for M/soc^l U (H is empty from l = N on, which gives
+M/U); high(i) by level and the rest last for M/T^i U.  No layer is built,
+and each module keeps its column orders.  ``_read_type`` is that one
+read-off; like the kernel it takes p None for integer rows valid mod every
+prime, and then reads the type at every prime at once.
 
 A module stores T only as the lists high(r), r = 0..N: ``shift`` moves the
 columns in high(r) by r and zeroes the rest.  So no power of T is a matrix,
@@ -283,47 +286,47 @@ def _quotient_type(module, sub):
 
 def _socle_quotient_type(module, sub, ell):
     """Type of module / soc^ell(sub), for an invariant sub."""
-    order = _read_off_order(module.parts, "socle", min(ell, module.nilpotency_index))
-    return _quotient_off(module.parts, _pivot_keys(sub, *order))
+    return _read_type(module.parts, sub.rows, module.prime, "socle", min(ell, module.nilpotency_index))
 
 
 def _radical_quotient_type(module, sub, i):
     """Type of module / T^i sub, for an invariant sub."""
-    order = _read_off_order(module.parts, "radical", min(i, module.nilpotency_index))
-    return _quotient_off(module.parts, _pivot_keys(sub, *order))
-
-
-def _pivot_keys(sub, order, keys):
-    """keys[k] of each pivot k of sub's basis with its columns in ``order``,
-    leaving out the pivots keyed None."""
-    rows = [[r[c] for c in order] for r in sub.rows]
-    pivots = linalg._eliminate(rows, len(order), sub.module.prime)[1]
-    return [keys[k] for k in pivots if keys[k] is not None]
-
-
-def _quotient_off(parts, levels):
-    """Type of M / W, for M the module of ``parts``, from the levels of W's
-    pivots in a read-off order.
-
-    Row j + 1 of the conjugate type of M / W has as many boxes as M has
-    coordinates of level j, less the pivots of level j.
-    """
-    rows = list(transpose(parts))  # the coordinates of each level
-    for j in levels:
-        rows[j] -= 1
-    return transpose(tuple(r for r in rows if r))
+    return _read_type(module.parts, sub.rows, module.prime, "radical", min(i, module.nilpotency_index))
 
 
 def _sub_type(module, sub):
-    """Type of sub as a module under the restricted operator.
+    """Type of sub as a module under the restricted operator."""
+    return _read_type(module.parts, sub.rows, module.prime, "depth")
 
-    Row d of its conjugate type is dim ker T^d - dim ker T^(d-1) on sub,
-    the number of pivots of depth d when the deepest columns come first.
+
+def _read_type(parts, rows, p, kind, r=0):
+    """The type read off the pivots of ``rows``, the basis of an invariant U in
+    the module M of ``parts``: of M / soc^r U ("socle"), of M / T^r U
+    ("radical") or of U ("depth"), for r at most the nilpotency index.
+
+    Row j + 1 of the conjugate type of U is dim ker T^(j+1) - dim ker T^j
+    on U, the number of pivots of depth j + 1 when the deepest columns come
+    first.  That of M / W is the number of M's coordinates of level j, less
+    the pivots of level j.  With p None the rows are integer rows, valid
+    mod every prime, and None means the forward pass over the integers
+    gave up.
     """
-    rows = [0] * module.nilpotency_index
-    for d in _pivot_keys(sub, *_read_off_order(module.parts, "depth")):
-        rows[d] += 1
-    return transpose(tuple(r for r in rows if r))
+    order, keys = _read_off_order(parts, kind, r)
+    found = _pivot_keys(rows, p, order, keys)
+    if found is None:
+        return None
+    conj, step = ([0] * (parts[0] if parts else 0), 1) if kind == "depth" else (list(transpose(parts)), -1)
+    for j in found:
+        conj[j] += step
+    return transpose(tuple(k for k in conj if k))
+
+
+def _pivot_keys(rows, p, order, keys):
+    """keys[k] of each pivot k of ``rows`` with their columns in ``order``,
+    leaving out the pivots keyed None; None where the forward pass over the
+    integers (p None) gives up."""
+    lead = linalg._pivot_rows([[r[c] for c in order] for r in rows], len(order), p)
+    return None if lead is None else [keys[k] for k in lead if keys[k] is not None]
 
 
 def annihilator(module, sub):

@@ -7,14 +7,16 @@ each two-step composite has socle equal to the kernel of the first step;
 the kernel of the full composite is then the subspace sought.  The maps
 have entries 0 and 1 at every prime (the construction of Ringel and
 Schmidmeier is prime-free), so they are built once per tableau on rows of
-Python ints.  Their eliminations run once too, over the integers
-(``linalg._eliminate_units``): while every entry stays in {-1, 0, 1}, an
-entry is 0 iff it is 0 mod p, so every prime would take the same steps,
-and the verdict of the checks and the composite's kernel, reduced mod p,
-serve every prime.  An elimination that leaves that set (the composite
-can hold a 2) is run again at each prime instead.  The kernel's
-invariance and socle levels are certified once too, so the socle sweep
-reads an embedding at p only where that certificate is missing or misses.
+Python ints.  Their eliminations run once too, by the routines of
+``linalg`` with p None, over the integers: while every entry stays in
+{-1, 0, 1}, an entry is 0 iff it is 0 mod p, so every prime would take the
+same steps, and the verdict of the checks and the composite's kernel,
+reduced mod p, serve every prime.  An elimination that leaves that set
+(the composite can hold a 2) is run again at each prime instead.  The
+kernel's invariance and socle levels are certified once too, by the
+invariance test and the type read-off of ``modules`` with p None, so the
+socle sweep reads an embedding at p only where that certificate is
+missing or misses.
 LR tableaux are realized as the duals of the realizations of their
 mirrored socle tableaux, which lie in the same standard module of beta.
 """
@@ -25,8 +27,7 @@ from .embeddings import Embedding, dual_embedding
 from .modules import (
     Subspace,
     _is_invariant,
-    _quotient_off,
-    _read_off_order,
+    _read_type,
     block_offsets,
     standard_module,
     zero_subspace,
@@ -99,7 +100,7 @@ class _IntChain:
         tableau prescribes by construction: n - m is the number of entries
         ell, which the layers remove.
 
-        The first call eliminates over the integers (``_eliminate_units``).
+        The first call eliminates over the integers (p None in ``linalg``).
         If every elimination it needs stays in {-1, 0, 1}, its verdict and
         the composite's kernel hold at every prime, and no later prime
         eliminates again; otherwise each prime runs its own eliminations.
@@ -172,14 +173,8 @@ class _IntChain:
 
     def _read_levels(self):
         kernel, beta = self._certified[1], self.layers[0]
-        out = []
-        for ell in range(1, len(self.layers)):
-            order, keys = _read_off_order(beta, "socle", ell)
-            lead = linalg._unit_pivots([[r[c] for c in order] for r in kernel], len(order))
-            if lead is None:
-                return ()
-            out.append(_quotient_off(beta, [keys[k] for k in lead if keys[k] is not None]))
-        return len(kernel), tuple(out)
+        levels = tuple(_read_type(beta, kernel, None, "socle", ell) for ell in range(1, len(self.layers)))
+        return () if None in levels else (len(kernel), levels)
 
 
 def _rows(ones, n):
@@ -195,12 +190,11 @@ def _socle_condition(size, high, prod, ker1, p):
     """True iff soc(Ker f2 f1) = Ker f1, given the kernel rows ker1 of f1: Ker f1
     lies in Ker f2 f1, so iff Ker f1 vanishes on ``high``, outside the socle S,
     and dim Ker f1 = |S| - rank((f2 f1)[:, S]), with |S| = size and prod the rows.
-    With p None the rank is taken by ``_eliminate_units``, and None means it gave up."""
-    found = linalg._eliminate(prod, size, p) if p else linalg._eliminate_units(prod, size)
-    if found is None:
+    With p None the rank is taken over the integers, and None means it gave up."""
+    lead = linalg._pivot_rows(prod, size, p)
+    if lead is None:
         return None
-    meet = size - len(found[0])
-    return not any(r[c] for r in ker1 for c in high) and meet == len(ker1)
+    return not any(r[c] for r in ker1 for c in high) and size - len(lead) == len(ker1)
 
 
 def _correction(t, layer, offs, ell):

@@ -132,10 +132,10 @@ def invariant_by_product(sub):
     return np.array_equal(tb[:, piv] @ b % m.prime, tb)
 
 
-def pivot_keys_by_array(sub, order, keys):
-    """``modules._pivot_keys`` on the basis array: the pivots of basis[:, order]."""
-    p = sub.module.prime
-    pivots = linalg._eliminate(linalg._to_rows(basis(sub)[:, order], p), len(order), p)[1]
+def pivot_keys_by_array(rows, p, order, keys):
+    """``modules._pivot_keys`` at a prime p, on an int64 array: the pivot
+    columns of rref(rows[:, order])."""
+    pivots = linalg.rref(linalg.asmat(rows, len(order), p)[:, list(order)], p)[1]
     return [keys[k] for k in pivots if keys[k] is not None]
 
 

@@ -34,7 +34,7 @@ from soctab.embeddings import (
     random_corpus,
     socle_tableau,
 )
-from soctab.modules import Subspace, quotient_type
+from soctab.modules import BadPrime, Subspace, quotient_type
 from soctab.partitions import contains, partitions_of, subdiagrams, transpose, weight
 from soctab.tableaux import InvalidTableau, SkewTableau, _beta_chains, iter_tableaux
 
@@ -389,6 +389,18 @@ def test_a_corpus_spec_of_rank_depending_on_p_fails_both_sweeps(monkeypatch):
     assert rep.failures == ["corpus[0]: outputs differ between primes 2 and 3"]
     rep = checks.defect_sweep(corpus_count=1, max_beta_weight=3)
     assert rep.failures == ["corpus[0]: defect tables differ between primes"]
+
+
+@pytest.mark.parametrize("sweep", [checks.hom_triple_sweep, checks.defect_sweep], ids=["hom", "defect"])
+def test_the_corpus_sweeps_check_their_primes_before_any_embedding(monkeypatch, sweep):
+    # no prime is an error, not an IndexError; a modulus that is not a prime
+    # is refused before any embedding is built
+    monkeypatch.setattr(checks, "_corpus_embeddings", lambda *args: pytest.fail("an embedding was built"))
+    with pytest.raises(ValueError, match=r"^a sweep needs at least one prime$"):
+        sweep(corpus_count=1, max_beta_weight=3, primes=())
+    for primes in ((4,), (2, 3, 9)):
+        with pytest.raises(BadPrime, match=r"is not a prime$"):
+            sweep(corpus_count=1, max_beta_weight=3, primes=primes)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)

@@ -76,13 +76,13 @@ def test_the_integer_elimination_refuses_a_matrix_whose_rank_depends_on_p():
     # the generators (1,0,1), (0,1,1), (1,1,0) span 2 dimensions at p = 2 and 3 at p = 3
     rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
     assert [len(linalg._eliminate(rows, 3, p)[0]) for p in (2, 3)] == [2, 3]
-    assert linalg._eliminate_units(rows, 3) is None
+    assert linalg._eliminate(rows, 3, None) is None
     assert linalg._null_rows(rows, 3, None) is None
     # an entry 2 given is refused before any step: it is 0 mod 2 alone
-    assert linalg._eliminate_units([[2, 0]], 2) is None
+    assert linalg._eliminate([[2, 0]], 2, None) is None
     # and so is one formed while clearing above a pivot, here (1, 0, -2): the
     # steps agree at every prime, but a zero test on the row would not
-    assert linalg._eliminate_units([[1, 1, -1], [0, 1, 1]], 3) is None
+    assert linalg._eliminate([[1, 1, -1], [0, 1, 1]], 3, None) is None
     assert linalg._eliminate([[1, 1, 1], [0, 1, 1]], 3, 2)[0] == [[1, 0, 0], [0, 1, 1]]
 
 
@@ -98,15 +98,25 @@ def unit_matrices(draw):
 @given(unit_matrices())
 def test_a_certified_integer_elimination_is_the_elimination_at_every_prime(case):
     rows, ncols = case
-    found = linalg._eliminate_units(rows, ncols)
+    found = linalg._eliminate(rows, ncols, None)
     # the kernel eliminates the rows with their columns reversed
     kernel = linalg._null_rows(rows, ncols, None)
-    assert (kernel is None) == (linalg._eliminate_units([r[::-1] for r in rows], ncols) is None)
+    assert (kernel is None) == (linalg._eliminate([r[::-1] for r in rows], ncols, None) is None)
+    # the forward pass alone fixes the pivots: over Z it gives up whenever
+    # the integer elimination gives up in it, and may pass where only the
+    # back-substitution gives up
+    lead = linalg._pivot_rows(rows, ncols, None)
+    assert lead is not None or found is None
     for p in (2, 3, 5, BIG):
         at_p = [[x % p for x in r] for r in rows]
+        red_p, pivots_p = linalg._eliminate(at_p, ncols, p)
+        lead_p = linalg._pivot_rows(at_p, ncols, p)
+        assert sorted(lead_p) == pivots_p and len(lead_p) == len(red_p)
+        if lead is not None:
+            assert sorted(lead) == pivots_p and len(lead) == len(red_p)
         if found is not None:
             red, pivots = found
-            assert linalg._eliminate(at_p, ncols, p) == ([[x % p for x in r] for r in red], pivots)
+            assert (red_p, pivots_p) == ([[x % p for x in r] for r in red], pivots)
         if kernel is not None:
             assert linalg._null_rows(at_p, ncols, p) == [[x % p for x in r] for r in kernel]
 

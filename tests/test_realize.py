@@ -30,6 +30,7 @@ from soctab.embeddings import (
     socle_tableau,
 )
 from soctab.modules import (
+    BadPrime,
     Subspace,
     _is_prime,
     _socle_quotient_type,
@@ -294,6 +295,20 @@ def test_realize_lr_sweep():
     assert rep.cases == 295
 
 
+@pytest.mark.parametrize("sweep", [checks.realize_sweep, checks.realize_lr_sweep], ids=["socle", "lr"])
+def test_the_realize_sweeps_check_their_primes_before_any_tableau(monkeypatch, sweep):
+    # no prime is an error, not 23 cases that check nothing; a modulus that is
+    # not a prime is refused before a construction is built, not only by the
+    # tableaux with alpha = ()
+    _one_cpu(monkeypatch)
+    monkeypatch.setattr(checks, "_IntChain", lambda t: pytest.fail("a construction was built"))
+    with pytest.raises(ValueError, match=r"^a sweep needs at least one prime$"):
+        sweep(3, primes=())
+    for primes in ((4,), (2, 3, 9)):
+        with pytest.raises(BadPrime, match=r"is not a prime$"):
+            sweep(3, primes=primes)
+
+
 def _count_check_socle(monkeypatch):
     """Calls of check_socle, wherever the package binds it, from now on."""
     import sys
@@ -519,11 +534,11 @@ def test_the_integer_verdict_and_kernel_are_those_of_every_prime(monkeypatch, co
 
 
 def _count_eliminations(monkeypatch):
-    """Calls of the elimination at p and of the integer one, from now on."""
+    """The modulus of every forward pass from now on, None for one over the
+    integers: each elimination and each rank runs one."""
     calls = []
-    for name in ("_eliminate", "_eliminate_units"):
-        run = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda *args, run=run, name=name: calls.append(name) or run(*args))
+    run = linalg._pivot_rows
+    monkeypatch.setattr(linalg, "_pivot_rows", lambda rows, ncols, p: calls.append(p) or run(rows, ncols, p))
     return calls
 
 
@@ -536,7 +551,7 @@ def test_a_certified_construction_eliminates_nothing_at_its_second_prime(monkeyp
             if not built.maps:
                 continue  # the zero subspace: no construction
             built.embedding(2)
-            assert "_eliminate_units" in calls and "_eliminate" not in calls
+            assert calls and set(calls) == {None}
             for p in (3, 5):
                 del calls[:]
                 x = built.embedding(p)
@@ -556,7 +571,7 @@ def test_a_certified_construction_eliminates_nothing_at_its_second_prime(monkeyp
     for p in (3, 5):
         del calls[:]
         built.embedding(p)
-        assert calls == ["_eliminate"]
+        assert calls == [p]
 
 
 def test_the_integer_levels_and_invariance_are_those_of_every_prime():
@@ -612,12 +627,12 @@ def test_an_integer_residual_that_vanishes_at_one_prime_only_certifies_nothing()
         assert Subspace._canonical(m, [[x % p for x in r] for r in rows]).is_invariant() == invariant
 
 
-@pytest.mark.parametrize("gives_up", ["_read_levels", "_is_invariant", "_unit_pivots"])
+@pytest.mark.parametrize("gives_up", ["_read_levels", "_is_invariant", "_units"])
 def test_the_sweep_falls_back_to_every_prime_when_the_integer_read_off_gives_up(monkeypatch, gives_up):
     # the level read-off gives up, or no invariance certifies, or every
-    # forward pass over the integers gives up (and with it every integer
-    # elimination), so each prime builds and reads its embedding, and the
-    # report is byte-identical
+    # forward pass over the integers (p None) gives up, and with it every
+    # integer elimination, so each prime builds and reads its embedding, and
+    # the report is byte-identical
     from soctab import realize
 
     want = json.dumps(checks.realize_sweep(8).to_json_dict())
@@ -628,7 +643,10 @@ def test_the_sweep_falls_back_to_every_prime_when_the_integer_read_off_gives_up(
     elif gives_up == "_is_invariant":
         monkeypatch.setattr(realize, "_is_invariant", lambda rows, high, p: calls.append(p) or False)
     else:
-        monkeypatch.setattr(linalg, "_unit_pivots", lambda rows, ncols: calls.append(ncols))
+        run = linalg._pivot_rows
+        monkeypatch.setattr(
+            linalg, "_pivot_rows", lambda rows, ncols, p: run(rows, ncols, p) if p else calls.append(ncols)
+        )
     embedding = _IntChain.embedding
     built = []
     monkeypatch.setattr(_IntChain, "embedding", lambda self, p: built.append(p) or embedding(self, p))
@@ -657,14 +675,14 @@ def test_a_map_onto_at_one_prime_only_is_checked_at_each_prime(monkeypatch, firs
         if p == 2:
             with pytest.raises(ConditionStarViolated, match=r"^stage 1 map is not surjective$"):
                 built.embedding(2)
-            at_p = ["_eliminate"]
+            at_p = [2]
         else:
             x = built.embedding(3)
             # the kernel at p = 3 is the socle of the stage
             assert x.sub.rows == [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]
-            at_p = ["_eliminate", "_eliminate"]  # the map's kernel and the composite's
+            at_p = [3, 3]  # the map's kernel and the composite's
         # the integer elimination runs once, at the first prime, and gives up
-        assert calls == (["_eliminate_units"] if p == first else []) + at_p
+        assert calls == ([None] if p == first else []) + at_p
         assert built._certified == (None, None)
     with pytest.raises(ConditionStarViolated, match=r"^stage 1 map is not surjective$"):
         built.check(2)
