@@ -3,7 +3,8 @@
 Each sweep returns a small report with counters and a list of failure
 descriptions; an empty list means the property held everywhere.  The
 switching sweep lives in the switching module because a mismatch there
-is a reportable result rather than a bug.
+is a reportable result rather than a bug.  The realize sweeps read each
+realization through ``_IntChain.levels`` alone.
 """
 
 from .convert import (
@@ -17,7 +18,6 @@ from .convert import (
     socle_to_hom,
 )
 from .embeddings import (
-    _filtration_chain,
     dual_embedding,
     embedding_from_spec,
     hom_matrix,
@@ -26,7 +26,7 @@ from .embeddings import (
     random_corpus,
     socle_tableau,
 )
-from .modules import _radical_quotient_type, _socle_quotient_type, standard_module
+from .modules import _check_prime
 from .partitions import beta_triple_counts, triple_order
 from .realize import _IntChain
 from .tableaux import _beta_chains, _chain_tableau, check_lr, check_socle
@@ -94,14 +94,16 @@ def count_symmetry_sweep(max_beta_weight: int) -> SweepReport:
     return rep
 
 
-def _check_primes(primes):
+def _check_primes(primes, dim):
     """The primes as a tuple, checked before a sweep starts: ValueError if
-    there are none, and ``BadPrime`` for a modulus that is not a prime."""
+    there are none, and ``BadPrime`` for a modulus that is not a prime or is
+    too large for the sweep's largest module, of dimension ``dim`` (10 for
+    the bundled fixtures m1, m2 and m3)."""
     primes = tuple(primes)
     if not primes:
         raise ValueError("a sweep needs at least one prime")
     for p in primes:
-        standard_module(p, ())  # raises BadPrime
+        _check_prime(int(p), dim)
     return primes
 
 
@@ -112,7 +114,7 @@ def realize_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
     # would compile the driver, and a sweep that does not use it would pay
     from . import _shards
 
-    primes = _check_primes(primes)
+    primes = _check_primes(primes, max_beta_weight)
     rep = SweepReport("realize-roundtrip", max_beta=max_beta_weight, primes=list(primes))
     items = []
     for beta, _ in beta_triple_counts(max_beta_weight):
@@ -125,27 +127,17 @@ def realize_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
         shape, chain = item
         # the enumerator's chains are valid, so nothing is checked again
         built = _IntChain(_chain_tableau(chain, "socle"))
-        size = sum(shape[0])
+        want = (sum(shape[0]), chain[1:])
         out = []
         for p in primes:
             # layer l has weight |beta| - dim soc^l U, so layers 1..s fix each
             # dim soc^l U; with dim U = |alpha| = dim soc^s U they fix the type
             # of U, and layer s is M/U.  So this holds iff the shape and the
-            # chain match, and only a miss reads both, to word its failure.
-            # The levels certified over the integers serve every prime; the
-            # embedding at p is built only where they are missing or miss
-            if built.certified_levels(p) == (size, chain[1:]):
-                continue
-            x = built.embedding(p)
-            if x.sub.dim == size and all(
-                _socle_quotient_type(x.ambient, x.sub, ell) == chain[ell] for ell in range(1, len(chain))
-            ):
-                continue
-            if x.shape != shape:
-                out.append(f"{shape} p={p}: wrong shape {tuple(x.shape)}")
-            # canonical chains: equal iff the tableaux are
-            elif tuple(_filtration_chain(x, _socle_quotient_type, shape[1], shape[2])) != chain:
-                out.append(f"{shape} p={p}: socle tableau differs")
+            # chain match, and a miss of the right shape is a tableau that differs
+            if built.levels(p, "socle") != want:
+                got = built.embedding(p).shape
+                miss = "socle tableau differs" if got == shape else f"wrong shape {tuple(got)}"
+                out.append(f"{shape} p={p}: {miss}")
         return out
 
     rep.cases = len(items)
@@ -158,7 +150,7 @@ def realize_lr_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
     chain must be one of those enumerated, which replaces its axiom check."""
     from . import _shards
 
-    primes = _check_primes(primes)
+    primes = _check_primes(primes, max_beta_weight)
     rep = SweepReport("realize-lr-roundtrip", max_beta=max_beta_weight, primes=list(primes))
     items = []
     for beta, _ in beta_triple_counts(max_beta_weight):
@@ -173,13 +165,9 @@ def realize_lr_sweep(max_beta_weight: int, primes=(2, 3)) -> SweepReport:
         mirror = _duallr_chain_to_socle(chain)
         if mirror not in targets:
             return [f"{shape}: mirror is not an enumerated socle chain"]
+        # the radical read of the mirror's realization is the LR chain of its dual
         built = _IntChain(_chain_tableau(mirror, "socle"))
-        out = []
-        for p in primes:
-            x = dual_embedding(built.embedding(p))
-            if tuple(_filtration_chain(x, _radical_quotient_type, x.gamma, x.beta)) != chain:
-                out.append(f"{shape} p={p}: lr tableau differs")
-        return out
+        return [f"{shape} p={p}: lr tableau differs" for p in primes if built.levels(p, "radical") != chain]
 
     rep.cases = len(items)
     rep.failures = _shards.run(items, realize)
@@ -198,7 +186,7 @@ def hom_triple_sweep(
 ) -> SweepReport:
     """Engine Hom-matrix equals both closed forms; inverses reconstruct; all
     integer outputs are independent of the prime."""
-    primes = _check_primes(primes)
+    primes = _check_primes(primes, max(max_beta_weight, 10))
     rep = SweepReport(
         "hom-triple",
         seed=corpus_seed,
@@ -237,7 +225,7 @@ def defect_sweep(
     corpus_seed=20260810, corpus_count=200, max_beta_weight=10, primes=(2, 3)
 ) -> SweepReport:
     """Defect equals the tableau multiplicity and the four-term Hom expression."""
-    primes = _check_primes(primes)
+    primes = _check_primes(primes, max(max_beta_weight, 10))
     rep = SweepReport(
         "defect",
         seed=corpus_seed,

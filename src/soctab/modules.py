@@ -337,9 +337,10 @@ def annihilator(module, sub):
     into the shift, so the result is an invariant subspace of ``module``.
     Applied twice it returns ``sub``.
     """
-    rev = [
-        off + size - 1 - i
-        for off, size in zip(block_offsets(module.parts), module.parts)
-        for i in range(size)
-    ]
-    return Subspace(module, [[f[c] for c in rev] for f in sub.annihilator_basis])
+    return Subspace(module, _reverse_blocks(module.parts, sub.annihilator_basis))
+
+
+def _reverse_blocks(parts, rows):
+    """The rows with their coordinates reversed inside each block of ``parts``."""
+    rev = [off + size - 1 - i for off, size in zip(block_offsets(parts), parts) for i in range(size)]
+    return [[f[c] for c in rev] for f in rows]

@@ -13,10 +13,9 @@ Python ints.  Their eliminations run once too, by the routines of
 same steps, and the verdict of the checks and the composite's kernel,
 reduced mod p, serve every prime.  An elimination that leaves that set
 (the composite can hold a 2) is run again at each prime instead.  The
-kernel's invariance and socle levels are certified once too, by the
-invariance test and the type read-off of ``modules`` with p None, so the
-socle sweep reads an embedding at p only where that certificate is
-missing or misses.
+kernel's invariance is certified once too, and ``_IntChain.levels``, the
+realize sweeps' one read, reads the kernel's socle levels or its dual's LR
+chain once, by ``modules._read_type`` with p None, where that holds.
 LR tableaux are realized as the duals of the realizations of their
 mirrored socle tableaux, which lie in the same standard module of beta.
 """
@@ -28,6 +27,7 @@ from .modules import (
     Subspace,
     _is_invariant,
     _read_type,
+    _reverse_blocks,
     block_offsets,
     standard_module,
     zero_subspace,
@@ -92,7 +92,7 @@ class _IntChain:
         # (verdict, kernel) over the integers, set by the first check; not run
         # here, so that a construction that fails condition star still builds
         self._certified = None
-        self._levels = None  # set by the first certified_levels
+        self._levels = {}  # kind: the integer read of ``levels``, falsy if there is none
 
     def check(self, p):
         """Raise ``ConditionStarViolated`` unless every map is onto and meets
@@ -158,23 +158,34 @@ class _IntChain:
         # an invariance certified over the integers holds at p; else test it at p
         return Embedding._certified(amb, sub) if self._invariant else Embedding(amb, sub)
 
-    def certified_levels(self, p):
-        """(dim U, the types of M / soc^l U for l = 1..s) of the subspace U of
-        ``embedding(p)``, read once for every prime off the pivots of U's
-        integer rows, which are those at p while the forward pass stays in
-        {-1, 0, 1}; None for the zero U, or if U is not certified invariant
-        or a pass leaves that set."""
-        if not self.maps:
-            return None
-        self.check(p)
-        if self._levels is None:
-            self._levels = self._read_levels() if self._invariant else ()
-        return self._levels or None
+    def levels(self, p, kind):
+        """What the realize sweeps check of U, the subspace of ``embedding(p)``
+        in M: for "socle", (dim U, the types of M / soc^l U for l = 1..s); for
+        "radical", the types of M / T^i U* for i = 0..gamma[0], U* the
+        annihilator of U reversed per block (``modules.annihilator``); the last
+        is M's type iff T^gamma[0] U* = 0.  Read once over the integers, for
+        every prime, if U is certified invariant and no pass gives up."""
+        if self.maps:
+            self.check(p)
+            if kind not in self._levels:
+                self._levels[kind] = self._invariant and _read(self.layers, self._certified[1], None, kind)
+        return self._levels.get(kind) or _read(self.layers, self.embedding(p).sub.rows, p, kind)
 
-    def _read_levels(self):
-        kernel, beta = self._certified[1], self.layers[0]
-        levels = tuple(_read_type(beta, kernel, None, "socle", ell) for ell in range(1, len(self.layers)))
-        return () if None in levels else (len(kernel), levels)
+
+def _read(layers, rows, p, kind):
+    """``_IntChain.levels`` of the invariant U spanned by ``rows``, at p or over
+    the integers (p None; None if a pass gives up).  U*'s rows need no
+    reduction: the read-off counts pivots in column prefixes, as any basis has."""
+    beta = layers[0]
+    if kind == "socle":
+        found = tuple(_read_type(beta, rows, p, kind, ell) for ell in range(1, len(layers)))
+        return None if None in found else (len(rows), found)
+    dual = linalg._null_rows(rows, sum(beta), p)
+    if dual is None:
+        return None
+    dual = _reverse_blocks(beta, dual)
+    found = tuple(_read_type(beta, dual, p, kind, i) for i in range(max(layers[-1], default=0) + 1))
+    return None if None in found else found
 
 
 def _rows(ones, n):

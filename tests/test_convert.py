@@ -401,6 +401,9 @@ def test_the_corpus_sweeps_check_their_primes_before_any_embedding(monkeypatch, 
     for primes in ((4,), (2, 3, 9)):
         with pytest.raises(BadPrime, match=r"is not a prime$"):
             sweep(corpus_count=1, max_beta_weight=3, primes=primes)
+    # too large for the fixtures, of dimension 10, though the corpus stays below 4
+    with pytest.raises(BadPrime, match=r"is too large: .*, with dim 10$"):
+        sweep(corpus_count=1, max_beta_weight=3, primes=(2147483647,))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)

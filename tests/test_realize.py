@@ -21,6 +21,7 @@ from soctab.convert import (
 )
 from soctab.embeddings import (
     Embedding,
+    _filtration_chain,
     dual_embedding,
     embedding_from_json,
     embedding_to_json,
@@ -33,6 +34,7 @@ from soctab.modules import (
     BadPrime,
     Subspace,
     _is_prime,
+    _radical_quotient_type,
     _socle_quotient_type,
     block_offsets,
     quotient_type,
@@ -55,7 +57,7 @@ from soctab.realize import (
     realize_lr,
     realize_socle,
 )
-from soctab.tableaux import InvalidTableau, SkewTableau, iter_tableaux
+from soctab.tableaux import InvalidTableau, SkewTableau, _chain_tableau, iter_tableaux
 
 
 def verify_epi_chain(epi, expected_alpha=None):
@@ -307,6 +309,9 @@ def test_the_realize_sweeps_check_their_primes_before_any_tableau(monkeypatch, s
     for primes in ((4,), (2, 3, 9)):
         with pytest.raises(BadPrime, match=r"is not a prime$"):
             sweep(3, primes=primes)
+    # fine for the zero module, too large for the sweep's modules of dimension 3
+    with pytest.raises(BadPrime, match=r"is too large: .*, with dim 3$"):
+        sweep(3, primes=(2147483647,))
 
 
 def _count_check_socle(monkeypatch):
@@ -435,8 +440,8 @@ def test_realize_sweeps_report_every_wrong_realization(monkeypatch):
         def embedding(self, p):
             return self.built[p].embedding(p)
 
-        def certified_levels(self, p):
-            return self.built[p].certified_levels(p)
+        def levels(self, p, kind):
+            return self.built[p].levels(p, kind)
 
     monkeypatch.setattr(checks, "_IntChain", Faulty)
     shape = ((2, 1), (3, 2, 1), (2, 1))
@@ -469,9 +474,9 @@ def test_a_larger_subspace_with_the_socle_layers_of_the_chain_has_the_wrong_shap
                 return Embedding(amb, Subspace(amb, [[1, 0], [0, 1]]))
             return self.built.embedding(p)
 
-        def certified_levels(self, p):
+        def levels(self, p, kind):
             # the planted subspace has no certificate
-            return None if p == 3 and self.whole else self.built.certified_levels(p)
+            return None if p == 3 and self.whole else self.built.levels(p, kind)
 
     monkeypatch.setattr(checks, "_IntChain", Faulty)
     assert checks.realize_sweep(2).failures == ["((1,), (2,), (1,)) p=3: wrong shape ((2,), (2,), ())"]
@@ -551,12 +556,15 @@ def test_a_certified_construction_eliminates_nothing_at_its_second_prime(monkeyp
             if not built.maps:
                 continue  # the zero subspace: no construction
             built.embedding(2)
+            built.levels(2, "radical")
             assert calls and set(calls) == {None}
             for p in (3, 5):
                 del calls[:]
                 x = built.embedding(p)
+                # the dual's LR chain is read off the integer rows once, at p = 2
+                dual = built.levels(p, "radical")
                 assert calls == []
-                assert socle_tableau(x) == t
+                assert socle_tableau(x) == t and _chain_tableau(dual, "lr") == lr_tableau(dual_embedding(x))
             del calls[:]
             n += 1
     assert n == 295 - 30  # every beta of weight <= 6 has one tableau with alpha = ()
@@ -575,24 +583,27 @@ def test_a_certified_construction_eliminates_nothing_at_its_second_prime(monkeyp
 
 
 def test_the_integer_levels_and_invariance_are_those_of_every_prime():
-    # every socle tableau with |beta| <= 8: the levels and the invariance
-    # certified over the integers are those read off the embedding at p
-    n = 0
+    # every socle tableau with |beta| <= 8: the socle levels, the LR chain of
+    # the dual and the invariance certified over the integers are those read
+    # off the embedding at p and off its dual
+    n = {"socle": 0, "radical": 0}
     for sh in shape_triples(8):
         for t in iter_tableaux(*sh, kind="socle"):
             built = _IntChain(t)
             for p in (2, 3, 5, 1000003):
-                x, found = built.embedding(p), built.certified_levels(p)
-                if not built.maps:
-                    assert found is None
-                    continue
-                assert built._invariant == x.sub.is_invariant()
+                x = built.embedding(p)
+                if built.maps:
+                    assert built._invariant == x.sub.is_invariant()
                 s = len(built.layers) - 1
                 read = tuple(_socle_quotient_type(x.ambient, x.sub, ell) for ell in range(1, s + 1))
-                assert found == (x.sub.dim, read), (t.to_json_dict(), p)
-            n += found is not None
-    # every tableau with maps certifies; the 67 with alpha = () have none
-    assert n == 1351 - 67
+                assert built.levels(p, "socle") == (x.sub.dim, read), (t.to_json_dict(), p)
+                d = dual_embedding(x)
+                dual = tuple(_filtration_chain(d, _radical_quotient_type, d.gamma, d.beta))
+                assert built.levels(p, "radical") == dual, (t.to_json_dict(), p)
+            for kind in n:
+                n[kind] += bool(built._levels.get(kind))
+    # every tableau with maps certifies both reads; the 67 with alpha = () have none
+    assert n == {"socle": 1351 - 67, "radical": 1351 - 67}
 
 
 def test_a_certified_invariance_is_not_tested_again_at_any_prime(monkeypatch):
@@ -614,7 +625,11 @@ def test_a_certified_invariance_is_not_tested_again_at_any_prime(monkeypatch):
     built = _IntChain(t)
     for p in (2, 3):
         built.embedding(p)
-    assert calls == [2, 3] and built.certified_levels(5) is None
+    assert calls == [2, 3]
+    # and no read certifies: each reads the embedding at its prime, tested there
+    for kind in ("socle", "radical"):
+        built.levels(5, kind)
+    assert calls == [2, 3, 5, 5] and not any(built._levels.values())
 
 
 def test_an_integer_residual_that_vanishes_at_one_prime_only_certifies_nothing():
@@ -627,19 +642,23 @@ def test_an_integer_residual_that_vanishes_at_one_prime_only_certifies_nothing()
         assert Subspace._canonical(m, [[x % p for x in r] for r in rows]).is_invariant() == invariant
 
 
-@pytest.mark.parametrize("gives_up", ["_read_levels", "_is_invariant", "_units"])
-def test_the_sweep_falls_back_to_every_prime_when_the_integer_read_off_gives_up(monkeypatch, gives_up):
-    # the level read-off gives up, or no invariance certifies, or every
-    # forward pass over the integers (p None) gives up, and with it every
+@pytest.mark.parametrize("sweep", [checks.realize_sweep, checks.realize_lr_sweep], ids=["socle", "lr"])
+@pytest.mark.parametrize("gives_up", ["_read", "_is_invariant", "_units"])
+def test_the_sweep_falls_back_to_every_prime_when_the_integer_read_off_gives_up(monkeypatch, gives_up, sweep):
+    # the read-off over the integers gives up, or no invariance certifies, or
+    # every forward pass over the integers (p None) gives up, and with it every
     # integer elimination, so each prime builds and reads its embedding, and
     # the report is byte-identical
     from soctab import realize
 
-    want = json.dumps(checks.realize_sweep(8).to_json_dict())
+    want = json.dumps(sweep(8).to_json_dict())
     _one_cpu(monkeypatch)
     calls = []
-    if gives_up == "_read_levels":
-        monkeypatch.setattr(_IntChain, "_read_levels", lambda self: calls.append(self) or ())
+    if gives_up == "_read":
+        read = realize._read
+        monkeypatch.setattr(
+            realize, "_read", lambda layers, rows, p, kind: read(layers, rows, p, kind) if p else calls.append(p)
+        )
     elif gives_up == "_is_invariant":
         monkeypatch.setattr(realize, "_is_invariant", lambda rows, high, p: calls.append(p) or False)
     else:
@@ -650,7 +669,7 @@ def test_the_sweep_falls_back_to_every_prime_when_the_integer_read_off_gives_up(
     embedding = _IntChain.embedding
     built = []
     monkeypatch.setattr(_IntChain, "embedding", lambda self, p: built.append(p) or embedding(self, p))
-    rep = checks.realize_sweep(8)
+    rep = sweep(8)
     assert json.dumps(rep.to_json_dict()) == want
     assert calls and len(built) == 2 * 1351
 

@@ -113,8 +113,8 @@ def faulty_realizations(monkeypatch, primes):
         def embedding(self, p):
             return self.built[p].embedding(p)
 
-        def certified_levels(self, p):
-            return self.built[p].certified_levels(p)
+        def levels(self, p, kind):
+            return self.built[p].levels(p, kind)
 
     monkeypatch.setattr(checks, "_IntChain", Faulty)
 
